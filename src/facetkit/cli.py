@@ -7,14 +7,14 @@ import json
 import sys
 from pathlib import Path
 
-from .agreement import cronbach_alpha, qwk_matrix
+from .agreement import qwk_matrix
 from .ensemble import EnsembleSpec, build_ensemble, greedy_prune
 from .estimate import EstimationConfig, FacetEstimates, estimate
 from .fitstats import FitCuts, fit_statistics, with_flags
 from .ratings import RatingsTensor, ingest_csv
 from .report import Table, descriptive_table, estimates_summary, measure_table, render_wright
 from .simulate import SimSpec, simulate
-from .study import StageError, StudyConfig, run_study
+from .study import StageError, StudyConfig, agreement_table, alpha_table, run_study
 
 ROUNDING_ALIASES = {
     "half-away": "half-away-from-zero",
@@ -73,13 +73,7 @@ def cmd_agree(args):
         groups = [tuple(tensor.ids.items)]
     else:
         groups = [(item,) for item in tensor.ids.items]
-    table = qwk_matrix(tensor, benchmarks, candidates, groups)
-    rows = tuple(
-        {**rec, "kappa": float("nan") if rec["kappa"] is None else rec["kappa"],
-         "degenerate": str(rec["degenerate"]).lower()}
-        for rec in table.to_records()
-    )
-    out = Table(("candidate", "benchmark", "items", "n_pairs", "kappa", "degenerate"), rows)
+    out = agreement_table(qwk_matrix(tensor, benchmarks, candidates, groups))
     if args.json:
         _emit(json.dumps(out.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
     else:
@@ -96,16 +90,7 @@ def cmd_alpha(args):
             raise ValueError(f"group {spec!r} must look like name:item1,item2")
         groups[name] = _split_ids(items)
     raters = _split_ids(args.raters) if args.raters else list(tensor.ids.raters)
-    rows = []
-    for name in groups:
-        for rater in raters:
-            res = cronbach_alpha(tensor, rater, groups[name])
-            rows.append(
-                {"rater": rater, "group": name, "n_items": res.n_items,
-                 "n_persons": res.n_persons, "alpha": res.alpha}
-            )
-    out = Table(("rater", "group", "n_items", "n_persons", "alpha"), tuple(rows))
-    _emit(out.to_csv_text(), args.out)
+    _emit(alpha_table(tensor, groups.items(), raters).to_csv_text(), args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, category_probs
+from .model import ModelParams, cell_moments, observed_log_likelihood
 from .ratings import FacetIds, RatingsTensor, ScaleSpec
 
 EXTREME_NONE = "none"
@@ -61,7 +61,10 @@ class EstimationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimationConfig":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
+        unknown = sorted(set(d) - set(cls().to_dict()))
+        if unknown:
+            raise ValueError(f"unknown estimation setting(s): {', '.join(unknown)}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -149,55 +152,18 @@ class FacetEstimates:
             return cls.from_json_dict(json.load(f))
 
 
-class _Cells:
-    """Flattened view of the present cells with bincount helpers."""
-
-    def __init__(self, tensor):
-        self.P, self.I, self.R = tensor.shape
-        self.K = tensor.scale.num_categories - 1
-        pidx, iidx, ridx = np.nonzero(tensor.present_mask)
-        self.pidx, self.iidx, self.ridx = pidx, iidx, ridx
-        self.x = tensor.values[pidx, iidx, ridx] - tensor.scale.min_score
-        self.n = pidx.size
-
-    def locations(self, ability, severity, difficulty, sel=slice(None)):
-        return (
-            ability[self.pidx[sel]]
-            - severity[self.ridx[sel]]
-            - difficulty[self.iidx[sel]]
-        )
-
-    def sums(self, which, weights, sel):
-        idx = {"person": self.pidx, "rater": self.ridx, "item": self.iidx}[which][sel]
-        size = {"person": self.P, "rater": self.R, "item": self.I}[which]
-        return np.bincount(idx, weights=weights, minlength=size)
-
-
-def _moments(loc, thresholds):
-    """(probs, expected score, score variance) at the given locations."""
-    probs = category_probs(loc, thresholds)
-    k = np.arange(thresholds.size + 1, dtype=float)
-    e = probs @ k
-    w = probs @ k**2 - e**2
-    return probs, e, w
-
-
-def _loglik(probs, x):
-    return float(np.sum(np.log(probs[np.arange(x.size), x.astype(int)])))
-
-
 def _mark_extremes(cells, K):
     """Iteratively flag all-min/all-max elements; returns flags and active mask."""
     flags = {
-        "person": np.array([EXTREME_NONE] * cells.P, dtype=object),
-        "rater": np.array([EXTREME_NONE] * cells.R, dtype=object),
-        "item": np.array([EXTREME_NONE] * cells.I, dtype=object),
+        which: np.array([EXTREME_NONE] * cells.size[which], dtype=object)
+        for which in ("person", "rater", "item")
     }
     active = np.ones(cells.n, dtype=bool)
     while True:
         changed = False
-        for which, idx in (("person", cells.pidx), ("rater", cells.ridx), ("item", cells.iidx)):
-            counts = cells.sums(which, np.ones(int(active.sum())), active)
+        for which in ("person", "rater", "item"):
+            idx = cells.index[which]
+            counts = cells.sums(which, None, active)
             raw = cells.sums(which, cells.x[active], active)
             fl = flags[which]
             for e in np.nonzero(counts > 0)[0]:
@@ -219,7 +185,7 @@ def _initial_values(cells, active, K, flags):
     """PROX-style log-odds starting values from adjusted raw totals."""
 
     def logodds(which, sign):
-        counts = cells.sums(which, np.ones(int(active.sum())), active)
+        counts = cells.sums(which, None, active)
         raw = cells.sums(which, cells.x[active], active)
         top = K * counts
         # extremes are excluded from the sweep; give them a placeholder of 0
@@ -258,23 +224,19 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         raise EstimationError(
             "disconnected design: facet elements are not linked by shared observations"
         )
-    cells = _Cells(tensor)
-    K = cells.K
+    cells = tensor.cell_index
+    K = tensor.scale.span
     if np.unique(cells.x).size < 2:
         raise EstimationError("need at least 2 observed score categories")
 
     flags, active = _mark_extremes(cells, K)
     if not active.any():
         raise EstimationError("every response string is extreme; nothing to estimate")
-    for which, facet_ids in (
-        ("person", tensor.ids.persons),
-        ("rater", tensor.ids.raters),
-        ("item", tensor.ids.items),
-    ):
-        counts = cells.sums(which, np.ones(int(active.sum())), active)
+    for which in ("person", "rater", "item"):
+        counts = cells.sums(which, None, active)
         starved = (counts == 0) & (flags[which] == EXTREME_NONE)
         if starved.any():
-            bad = facet_ids[int(np.nonzero(starved)[0][0])]
+            bad = getattr(tensor.ids, which + "s")[int(np.nonzero(starved)[0][0])]
             raise EstimationError(
                 f"{which} {bad!r} has no usable observations once extreme strings are removed"
             )
@@ -289,16 +251,31 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
 
     def recompute():
         loc = cells.locations(ability, severity, difficulty, active)
-        probs, e, w = _moments(loc, thresholds)
-        return probs, e, w, _loglik(probs, x_act)
+        probs, e, w = cell_moments(loc, thresholds)
+        return probs, e, w, observed_log_likelihood(probs, x_act)
 
     damp = config.newton_damping
     clamp = config.logit_clamp
+
+    def line_search(vec, step, loglik):
+        """Move ``vec`` by the largest of step, step/2, ... (60 halvings) that
+        keeps the active-cell likelihood from decreasing; else leave it."""
+        base = vec.copy()
+        scale_factor = 1.0
+        for _ in range(60):
+            vec[:] = np.clip(base + step * scale_factor, -clamp, clamp)
+            state = recompute()
+            if state[3] >= loglik - 1e-12:
+                return state
+            scale_factor *= 0.5
+        vec[:] = base
+        return recompute()
+
     probs, e, w, loglik = recompute()
     sweep_lls = [loglik]
     iterations = 0
     converged = False
-    max_resid = np.inf
+    max_change = max_resid = np.inf
     warned_singular = False
 
     for iterations in range(1, config.max_iterations + 1):
@@ -317,18 +294,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             step[mask] = np.clip(
                 sign * resid[mask] / np.maximum(info[mask], 1e-12), -damp, damp
             )
-            base = vec.copy()
-            scale_factor = 1.0
-            for _ in range(60):
-                vec[:] = np.clip(base + step * scale_factor, -clamp, clamp)
-                new_probs, new_e, new_w, new_ll = recompute()
-                if new_ll >= loglik - 1e-12:
-                    break
-                scale_factor *= 0.5
-            else:
-                vec[:] = base
-                new_probs, new_e, new_w, new_ll = recompute()
-            probs, e, w, loglik = new_probs, new_e, new_w, new_ll
+            probs, e, w, loglik = line_search(vec, step, loglik)
 
         # joint K-dimensional Newton step on category-count residuals
         p_ge = 1.0 - np.cumsum(probs, axis=-1)[:, :-1]  # P(X >= k), k = 1..K
@@ -345,19 +311,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             if not warned_singular:
                 warnings.warn("threshold curvature singular; using diagonal step")
                 warned_singular = True
-        step = np.clip(delta, -damp, damp)
-        base = thresholds.copy()
-        scale_factor = 1.0
-        for _ in range(60):
-            thresholds[:] = np.clip(base + step * scale_factor, -clamp, clamp)
-            new_probs, new_e, new_w, new_ll = recompute()
-            if new_ll >= loglik - 1e-12:
-                break
-            scale_factor *= 0.5
-        else:
-            thresholds[:] = base
-            new_probs, new_e, new_w, new_ll = recompute()
-        probs, e, w, loglik = new_probs, new_e, new_w, new_ll
+        probs, e, w, loglik = line_search(thresholds, np.clip(delta, -damp, damp), loglik)
         if np.any(np.abs(thresholds) >= clamp):
             warnings.warn(
                 "a threshold hit the logit clamp; some categories are likely unobserved"
@@ -395,24 +349,27 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             break
 
     if not converged:
-        warnings.warn(
-            f"estimation did not converge in {config.max_iterations} sweeps "
-            f"(last max change above tolerance)"
+        failed = "; ".join(
+            f"last {name} {value:.3g} above tolerance {tol:g}"
+            for name, value, tol in (("max change", max_change, config.convergence_tol),
+                                     ("max score residual", max_resid, config.residual_tol))
+            if not value <= tol
         )
+        warnings.warn(f"estimation did not converge in {config.max_iterations} sweeps ({failed})")
 
-    _solve_extremes(cells, flags, ability, severity, difficulty, thresholds, config)
+    _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, config)
 
     # standard errors from observed Fisher information at the final estimates
     loc_all = cells.locations(ability, severity, difficulty)
-    probs_all, e_all, w_all = _moments(loc_all, thresholds)
-    se_ability = _safe_se(cells.sums("person", w_all, slice(None)))
-    se_severity = _safe_se(cells.sums("rater", w_all, slice(None)))
-    se_difficulty = _safe_se(cells.sums("item", w_all, slice(None)))
+    probs_all, _, w_all = cell_moments(loc_all, thresholds)
+    se_ability = _safe_se(cells.sums("person", w_all))
+    se_severity = _safe_se(cells.sums("rater", w_all))
+    se_difficulty = _safe_se(cells.sums("item", w_all))
     pge_all = 1.0 - np.cumsum(probs_all, axis=-1)[:, :-1]
     se_thresholds = _safe_se((pge_all * (1.0 - pge_all)).sum(axis=0))
 
     params = ModelParams(ability, severity, difficulty, thresholds)
-    final_ll = _loglik(probs_all, cells.x)
+    final_ll = observed_log_likelihood(probs_all, cells.x)
     return FacetEstimates(
         params=params,
         se_ability=se_ability,
@@ -437,50 +394,38 @@ def _safe_se(information):
     return 1.0 / np.sqrt(np.maximum(information, 1e-12))
 
 
-def _solve_extremes(cells, flags, ability, severity, difficulty, thresholds, config):
+def _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, config):
     """Assign measures to extreme elements, one Newton solve each.
 
     The element's raw total is pulled inside the scale range by
     ``extreme_adjust`` score points and its single parameter solved against
     every other measure held fixed.  Persons first, then raters, then items.
     """
-    K = cells.K
-    for which, vec, sign, idx in (
-        ("person", ability, +1.0, cells.pidx),
-        ("rater", severity, -1.0, cells.ridx),
-        ("item", difficulty, -1.0, cells.iidx),
+    for which, vec, sign in (
+        ("person", ability, +1.0),
+        ("rater", severity, -1.0),
+        ("item", difficulty, -1.0),
     ):
         for element in np.nonzero(flags[which] != EXTREME_NONE)[0]:
-            sel = idx == element
-            n = int(sel.sum())
+            sel = cells.index[which] == element
             if flags[which][element] == EXTREME_MIN:
                 target = config.extreme_adjust
             else:
-                target = K * n - config.extreme_adjust
-            vec[element] = _solve_single_measure(
-                cells, which, element, sel, vec, sign, target,
-                ability, severity, difficulty, thresholds, config,
-            )
-
-
-def _solve_single_measure(cells, which, element, sel, vec, sign, target,
-                          ability, severity, difficulty, thresholds, config):
-    v = 0.0
-    saved = vec[element]
-    for _ in range(200):
-        vec[element] = v
-        loc = cells.locations(ability, severity, difficulty, sel)
-        _, e, w = _moments(loc, thresholds)
-        f = e.sum() - target
-        if abs(f) < 1e-10:
-            break
-        step = np.clip(sign * -f / max(w.sum(), 1e-12),
-                       -config.newton_damping, config.newton_damping)
-        v = float(np.clip(v + step, -config.logit_clamp, config.logit_clamp))
-        if abs(v) >= config.logit_clamp and abs(step) < 1e-12:
-            break
-    vec[element] = saved
-    return v
+                target = K * int(sel.sum()) - config.extreme_adjust
+            v = 0.0
+            for _ in range(200):
+                vec[element] = v
+                loc = cells.locations(ability, severity, difficulty, sel)
+                _, e, w = cell_moments(loc, thresholds)
+                f = e.sum() - target
+                if abs(f) < 1e-10:
+                    break
+                step = np.clip(sign * -f / max(w.sum(), 1e-12),
+                               -config.newton_damping, config.newton_damping)
+                v = float(np.clip(v + step, -config.logit_clamp, config.logit_clamp))
+                if abs(v) >= config.logit_clamp and abs(step) < 1e-12:
+                    break
+            vec[element] = v
 
 
 def severity_classification(estimates: FacetEstimates, cut: float = 0.3,

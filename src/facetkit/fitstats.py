@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimate import FacetEstimates
-from .model import category_probs
+from .model import cell_moments
 from .ratings import RatingsTensor
 
 FLAG_CENTRAL = "central_tendency"
@@ -91,26 +91,16 @@ def fit_statistics(tensor: RatingsTensor, estimates: FacetEstimates,
         raise ValueError("estimates were fitted to a different tensor (misaligned inputs)")
 
     params = estimates.params
-    pidx, iidx, ridx = np.nonzero(tensor.present_mask)
-    loc = params.ability[pidx] - params.severity[ridx] - params.difficulty[iidx]
-    probs = category_probs(loc, params.thresholds)
-    k = np.arange(params.thresholds.size + 1, dtype=float)
-    expected = probs @ k
-    variance = probs @ k**2 - expected**2
-    x = tensor.values[pidx, iidx, ridx] - tensor.scale.min_score
-    resid = x - expected
+    cells = tensor.cell_index
+    loc = cells.locations(params.ability, params.severity, params.difficulty)
+    _, expected, variance = cell_moments(loc, params.thresholds)
+    resid = cells.x - expected
 
-    idx = {"person": pidx, "item": iidx, "rater": ridx}[facet]
-    ids = {
-        "person": tensor.ids.persons,
-        "item": tensor.ids.items,
-        "rater": tensor.ids.raters,
-    }[facet]
-    size = len(ids)
-    counts = np.bincount(idx, minlength=size)
-    sum_r2 = np.bincount(idx, weights=resid**2, minlength=size)
-    sum_w = np.bincount(idx, weights=variance, minlength=size)
-    sum_z2 = np.bincount(idx, weights=resid**2 / variance, minlength=size)
+    ids = getattr(tensor.ids, facet + "s")
+    counts = cells.sums(facet)
+    sum_r2 = cells.sums(facet, resid**2)
+    sum_w = cells.sums(facet, variance)
+    sum_z2 = cells.sums(facet, resid**2 / variance)
 
     observed = counts > 0
     if not observed.all():

@@ -97,34 +97,40 @@ def category_probs(location, thresholds) -> np.ndarray:
     return exppsi / exppsi.sum(axis=-1, keepdims=True)
 
 
+def cell_moments(location, thresholds):
+    """(probs, expected score E, score variance W) at the given locations.
+
+    This is the one moment kernel: estimation, fit statistics and the
+    public :func:`expected_score`/:func:`score_variance` all take E and W
+    from here.  W is also d(E)/d(location).
+    """
+    probs = category_probs(location, thresholds)
+    k = np.arange(probs.shape[-1], dtype=float)
+    e = probs @ k
+    w = probs @ k**2 - e**2
+    return probs, e, w
+
+
+def observed_log_likelihood(probs, x) -> float:
+    """Sum of the log probabilities of the observed 0-based categories ``x``."""
+    return float(np.sum(np.log(probs[np.arange(x.size), x.astype(int)])))
+
+
 def expected_score(location, thresholds):
     """Expected category index, strictly increasing in location."""
-    p = category_probs(location, thresholds)
-    K = np.asarray(thresholds).size
-    e = p @ np.arange(K + 1, dtype=float)
+    e = cell_moments(location, thresholds)[1]
     return float(e) if e.ndim == 0 else e
 
 
 def score_variance(location, thresholds):
     """Variance of the category index; also d(expected_score)/d(location)."""
-    p = category_probs(location, thresholds)
-    k = np.arange(np.asarray(thresholds).size + 1, dtype=float)
-    e = p @ k
-    v = p @ k**2 - e**2
-    return float(v) if v.ndim == 0 else v
-
-
-def cell_locations(tensor: RatingsTensor, params: ModelParams):
-    """(locations, observed 0-based categories) for every present cell."""
-    params.validate_for(tensor)
-    pidx, iidx, ridx = np.nonzero(tensor.present_mask)
-    loc = params.ability[pidx] - params.severity[ridx] - params.difficulty[iidx]
-    x = tensor.values[pidx, iidx, ridx] - tensor.scale.min_score
-    return loc, x
+    w = cell_moments(location, thresholds)[2]
+    return float(w) if w.ndim == 0 else w
 
 
 def log_likelihood(tensor: RatingsTensor, params: ModelParams) -> float:
     """Sum of log category probabilities over all present cells."""
-    loc, x = cell_locations(tensor, params)
-    probs = category_probs(loc, params.thresholds)
-    return float(np.sum(np.log(probs[np.arange(x.size), x.astype(int)])))
+    params.validate_for(tensor)
+    cells = tensor.cell_index
+    loc = cells.locations(params.ability, params.severity, params.difficulty)
+    return observed_log_likelihood(category_probs(loc, params.thresholds), cells.x)

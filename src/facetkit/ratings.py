@@ -112,6 +112,43 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+class CellIndex:
+    """The present cells of a tensor as flat arrays, in person-major order.
+
+    ``pidx``, ``iidx`` and ``ridx`` locate each scored cell in the cube
+    (also keyed by facet name in ``index``) and ``x`` holds its 0-based
+    category.  This is the one cell list: every consumer of per-cell
+    quantities (estimation, fit statistics, the log-likelihood, the
+    connectivity check) reads it through :attr:`RatingsTensor.cell_index`
+    rather than re-deriving the cells.
+    """
+
+    def __init__(self, tensor):
+        self.pidx, self.iidx, self.ridx = np.nonzero(tensor.present_mask)
+        self.x = tensor.values[self.pidx, self.iidx, self.ridx] - tensor.scale.min_score
+        self.n = self.pidx.size
+        for arr in (self.pidx, self.iidx, self.ridx, self.x):
+            arr.setflags(write=False)
+        self.index = {"person": self.pidx, "item": self.iidx, "rater": self.ridx}
+        self.size = dict(zip(("person", "item", "rater"), tensor.shape))
+
+    def locations(self, ability, severity, difficulty, sel=slice(None)):
+        """``ability - severity - difficulty`` for the selected cells."""
+        return (
+            ability[self.pidx[sel]]
+            - severity[self.ridx[sel]]
+            - difficulty[self.iidx[sel]]
+        )
+
+    def sums(self, facet, weights=None, sel=slice(None)):
+        """Per-element sums of ``weights`` over the selected cells.
+
+        Without weights this counts the selected cells of each element.
+        """
+        return np.bincount(self.index[facet][sel], weights=weights,
+                           minlength=self.size[facet])
+
+
 @dataclass(frozen=True)
 class RatingsTensor:
     """Immutable cube of scores indexed by (person, item, rater).
@@ -178,11 +215,17 @@ class RatingsTensor:
         )
 
     @cached_property
+    def cell_index(self) -> CellIndex:
+        """The present cells as flat index arrays, built once per tensor."""
+        return CellIndex(self)
+
+    @cached_property
     def connected(self) -> bool:
         """True when all facet elements are linked through shared observations."""
         P, I, R = self.shape
         uf = _UnionFind(P + I + R)
-        pidx, iidx, ridx = np.nonzero(self.present_mask)
+        cells = self.cell_index
+        pidx, iidx, ridx = cells.pidx, cells.iidx, cells.ridx
         for p, i, r in zip(pidx, iidx, ridx):
             uf.union(p, P + i)
             uf.union(p, P + I + r)
@@ -250,15 +293,16 @@ class RatingsTensor:
 
         Covers present cells and declared-missing cells only.
         """
-        present = self.present_mask
-        for p, person in enumerate(self.ids.persons):
-            for i, item in enumerate(self.ids.items):
-                for r, rater in enumerate(self.ids.raters):
-                    if present[p, i, r]:
-                        s = self.values[p, i, r]
-                        yield person, item, rater, int(s) if s == int(s) else s
-                    elif self.declared_missing[p, i, r]:
-                        yield person, item, rater, None
+        listed = self.present_mask | self.declared_missing
+        persons, items, raters = self.ids.persons, self.ids.items, self.ids.raters
+        pidx, iidx, ridx = np.nonzero(listed)
+        scores = self.values[pidx, iidx, ridx].tolist()
+        for p, i, r, s in zip(pidx.tolist(), iidx.tolist(), ridx.tolist(), scores):
+            if s != s:  # NaN: a declared-missing cell
+                s = None
+            elif s == int(s):
+                s = int(s)
+            yield persons[p], items[i], raters[r], s
 
     # -- serialization ------------------------------------------------------
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -297,8 +296,3 @@ def estimates_summary(estimates: FacetEstimates) -> dict:
             float(estimates.params.severity.max()),
         ],
     }
-
-
-def write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

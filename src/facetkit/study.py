@@ -128,23 +128,26 @@ def _check_ids(tensor, config):
                 )
 
 
-def _agreement_table(table) -> Table:
-    rows = []
-    for rec in table.to_records():
-        rows.append(
-            {
-                "candidate": rec["candidate"],
-                "benchmark": rec["benchmark"],
-                "items": rec["items"],
-                "n_pairs": rec["n_pairs"],
-                "kappa": float("nan") if rec["kappa"] is None else rec["kappa"],
-                "degenerate": str(rec["degenerate"]).lower(),
-            }
-        )
-    return Table(
-        ("candidate", "benchmark", "items", "n_pairs", "kappa", "degenerate"),
-        tuple(rows),
+def agreement_table(table) -> Table:
+    """The QWK rows of an :class:`AgreementTable` as a report table."""
+    rows = tuple(
+        {**rec, "kappa": float("nan") if rec["kappa"] is None else rec["kappa"],
+         "degenerate": str(rec["degenerate"]).lower()}
+        for rec in table.to_records()
     )
+    return Table(("candidate", "benchmark", "items", "n_pairs", "kappa", "degenerate"), rows)
+
+
+def alpha_table(tensor, groups, raters) -> Table:
+    """Cronbach alpha of each rater on each (name, items) group, groups in
+    the order given."""
+    rows = []
+    for group_name, items in groups:
+        for rater in raters:
+            res = cronbach_alpha(tensor, rater, items)
+            rows.append({"rater": rater, "group": group_name, "n_items": res.n_items,
+                         "n_persons": res.n_persons, "alpha": res.alpha})
+    return Table(("rater", "group", "n_items", "n_persons", "alpha"), tuple(rows))
 
 
 def run_study(config: StudyConfig, output_dir=None, seed=None):
@@ -201,32 +204,16 @@ def run_study(config: StudyConfig, output_dir=None, seed=None):
     item_groups = [(item,) for item in tensor.ids.items]
 
     def do_agreement():
-        table = qwk_matrix(tensor, benchmarks, candidates, item_groups)
-        save_table("agreement.csv", _agreement_table(table))
-        save_json("agreement.json", _agreement_table(table).to_json_dict())
+        table = agreement_table(qwk_matrix(tensor, benchmarks, candidates, item_groups))
+        save_table("agreement.csv", table)
+        save_json("agreement.json", table.to_json_dict())
 
     stage("agreement", do_agreement)
 
     def do_alpha():
         groups = config.alpha_groups or {"all-items": tuple(tensor.ids.items)}
-        rows = []
-        for group_name in sorted(groups):
-            items = groups[group_name]
-            for rater in tensor.ids.raters:
-                res = cronbach_alpha(tensor, rater, items)
-                rows.append(
-                    {
-                        "rater": rater,
-                        "group": group_name,
-                        "n_items": res.n_items,
-                        "n_persons": res.n_persons,
-                        "alpha": res.alpha,
-                    }
-                )
-        save_table(
-            "alpha.csv",
-            Table(("rater", "group", "n_items", "n_persons", "alpha"), tuple(rows)),
-        )
+        table = alpha_table(tensor, sorted(groups.items()), tensor.ids.raters)
+        save_table("alpha.csv", table)
 
     stage("alpha", do_alpha)
 
@@ -238,7 +225,7 @@ def run_study(config: StudyConfig, output_dir=None, seed=None):
             extended = build_ensemble(extended, spec)
         names = [spec.name for spec in config.ensembles]
         table = qwk_matrix(extended, benchmarks, names, item_groups)
-        save_table("ensemble_agreement.csv", _agreement_table(table))
+        save_table("ensemble_agreement.csv", agreement_table(table))
 
     stage("ensemble", do_ensembles)
 

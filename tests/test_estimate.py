@@ -12,6 +12,7 @@ from facetkit import (
     FacetIds,
     ScaleSpec,
     SimSpec,
+    StudyConfig,
     estimate,
     ingest_csv_text,
     log_likelihood,
@@ -199,6 +200,47 @@ class TestNonConvergence:
         assert not est.converged
         assert est.iterations_used == 1
 
+    def test_warning_names_the_failed_criterion(self, paper_tensor):
+        config = EstimationConfig(max_iterations=3, convergence_tol=100,
+                                  residual_tol=1e-9)
+        with pytest.warns(UserWarning, match="did not converge") as record:
+            est = estimate(paper_tensor, config)
+        message = str(record[0].message)
+        assert f"max score residual {est.max_score_residual:.3g}" in message
+        assert "tolerance 1e-09" in message
+        assert "max change" not in message
+
+
+class TestConfig:
+    def test_unknown_estimation_key_rejected(self):
+        with pytest.raises(ValueError, match="max_iteration"):
+            StudyConfig.from_json_dict(
+                {"input": {"csv": "x.csv"}, "estimation": {"max_iteration": 3}}
+            )
+
+    def test_known_estimation_keys_accepted(self):
+        config = StudyConfig.from_json_dict(
+            {"input": {"csv": "x.csv"}, "estimation": {"max_iterations": 3}}
+        )
+        assert config.estimation.max_iterations == 3
+
+
+class TestLikelihoodConsistency:
+    """The fit's final likelihood and :func:`log_likelihood` read the same
+    cells through the same kernel, so they agree to the last bit."""
+
+    def test_paper_tensor(self, paper_tensor, paper_estimates):
+        ll = log_likelihood(paper_tensor, paper_estimates.params)
+        assert ll == paper_estimates.log_likelihood_final
+
+    def test_extreme_heavy_design(self):
+        spec = SimSpec(n_persons=60, n_items=2, n_raters=2, scale=ScaleSpec(0, 3),
+                       seed=7, ability_sd=4.0)
+        tensor, _ = simulate(spec)
+        est = estimate(tensor)
+        assert sum(flag != "none" for flag in est.extreme_persons) >= 20
+        assert log_likelihood(tensor, est.params) == est.log_likelihood_final
+
 
 class TestSeverityClassification:
     def make_estimates(self, severities, raters=None, converged=True):
@@ -260,6 +302,7 @@ class TestSerialization:
         assert again.converged == paper_estimates.converged
         assert again.ids == paper_estimates.ids
         assert again.config == paper_estimates.config
+        assert again.to_json_text() == paper_estimates.to_json_text()
 
 
 class TestMissingData:

@@ -1,13 +1,17 @@
 """Tests for the rating data model and CSV/JSON ingestion."""
 
+import json
+
 import numpy as np
 import pytest
 
 from facetkit import (
+    EnsembleSpec,
     FacetIds,
     IngestError,
     RatingsTensor,
     ScaleSpec,
+    build_ensemble,
     ingest_csv,
     ingest_csv_text,
 )
@@ -191,6 +195,51 @@ class TestRoundTrip:
         t1 = ingest_csv_text(paper_shaped_csv())
         t2 = RatingsTensor.from_json_dict(t1.to_json_dict())
         assert t1 == t2
+
+    def test_long_rows_match_dense_triple_loop(self):
+        text = csv_text([
+            "p1,I1,r1,3", "p1,I1,r2,", "p1,I2,r1,1", "p1,I2,r2,2",
+            "p2,I1,r1,0", "p2,I2,r2,6", "p2,I1,r2,",
+            "p3,I1,r1,5", "p3,I2,r1,4", "p3,I2,r2,", "p4,I1,r3,2", "p4,I2,r3,",
+        ])
+        base = ingest_csv_text(text, scale_min=0, scale_max=6)
+        with pytest.warns(UserWarning, match="no member scores"):
+            tensor = build_ensemble(base, EnsembleSpec("E", ("r1", "r2"), "none"))
+        assert not tensor.integer_scores
+
+        # reference: walk the whole cube person-major, as a reader would
+        expected = []
+        for p, person in enumerate(tensor.ids.persons):
+            for i, item in enumerate(tensor.ids.items):
+                for r, rater in enumerate(tensor.ids.raters):
+                    s = tensor.values[p, i, r]
+                    if not np.isnan(s):
+                        expected.append([person, item, rater,
+                                         int(s) if s == int(s) else float(s)])
+                    elif tensor.declared_missing[p, i, r]:
+                        expected.append([person, item, rater, None])
+        assert any(isinstance(row[3], float) for row in expected)
+        assert any(row[3] is None for row in expected)
+
+        # json.dumps and str() both tell 3 from 3.0, so the types are pinned too
+        expected_json = {**tensor.to_json_dict(), "cells": expected}
+        assert tensor.to_json_text() == json.dumps(expected_json, indent=2, sort_keys=True) + "\n"
+        csv_rows = [",".join("" if v is None else str(v) for v in row) for row in expected]
+        assert tensor.to_csv_text() == csv_text(csv_rows)
+
+    def test_cell_index_lists_present_cells(self):
+        text = csv_text(["p1,I1,r1,3", "p1,I1,r2,", "p2,I1,r1,1", "p2,I1,r2,6"])
+        tensor = ingest_csv_text(text, scale_min=1, scale_max=6)
+        cells = tensor.cell_index
+        assert tensor.cell_index is cells
+        assert cells.n == tensor.n_cells == 3
+        assert cells.pidx.tolist() == [0, 1, 1]
+        assert cells.ridx.tolist() == [0, 0, 1]
+        assert cells.x.tolist() == [2.0, 0.0, 5.0]
+        assert cells.sums("rater").tolist() == [2, 1]
+        assert cells.sums("person", cells.x).tolist() == [2.0, 5.0]
+        loc = cells.locations(np.array([1.0, 2.0]), np.array([0.5, -0.5]), np.zeros(1))
+        assert loc.tolist() == [0.5, 1.5, 2.5]
 
     def test_json_file_roundtrip(self, tmp_path):
         t1 = ingest_csv_text(paper_shaped_csv())

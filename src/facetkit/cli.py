@@ -10,11 +10,12 @@ from pathlib import Path
 from .agreement import qwk_matrix
 from .ensemble import EnsembleSpec, build_ensemble, greedy_prune
 from .estimate import EstimationConfig, FacetEstimates, estimate
-from .fitstats import FitCuts, fit_statistics, with_flags
-from .ratings import RatingsTensor, ingest_csv
-from .report import Table, descriptive_table, estimates_summary, measure_table, render_wright
+from .fitstats import STRINGENT_CUTS, FitCuts
+from .ratings import RatingsTensor, canonical_json, ingest_csv
+from .report import Table
 from .simulate import SimSpec, simulate
-from .study import StageError, StudyConfig, agreement_table, alpha_table, run_study
+from .study import (StageError, StudyConfig, agreement_table, alpha_table, fit_stage,
+                    report_stage, run_study)
 
 ROUNDING_ALIASES = {
     "half-away": "half-away-from-zero",
@@ -75,7 +76,7 @@ def cmd_agree(args):
         groups = [(item,) for item in tensor.ids.items]
     out = agreement_table(qwk_matrix(tensor, benchmarks, candidates, groups))
     if args.json:
-        _emit(json.dumps(out.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
+        _emit(canonical_json(out.to_json_dict()), args.out)
     else:
         _emit(out.to_csv_text(), args.out)
     return 0
@@ -96,14 +97,8 @@ def cmd_alpha(args):
 
 def cmd_estimate(args):
     tensor = _load_tensor(args.tensor)
-    config = EstimationConfig(
-        max_iterations=args.max_iter,
-        convergence_tol=args.tol,
-        residual_tol=args.residual_tol,
-        logit_clamp=args.clamp,
-        extreme_adjust=args.extreme_adjust,
-        newton_damping=args.damping,
-    )
+    fields = EstimationConfig().to_dict()
+    config = EstimationConfig(**{name: getattr(args, name) for name in fields})
     estimates = estimate(tensor, config)
     _emit(estimates.to_json_text(), args.out)
     print(
@@ -118,8 +113,7 @@ def cmd_estimate(args):
 def cmd_fit(args):
     estimates = FacetEstimates.read_json(args.estimates)
     tensor = _load_tensor(args.tensor)
-    fit = with_flags(fit_statistics(tensor, estimates, args.facet), args.cuts)
-    table = measure_table(estimates, fit, sort=args.sort)
+    _, table = fit_stage(tensor, estimates, args.cuts, args.facet, args.sort)
     _emit(table.to_csv_text(), args.out)
     return 0
 
@@ -167,10 +161,7 @@ def cmd_simulate(args):
     else:
         tensor.write_csv(args.out)
     if args.truth:
-        Path(args.truth).write_text(
-            json.dumps(truth.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        Path(args.truth).write_text(canonical_json(truth.to_dict()), encoding="utf-8")
     return 0
 
 
@@ -179,21 +170,12 @@ def cmd_report(args):
     tensor = _load_tensor(args.tensor)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    formats = ("ascii", "svg") if args.wright == "both" else (args.wright,)
-    if "ascii" in formats:
-        (out / "wright.txt").write_text(render_wright(estimates, "ascii"), encoding="utf-8")
-    if "svg" in formats:
-        (out / "wright.svg").write_text(render_wright(estimates, "svg"), encoding="utf-8")
-    fit = with_flags(fit_statistics(tensor, estimates, "rater"), args.cuts)
-    measure_table(estimates, fit).write_csv(out / "raters.csv")
-    descriptive_table(tensor).write_csv(out / "descriptives.csv")
-    summary = {
-        "estimates": estimates_summary(estimates),
-        "fit_flags": dict(zip(fit.element_ids, fit.flags)),
-    }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    rater_fit, raters = fit_stage(tensor, estimates, args.cuts)
+    files = {"raters.csv": raters.to_csv_text(), **report_stage(tensor, estimates, rater_fit)}
+    unwanted = {"ascii": "wright.svg", "svg": "wright.txt"}.get(args.wright)
+    for name, text in files.items():
+        if name != unwanted:
+            (out / name).write_text(text, encoding="utf-8")
     print(f"report written to {out}", file=sys.stderr)
     return 0
 
@@ -243,12 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="fit the many-facet rating-scale model (JMLE)")
     p.add_argument("tensor")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--residual-tol", type=float, default=0.01)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--extreme-adjust", type=float, default=0.25)
-    p.add_argument("--clamp", type=float, default=10.0)
-    p.add_argument("--damping", type=float, default=1.0)
+    # each flag sets the EstimationConfig field named by its dest
+    defaults = EstimationConfig()
+    for flag, name in (("--tol", "convergence_tol"), ("--residual-tol", "residual_tol"),
+                       ("--max-iter", "max_iterations"), ("--extreme-adjust", "extreme_adjust"),
+                       ("--clamp", "logit_clamp"), ("--damping", "newton_damping")):
+        default = getattr(defaults, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_estimate)
 
@@ -256,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("estimates")
     p.add_argument("tensor")
     p.add_argument("--facet", choices=("person", "item", "rater"), default="rater")
-    p.add_argument("--cuts", type=_parse_cuts, default=FitCuts(0.7, 1.3),
-                   help="lower,upper (default 0.7,1.3)")
+    p.add_argument("--cuts", type=_parse_cuts, default=STRINGENT_CUTS,
+                   help=f"lower,upper (default {STRINGENT_CUTS.lower},{STRINGENT_CUTS.upper})")
     p.add_argument("--sort", choices=("by_measure", "by_id"), default="by_measure")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_fit)
@@ -291,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("estimates")
     p.add_argument("tensor")
     p.add_argument("--wright", choices=("ascii", "svg", "both"), default="both")
-    p.add_argument("--cuts", type=_parse_cuts, default=FitCuts(0.7, 1.3))
+    p.add_argument("--cuts", type=_parse_cuts, default=STRINGENT_CUTS)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_report)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, cell_moments, observed_log_likelihood
-from .ratings import FacetIds, RatingsTensor, ScaleSpec
+from .ratings import FacetIds, RatingsTensor, ScaleSpec, canonical_json
 
 EXTREME_NONE = "none"
 EXTREME_MIN = "min-extreme"
@@ -69,7 +69,11 @@ class EstimationConfig:
 
 @dataclass(frozen=True)
 class FacetEstimates:
-    """Fitted measures, standard errors, and convergence report."""
+    """Fitted measures, standard errors, and convergence report.
+
+    ``sweep_log_likelihoods`` lives in memory only: the JSON form does not
+    carry it, so an instance read back from JSON has an empty tuple there.
+    """
 
     params: ModelParams
     se_ability: np.ndarray
@@ -115,7 +119,7 @@ class FacetEstimates:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_json_dict())
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -135,7 +139,7 @@ class FacetEstimates:
             iterations_used=int(d["iterations_used"]),
             converged=bool(d["converged"]),
             log_likelihood_final=float(d["log_likelihood_final"]),
-            sweep_log_likelihoods=tuple(d.get("sweep_log_likelihoods", ())),
+            sweep_log_likelihoods=(),
             max_score_residual=float(d["max_score_residual"]),
             config=EstimationConfig.from_dict(d["config"]),
             ids=FacetIds(
@@ -153,7 +157,13 @@ class FacetEstimates:
 
 
 def _mark_extremes(cells, K):
-    """Iteratively flag all-min/all-max elements; returns flags and active mask."""
+    """Iteratively flag all-min/all-max elements; returns flags and active mask.
+
+    Each pass tallies one facet over the active cells and drops every
+    extreme element of it at once: a cell belongs to one element of a
+    facet, so removing one element's cells leaves the others' tallies as
+    they were.  An element with active cells has not been flagged yet.
+    """
     flags = {
         which: np.array([EXTREME_NONE] * cells.size[which], dtype=object)
         for which in ("person", "rater", "item")
@@ -162,20 +172,15 @@ def _mark_extremes(cells, K):
     while True:
         changed = False
         for which in ("person", "rater", "item"):
-            idx = cells.index[which]
             counts = cells.sums(which, None, active)
             raw = cells.sums(which, cells.x[active], active)
-            fl = flags[which]
-            for e in np.nonzero(counts > 0)[0]:
-                if fl[e] != EXTREME_NONE:
-                    continue
-                if raw[e] == 0:
-                    fl[e] = EXTREME_MIN
-                elif raw[e] == K * counts[e]:
-                    fl[e] = EXTREME_MAX
-                else:
-                    continue
-                active &= idx != e
+            is_min = (counts > 0) & (raw == 0)
+            is_max = (counts > 0) & (raw == K * counts)
+            hit = is_min | is_max
+            if hit.any():
+                flags[which][is_min] = EXTREME_MIN
+                flags[which][is_max] = EXTREME_MAX
+                active &= ~hit[cells.index[which]]
                 changed = True
         if not changed:
             return flags, active

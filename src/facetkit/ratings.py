@@ -16,6 +16,12 @@ from functools import cached_property
 import numpy as np
 
 
+def canonical_json(obj) -> str:
+    """The one JSON encoding of every artifact: sorted keys, two-space
+    indent, trailing newline, so equal objects always give equal bytes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 class IngestError(ValueError):
     """Raised for malformed, duplicated, or out-of-range input rows."""
 
@@ -94,22 +100,6 @@ class FacetIds:
             "items": list(self.items),
             "raters": list(self.raters),
         }
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 class CellIndex:
@@ -222,19 +212,30 @@ class RatingsTensor:
     @cached_property
     def connected(self) -> bool:
         """True when all facet elements are linked through shared observations."""
-        P, I, R = self.shape
-        uf = _UnionFind(P + I + R)
         cells = self.cell_index
-        pidx, iidx, ridx = cells.pidx, cells.iidx, cells.ridx
-        for p, i, r in zip(pidx, iidx, ridx):
-            uf.union(p, P + i)
-            uf.union(p, P + I + r)
         # elements with no observations can never be linked
-        touched = set(pidx) | {P + i for i in iidx} | {P + I + r for r in ridx}
-        if len(touched) < P + I + R:
+        if any(not cells.sums(facet).all() for facet in cells.index):
             return False
-        roots = {uf.find(n) for n in range(P + I + R)}
-        return len(roots) == 1
+        # hook-and-compress labelling over the person-item and person-rater
+        # edges: every label is a root (label[root] == root), each round
+        # hooks the larger root of an edge onto the smaller one, then
+        # pointer jumping flattens the trees until all roots are fixed
+        P, I, _ = self.shape
+        a = np.concatenate([cells.pidx, cells.pidx])
+        b = np.concatenate([P + cells.iidx, P + I + cells.ridx])
+        label = np.arange(sum(self.shape))
+        while True:
+            la, lb = label[a], label[b]
+            if np.array_equal(la, lb):
+                return bool(np.all(label == label[0]))
+            low = np.minimum(la, lb)
+            np.minimum.at(label, la, low)
+            np.minimum.at(label, lb, low)
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
 
     # -- slicing ------------------------------------------------------------
 
@@ -329,7 +330,7 @@ class RatingsTensor:
         return d
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_json_dict())
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

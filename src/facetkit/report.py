@@ -43,10 +43,6 @@ class Table:
             w.writerow(out)
         return buf.getvalue()
 
-    def write_csv(self, path, decimals: int = 2) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(self.to_csv_text(decimals))
-
     def to_json_dict(self) -> list:
         def clean(v):
             return None if isinstance(v, float) and math.isnan(v) else v

@@ -20,14 +20,9 @@ from .agreement import cronbach_alpha, qwk_matrix
 from .ensemble import EnsembleSpec, build_ensemble
 from .estimate import EstimationConfig, estimate, severity_classification
 from .fitstats import FitCuts, STRINGENT_CUTS, fit_statistics, with_flags
-from .ratings import ingest_csv
-from .report import (
-    Table,
-    descriptive_table,
-    estimates_summary,
-    measure_table,
-    render_wright,
-)
+from .ratings import canonical_json, ingest_csv
+from .report import (Table, descriptive_table, estimates_summary, measure_table,
+                     render_wright)
 from .simulate import SimSpec, simulate
 
 OUTPUT_DIR_ENV = "FACETKIT_OUTPUT_DIR"
@@ -150,6 +145,30 @@ def alpha_table(tensor, groups, raters) -> Table:
     return Table(("rater", "group", "n_items", "n_persons", "alpha"), tuple(rows))
 
 
+def fit_stage(tensor, estimates, cuts, facet="rater", sort="by_measure"):
+    """Flagged fit statistics of one facet, and their measure table."""
+    fit = with_flags(fit_statistics(tensor, estimates, facet), cuts)
+    return fit, measure_table(estimates, fit, sort=sort)
+
+
+def report_stage(tensor, estimates, rater_fit) -> dict:
+    """The report artifacts as {file name: text}: both Wright maps, the
+    descriptive table, and the summary with severity labels and the rater
+    fit flags at ``rater_fit``'s cuts."""
+    summary = {
+        "estimates": estimates_summary(estimates),
+        "severity_labels": severity_classification(estimates, allow_unconverged=True),
+        "fit_flags": dict(zip(rater_fit.element_ids, rater_fit.flags)),
+        "fit_cuts": [rater_fit.cuts.lower, rater_fit.cuts.upper],
+    }
+    return {
+        "wright.txt": render_wright(estimates, "ascii"),
+        "wright.svg": render_wright(estimates, "svg"),
+        "descriptives.csv": descriptive_table(tensor).to_csv_text(),
+        "summary.json": canonical_json(summary),
+    }
+
+
 def run_study(config: StudyConfig, output_dir=None, seed=None):
     """Execute the pipeline; returns (manifest dict, output path).
 
@@ -160,16 +179,10 @@ def run_study(config: StudyConfig, output_dir=None, seed=None):
     out.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
-    def save_text(name, text):
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        artifacts.append(name)
-
-    def save_table(name, table):
-        save_text(name, table.to_csv_text())
-
-    def save_json(name, obj):
-        save_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    def write(files):
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+            artifacts.append(name)
 
     def write_manifest():
         listing = [
@@ -180,9 +193,7 @@ def run_study(config: StudyConfig, output_dir=None, seed=None):
             for name in sorted(artifacts)
         ]
         manifest = {"artifacts": listing}
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
         return manifest
 
     def stage(name, fn):
@@ -197,62 +208,39 @@ def run_study(config: StudyConfig, output_dir=None, seed=None):
 
     tensor = stage("ingest", lambda: _load_input(config, seed))
     stage("validate", lambda: _check_ids(tensor, config))
-    stage("ingest", lambda: save_text("tensor.json", tensor.to_json_text()))
+    stage("ingest", lambda: write({"tensor.json": tensor.to_json_text()}))
 
     benchmarks = list(config.benchmarks) or list(tensor.ids.raters[:1])
     candidates = [r for r in tensor.ids.raters if r not in benchmarks]
     item_groups = [(item,) for item in tensor.ids.items]
 
-    def do_agreement():
+    def agreement_files():
         table = agreement_table(qwk_matrix(tensor, benchmarks, candidates, item_groups))
-        save_table("agreement.csv", table)
-        save_json("agreement.json", table.to_json_dict())
+        return {"agreement.csv": table.to_csv_text(),
+                "agreement.json": canonical_json(table.to_json_dict())}
 
-    stage("agreement", do_agreement)
-
-    def do_alpha():
+    def alpha_files():
         groups = config.alpha_groups or {"all-items": tuple(tensor.ids.items)}
         table = alpha_table(tensor, sorted(groups.items()), tensor.ids.raters)
-        save_table("alpha.csv", table)
+        return {"alpha.csv": table.to_csv_text()}
 
-    stage("alpha", do_alpha)
-
-    def do_ensembles():
+    def ensemble_files():
         if not config.ensembles:
-            return
+            return {}
         extended = tensor
         for spec in config.ensembles:
             extended = build_ensemble(extended, spec)
         names = [spec.name for spec in config.ensembles]
         table = qwk_matrix(extended, benchmarks, names, item_groups)
-        save_table("ensemble_agreement.csv", agreement_table(table))
+        return {"ensemble_agreement.csv": agreement_table(table).to_csv_text()}
 
-    stage("ensemble", do_ensembles)
+    stage("agreement", lambda: write(agreement_files()))
+    stage("alpha", lambda: write(alpha_files()))
+    stage("ensemble", lambda: write(ensemble_files()))
 
     estimates = stage("estimate", lambda: estimate(tensor, config.estimation))
-    stage("estimate", lambda: save_text("estimates.json", estimates.to_json_text()))
-
-    def do_fit():
-        fit = fit_statistics(tensor, estimates, "rater")
-        return with_flags(fit, config.fit_cuts)
-
-    rater_fit = stage("fit", do_fit)
-    stage("fit", lambda: save_table("raters.csv", measure_table(estimates, rater_fit)))
-
-    def do_report():
-        save_text("wright.txt", render_wright(estimates, "ascii"))
-        save_text("wright.svg", render_wright(estimates, "svg"))
-        save_table("descriptives.csv", descriptive_table(tensor))
-        summary = {
-            "estimates": estimates_summary(estimates),
-            "severity_labels": severity_classification(
-                estimates, allow_unconverged=True
-            ),
-            "fit_flags": dict(zip(rater_fit.element_ids, rater_fit.flags)),
-            "fit_cuts": [config.fit_cuts.lower, config.fit_cuts.upper],
-        }
-        save_json("summary.json", summary)
-
-    stage("report", do_report)
-    manifest = write_manifest()
-    return manifest, out
+    stage("estimate", lambda: write({"estimates.json": estimates.to_json_text()}))
+    rater_fit, raters = stage("fit", lambda: fit_stage(tensor, estimates, config.fit_cuts))
+    stage("fit", lambda: write({"raters.csv": raters.to_csv_text()}))
+    stage("report", lambda: write(report_stage(tensor, estimates, rater_fit)))
+    return write_manifest(), out

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 from importlib.resources import files
 from pathlib import Path
@@ -7,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facetkit import FacetEstimates, RatingsTensor
-from facetkit.cli import main
+from facetkit import STRINGENT_CUTS, EstimationConfig, FacetEstimates, RatingsTensor
+from facetkit.cli import build_parser, main
 
 BUNDLED_STUDY = Path(str(files("facetkit") / "data" / "study.json"))
 BUNDLED_CSV = Path(str(files("facetkit") / "data" / "paper_shaped.csv"))
@@ -110,6 +111,34 @@ class TestEstimateFitReport:
                      "summary.json"):
             assert (out / name).exists()
 
+    def test_report_matches_run(self, tmp_path):
+        study = tmp_path / "study"
+        assert run_cli("run", BUNDLED_STUDY, "--out", study) == 0
+        out = tmp_path / "report"
+        assert run_cli("report", study / "estimates.json", study / "tensor.json",
+                       "--wright", "both", "--out", out) == 0
+        for name in ("raters.csv", "wright.txt", "wright.svg", "descriptives.csv",
+                     "summary.json"):
+            assert (out / name).read_bytes() == (study / name).read_bytes(), name
+
+    def test_wright_choice_picks_the_files(self, estimates_json, tensor_json, tmp_path):
+        out = tmp_path / "report"
+        assert run_cli("report", estimates_json, tensor_json, "--wright", "svg",
+                       "--out", out) == 0
+        assert (out / "wright.svg").exists() and not (out / "wright.txt").exists()
+
+
+class TestDefaults:
+    def test_estimate_flags_default_to_the_library(self):
+        args = build_parser().parse_args(["estimate", "t.json"])
+        fields = EstimationConfig().to_dict()
+        assert EstimationConfig(**{f: getattr(args, f) for f in fields}) == EstimationConfig()
+
+    def test_cuts_default_to_stringent(self):
+        for command in ("fit", "report --out r"):
+            argv = command.split() + ["e.json", "t.json"]
+            assert build_parser().parse_args(argv).cuts == STRINGENT_CUTS
+
 
 class TestEnsembleAndPrune:
     def test_ensemble_roundtrip(self, tensor_json, tmp_path):
@@ -191,6 +220,27 @@ class TestRun:
         err = json.loads(capsys.readouterr().err)
         assert err["stage"] == "agreement"
         assert "R99" in err["error"]
+
+    def test_failed_stage_leaves_partial_manifest(self, tmp_path, capsys):
+        # every person scores all-minimum or all-maximum: agreement and alpha
+        # run, but estimation has nothing left to fit
+        rows = ["person_id,item_id,rater_id,score"]
+        rows += [f"p{p},{item},{rater},{3 * (p % 2)}"
+                 for p in range(6) for item in ("I1", "I2") for rater in ("R1", "R2")]
+        (tmp_path / "ratings.csv").write_text("\n".join(rows) + "\n")
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"input": {"csv": "ratings.csv"}, "benchmarks": ["R1"]}))
+        out = tmp_path / "out"
+        assert run_cli("run", config, "--out", out) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["stage"] == "estimate"
+        assert "extreme" in err["error"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {a["path"]: a["sha256"] for a in manifest["artifacts"]}
+        assert set(listed) == {"tensor.json", "agreement.csv", "agreement.json", "alpha.csv"}
+        for name, digest in listed.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert not (out / "estimates.json").exists()
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FACETKIT_OUTPUT_DIR", str(tmp_path / "env_out"))

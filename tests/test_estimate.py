@@ -19,6 +19,7 @@ from facetkit import (
     severity_classification,
     simulate,
 )
+from facetkit.estimate import _mark_extremes
 from conftest import paper_spec, small_tensor
 
 
@@ -191,6 +192,74 @@ class TestExtremes:
         assert abs(est.params.difficulty.sum()) < 1e-6
 
 
+def per_element_mark_extremes(cells, K):
+    """The element-at-a-time marking loop, kept as the reference."""
+    flags = {which: np.array(["none"] * cells.size[which], dtype=object)
+             for which in ("person", "rater", "item")}
+    active = np.ones(cells.n, dtype=bool)
+    while True:
+        changed = False
+        for which in ("person", "rater", "item"):
+            idx = cells.index[which]
+            counts = cells.sums(which, None, active)
+            raw = cells.sums(which, cells.x[active], active)
+            fl = flags[which]
+            for e in np.nonzero(counts > 0)[0]:
+                if fl[e] != "none":
+                    continue
+                if raw[e] == 0:
+                    fl[e] = "min-extreme"
+                elif raw[e] == K * counts[e]:
+                    fl[e] = "max-extreme"
+                else:
+                    continue
+                active &= idx != e
+                changed = True
+        if not changed:
+            return flags, active
+
+
+class TestMarkExtremes:
+    def assert_same_as_reference(self, tensor):
+        cells, K = tensor.cell_index, tensor.scale.span
+        flags, active = _mark_extremes(cells, K)
+        ref_flags, ref_active = per_element_mark_extremes(cells, K)
+        for which in ("person", "rater", "item"):
+            assert flags[which].tolist() == ref_flags[which].tolist()
+        np.testing.assert_array_equal(active, ref_active)
+        return flags, active
+
+    def test_extreme_heavy_screen(self):
+        tensor, _ = simulate(SimSpec(
+            n_persons=400, n_items=2, n_raters=2, scale=ScaleSpec(0, 3), seed=4,
+            ability_sd=4.0, severity=np.array([0.25, -0.25]),
+            difficulty=np.array([0.2, -0.2])))
+        flags, _ = self.assert_same_as_reference(tensor)
+        n_extreme = (flags["person"] != "none").sum()
+        assert 100 < n_extreme < 400
+
+    def test_random_sparse_binary_designs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            scores = rng.integers(0, 2, size=(8, 3, 4)).astype(float)
+            scores[rng.random(scores.shape) < 0.4] = np.nan
+            self.assert_same_as_reference(small_tensor(scores, scale=(0, 1)))
+
+    def test_rater_extreme_only_after_persons_removed(self):
+        # r2 gives p1's maxima but 0 to everyone else: it turns all-minimum
+        # once p1, an all-maximum person, is dropped
+        tensor = small_tensor(
+            [[[3, 3], [3, 3]],
+             [[1, 0], [2, 0]],
+             [[2, 0], [1, 0]]],
+            scale=(0, 3),
+        )
+        flags, active = self.assert_same_as_reference(tensor)
+        assert flags["person"].tolist() == ["max-extreme", "none", "none"]
+        assert flags["rater"].tolist() == ["none", "min-extreme"]
+        assert active.sum() == 4
+
+
 class TestNonConvergence:
     def test_hard_iteration_cap_warns(self, paper_tensor):
         config = EstimationConfig(max_iterations=1, convergence_tol=1e-10,
@@ -303,6 +372,7 @@ class TestSerialization:
         assert again.ids == paper_estimates.ids
         assert again.config == paper_estimates.config
         assert again.to_json_text() == paper_estimates.to_json_text()
+        assert again.sweep_log_likelihoods == ()
 
 
 class TestMissingData:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facetkit import (
     EnsembleSpec,
@@ -147,6 +149,41 @@ class TestTensorInvariants:
         text = csv_text(["p1,I1,r1,3", "p1,I1,r1b,4", "p2,I2,r2,2", "p2,I2,r2b,5"])
         t = ingest_csv_text(text)
         assert not t.connected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_connected_matches_breadth_first_search(self, data):
+        P, I, R = (data.draw(st.integers(1, n)) for n in (8, 4, 5))
+        fill = data.draw(st.integers(1, 3))  # keep 1, 2 or 3 cells in 4
+        draws = st.lists(st.integers(0, 3), min_size=P * I * R, max_size=P * I * R)
+        present = np.array(data.draw(draws)).reshape(P, I, R) < fill
+        if data.draw(st.booleans()):
+            # two blocks: a cell is kept only if its person, item and rater agree
+            bp, bi, br = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                          for n in (P, I, R))
+            present &= (bp[:, None, None] == bi[None, :, None]) & (bi[None, :, None] == br)
+        if data.draw(st.booleans()):
+            present[data.draw(st.integers(0, P - 1))] = False  # an isolated person
+        values = np.where(present, 1.0, np.nan)
+        ids = FacetIds(*(tuple(f"{c}{k}" for k in range(n)) for c, n in zip("pir", (P, I, R))))
+        tensor = RatingsTensor(ScaleSpec(0, 2), ids, values)
+        assert tensor.connected == breadth_first_connected(present)
+
+
+def breadth_first_connected(present):
+    """Reference check: one BFS over the person-item and person-rater edges."""
+    P, I, R = present.shape
+    neighbours = [set() for _ in range(P + I + R)]
+    for p, i, r in zip(*np.nonzero(present)):
+        for other in (P + i, P + I + r):
+            neighbours[p].add(other)
+            neighbours[other].add(p)
+    seen, frontier = {0}, [0]
+    while frontier:
+        for node in neighbours[frontier.pop()] - seen:
+            seen.add(node)
+            frontier.append(node)
+    return len(seen) == P + I + R
 
 
 class TestSlice:

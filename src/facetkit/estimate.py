@@ -4,7 +4,7 @@ Alternating damped Newton-Raphson sweeps over persons, raters, items, and
 thresholds, with Jacobi-style simultaneous updates within each facet and
 re-centering of rater/item/threshold measures after every sweep.  Extreme
 response strings (all-minimum or all-maximum) are excluded from the joint
-fit and solved singly afterwards against adjusted raw scores.
+fit and solved afterwards, each against its adjusted raw score.
 
 Identification: person abilities are free; severities, difficulties, and
 thresholds sum to zero over non-extreme elements.  Re-centering shifts are
@@ -219,18 +219,25 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     """Fit the rating-scale model to a ratings tensor by JMLE.
 
     Raises :class:`EstimationError` for a disconnected design or one with
-    fewer than two observed categories.  Non-convergence within
+    fewer than two observed categories, and :class:`ValueError` for an
+    ``extreme_adjust`` not below half the scale span.  Non-convergence within
     ``max_iterations`` is reported via the ``converged`` flag and a
     warning, not an error.
     """
     if config is None:
         config = EstimationConfig()
+    K = tensor.scale.span
+    if config.extreme_adjust >= K / 2:
+        raise ValueError(
+            f"extreme_adjust {config.extreme_adjust:g} must be below half the scale "
+            f"span, {K / 2:g}: at or above it an all-minimum string is measured "
+            "at or above an all-maximum one"
+        )
     if not tensor.connected:
         raise EstimationError(
             "disconnected design: facet elements are not linked by shared observations"
         )
     cells = tensor.cell_index
-    K = tensor.scale.span
     if np.unique(cells.x).size < 2:
         raise EstimationError("need at least 2 observed score categories")
 
@@ -400,37 +407,45 @@ def _safe_se(information):
 
 
 def _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, config):
-    """Assign measures to extreme elements, one Newton solve each.
+    """Assign measures to extreme elements, one damped Newton per facet.
 
-    The element's raw total is pulled inside the scale range by
-    ``extreme_adjust`` score points and its single parameter solved against
-    every other measure held fixed.  Persons first, then raters, then items.
+    An element's target is its raw total over all its cells, clipped to
+    ``[extreme_adjust, K*n - extreme_adjust]``: an all-minimum or
+    all-maximum string is pulled ``extreme_adjust`` score points inside the
+    range, and an element flagged only once other extremes were dropped
+    keeps its own raw total.  Its measure is solved against every other
+    measure held fixed.  A cell belongs to one element of a facet, so
+    all of a facet's extreme elements are solved at once; each stops at
+    ``|sum E - target| < 1e-10``, or when it rests at the clamp.  Persons
+    first, then raters, then items.
     """
+    adjust, damp, clamp = config.extreme_adjust, config.newton_damping, config.logit_clamp
     for which, vec, sign in (
         ("person", ability, +1.0),
         ("rater", severity, -1.0),
         ("item", difficulty, -1.0),
     ):
-        for element in np.nonzero(flags[which] != EXTREME_NONE)[0]:
-            sel = cells.index[which] == element
-            if flags[which][element] == EXTREME_MIN:
-                target = config.extreme_adjust
-            else:
-                target = K * int(sel.sum()) - config.extreme_adjust
-            v = 0.0
-            for _ in range(200):
-                vec[element] = v
-                loc = cells.locations(ability, severity, difficulty, sel)
-                _, e, w = cell_moments(loc, thresholds)
-                f = e.sum() - target
-                if abs(f) < 1e-10:
-                    break
-                step = np.clip(sign * -f / max(w.sum(), 1e-12),
-                               -config.newton_damping, config.newton_damping)
-                v = float(np.clip(v + step, -config.logit_clamp, config.logit_clamp))
-                if abs(v) >= config.logit_clamp and abs(step) < 1e-12:
-                    break
-            vec[element] = v
+        flagged = flags[which] != EXTREME_NONE
+        idx = cells.index[which]
+        own = np.nonzero(flagged[idx])[0]  # cells of the elements still live
+        target = np.clip(cells.sums(which, cells.x[own], own), adjust,
+                         K * cells.sums(which, None, own) - adjust)
+        v = np.zeros_like(vec)
+        live = flagged.copy()
+        for _ in range(200):
+            vec[flagged] = v[flagged]
+            own = own[live[idx[own]]]
+            loc = cells.locations(ability, severity, difficulty, own)
+            _, e, w = cell_moments(loc, thresholds)
+            f = cells.sums(which, e, own) - target
+            live &= ~(np.abs(f) < 1e-10)
+            step = np.clip(sign * -f / np.maximum(cells.sums(which, w, own), 1e-12),
+                           -damp, damp)
+            v[live] = np.clip(v[live] + step[live], -clamp, clamp)
+            live &= ~((np.abs(v) >= clamp) & (np.abs(step) < 1e-12))
+            if not live.any():
+                break
+        vec[flagged] = v[flagged]
 
 
 def severity_classification(estimates: FacetEstimates, cut: float = 0.3,

@@ -1,9 +1,12 @@
 """Tests for joint maximum-likelihood estimation and severity labels."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from facetkit import (
     EstimationConfig,
@@ -14,12 +17,14 @@ from facetkit import (
     SimSpec,
     StudyConfig,
     estimate,
+    expected_score,
     ingest_csv_text,
     log_likelihood,
     severity_classification,
     simulate,
 )
 from facetkit.estimate import _mark_extremes
+from facetkit.model import cell_moments
 from conftest import paper_spec, small_tensor
 
 
@@ -186,6 +191,33 @@ class TestExtremes:
         others = np.delete(est.params.severity, 5)
         assert abs(others.sum()) < 1e-6
 
+    def test_cascade_extreme_solved_against_its_raw_total(self):
+        # C's 80 cells total 210, not the 239.75 of an all-maximum string
+        tensor = cascade_tensor()
+        est = estimate(tensor)
+        assert est.extreme_raters == ("none", "none", "max-extreme")
+        cells, p = tensor.cell_index, est.params
+        sel = cells.ridx == 2
+        assert cells.x[sel].sum() == 210
+        loc = cells.locations(p.ability, p.severity, p.difficulty, sel)
+        assert expected_score(loc, p.thresholds).sum() == pytest.approx(210, abs=1e-8)
+        assert -5 < p.severity[2] < p.severity[:2].min()
+
+    def test_extreme_adjust_must_stay_below_half_the_span(self):
+        # one-cell persons PMIN (score 0) and PMAX (score 3) on 0-3: at an
+        # adjustment of 2 PMIN's target total, 2, would lie above PMAX's, 1
+        scores = np.full((22, 2, 2), np.nan)
+        scores[:20] = np.random.default_rng(5).integers(0, 4, size=(20, 2, 2))
+        scores[20, 0, 0], scores[21, 0, 0] = 0, 3
+        persons = tuple(f"P{i}" for i in range(20)) + ("PMIN", "PMAX")
+        tensor = small_tensor(scores, scale=(0, 3), persons=persons)
+        est = estimate(tensor)
+        assert est.extreme_persons[20:] == ("min-extreme", "max-extreme")
+        assert est.params.ability[20] < est.params.ability[21]
+        for adjust in (1.5, 2.0):
+            with pytest.raises(ValueError, match=rf"extreme_adjust {adjust:g} .* 1\.5"):
+                estimate(tensor, EstimationConfig(extreme_adjust=adjust))
+
     def test_centering_excludes_extremes(self, tensor_with_extremes):
         est = estimate(tensor_with_extremes)
         assert abs(est.params.severity.sum()) < 1e-6
@@ -258,6 +290,163 @@ class TestMarkExtremes:
         assert flags["person"].tolist() == ["max-extreme", "none", "none"]
         assert flags["rater"].tolist() == ["none", "min-extreme"]
         assert active.sum() == 4
+
+
+def per_element_solve_extremes(cells, K, flags, ability, severity, difficulty,
+                               thresholds, config):
+    """The element-at-a-time extreme solve, kept as the reference.
+
+    Expects every extreme element at 0, where the joint fit leaves it.
+    """
+    for which, vec, sign in (
+        ("person", ability, +1.0),
+        ("rater", severity, -1.0),
+        ("item", difficulty, -1.0),
+    ):
+        for element in np.nonzero(flags[which] != "none")[0]:
+            sel = cells.index[which] == element
+            target = np.clip(cells.x[sel].sum(), config.extreme_adjust,
+                             K * int(sel.sum()) - config.extreme_adjust)
+            v = 0.0
+            for _ in range(200):
+                vec[element] = v
+                loc = cells.locations(ability, severity, difficulty, sel)
+                _, e, w = cell_moments(loc, thresholds)
+                f = e.sum() - target
+                if abs(f) < 1e-10:
+                    break
+                step = np.clip(sign * -f / max(w.sum(), 1e-12),
+                               -config.newton_damping, config.newton_damping)
+                v = float(np.clip(v + step, -config.logit_clamp, config.logit_clamp))
+                if abs(v) >= config.logit_clamp and abs(step) < 1e-12:
+                    break
+            vec[element] = v
+
+
+FACETS = ("person", "rater", "item")
+
+
+def extreme_flags(est):
+    return dict(zip(FACETS, map(np.array, (est.extreme_persons, est.extreme_raters,
+                                            est.extreme_items))))
+
+
+def measures(est):
+    p = est.params
+    return dict(zip(FACETS, (p.ability, p.severity, p.difficulty)))
+
+
+def cascade_tensor():
+    """40 persons x 2 items x raters A, B, C on 0-3.  P0-P4 score 0
+    everywhere and C gives 3 to everyone else, so C is max-extreme only
+    once the five min-extreme persons are dropped; over all its 80 cells
+    its raw total is 210."""
+    scores = np.random.default_rng(5).integers(0, 4, size=(40, 2, 3)).astype(float)
+    scores[:5] = 0.0
+    scores[5:, :, 2] = 3.0
+    return small_tensor(scores, scale=(0, 3), raters=("A", "B", "C"))
+
+
+class TestSolveExtremes:
+    def assert_same_as_reference(self, tensor, config=EstimationConfig()):
+        est = estimate(tensor, config)
+        flags, solved = extreme_flags(est), measures(est)
+        start = {which: np.where(flags[which] == "none", solved[which], 0.0)
+                 for which in FACETS}
+        per_element_solve_extremes(tensor.cell_index, tensor.scale.span, flags,
+                                   start["person"], start["rater"], start["item"],
+                                   est.params.thresholds, config)
+        for which in FACETS:
+            np.testing.assert_allclose(solved[which], start[which], rtol=0, atol=1e-10)
+        return est
+
+    def test_extreme_heavy_screen(self):
+        tensor, _ = simulate(SimSpec(
+            n_persons=400, n_items=2, n_raters=2, scale=ScaleSpec(0, 3), seed=4,
+            ability_sd=4.0, severity=np.array([0.25, -0.25]),
+            difficulty=np.array([0.2, -0.2])))
+        est = self.assert_same_as_reference(tensor)
+        assert sum(flag != "none" for flag in est.extreme_persons) > 100
+
+    def test_cascade_extreme_rater(self):
+        est = self.assert_same_as_reference(cascade_tensor())
+        assert est.extreme_raters == ("none", "none", "max-extreme")
+
+    def test_all_zero_rater(self):
+        tensor, _ = simulate(paper_spec(seed=33))
+        values = np.array(tensor.values)
+        values[:, :, 5] = 0.0
+        est = self.assert_same_as_reference(type(tensor)(tensor.scale, tensor.ids, values))
+        assert est.extreme_raters[5] == "min-extreme"
+
+    def test_extremes_with_many_cells(self):
+        # 48 cells per extreme person: numpy's pairwise e.sum() and the
+        # sequential bincount then round differently, within the tolerance
+        tensor, _ = simulate(paper_spec(seed=31))
+        values = np.array(tensor.values)
+        values[0], values[1] = 6.0, 0.0
+        est = self.assert_same_as_reference(type(tensor)(tensor.scale, tensor.ids, values))
+        assert est.extreme_persons[:3] == ("max-extreme", "min-extreme", "none")
+
+    def test_random_sparse_designs_with_extreme_raters_and_items(self):
+        # rater r1 scores one end of the scale; item i3 the other end apart
+        # from r1's cells, so it turns extreme once r1 is dropped
+        rng = np.random.default_rng(11)
+        checked = extreme_items = 0
+        for _ in range(200):
+            scores = rng.integers(0, 4, size=(10, 3, 4)).astype(float)
+            low = rng.random() < 0.5
+            scores[:, :, 0] = 0.0 if low else 3.0
+            scores[:, 2, 1:] = 3.0 if low else 0.0
+            scores[rng.random(scores.shape) < 0.3] = np.nan
+            try:
+                est = self.assert_same_as_reference(small_tensor(scores, scale=(0, 3)))
+            except EstimationError:
+                continue
+            assert est.extreme_raters[0] != "none"
+            extreme_items += est.extreme_items[2] != "none"
+            checked += 1
+            if checked == 50:
+                break
+        assert checked == 50
+        assert extreme_items >= 25
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_extreme_totals_meet_their_targets(self, data):
+        # each extreme element's expected total over all its cells equals
+        # its clipped raw total, against the measures it was solved with:
+        # extremes of facets solved after it still sit at 0 then
+        P, I, R = (data.draw(st.integers(lo, hi)) for lo, hi in ((3, 10), (1, 3), (2, 4)))
+        K = data.draw(st.integers(1, 4))
+        size = P * I * R
+        scores = np.array(data.draw(st.lists(st.integers(0, K), min_size=size,
+                                             max_size=size)), float).reshape(P, I, R)
+        keep = np.array(data.draw(st.lists(st.integers(0, 3), min_size=size,
+                                           max_size=size))).reshape(P, I, R) > 0
+        scores[:, :, data.draw(st.integers(0, R - 1))] = data.draw(st.sampled_from([0, K]))
+        scores[:, data.draw(st.integers(0, I - 1))] = data.draw(st.sampled_from([0, K]))
+        scores[~keep] = np.nan
+        tensor = small_tensor(scores, scale=(0, K))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = estimate(tensor)
+        except EstimationError:
+            assume(False)
+        cells, config = tensor.cell_index, est.config
+        flags, solved = extreme_flags(est), measures(est)
+        for k, which in enumerate(FACETS):
+            at_solve = {w: np.where((flags[w] != "none") & (j > k), 0.0, solved[w])
+                        for j, w in enumerate(FACETS)}
+            loc = cells.locations(at_solve["person"], at_solve["rater"], at_solve["item"])
+            total = cells.sums(which, cell_moments(loc, est.params.thresholds)[1])
+            target = np.clip(cells.sums(which, cells.x), config.extreme_adjust,
+                             K * cells.sums(which) - config.extreme_adjust)
+            met = np.abs(total - target) <= 1e-8
+            clamped = np.abs(solved[which]) == config.logit_clamp
+            extreme = flags[which] != "none"
+            assert np.all((met | clamped)[extreme])
 
 
 class TestNonConvergence:

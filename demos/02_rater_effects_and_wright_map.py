@@ -23,7 +23,7 @@ DATA = str(files("facetkit") / "data" / "paper_shaped.csv")
 
 tensor = ingest_csv(DATA, scale_min=0, scale_max=6)
 estimates = estimate(tensor)
-print(f"converged={estimates.converged} after {estimates.iterations_used} sweeps, "
+print(f"converged={estimates.converged} after {estimates.iterations_used} iterations, "
       f"log-likelihood {estimates.log_likelihood_final:.1f}")
 
 labels = severity_classification(estimates, cut=0.3)

@@ -27,7 +27,7 @@ spec = SimSpec(
 tensor, truth = simulate(spec)
 estimates = estimate(tensor)
 
-print(f"converged={estimates.converged} in {estimates.iterations_used} sweeps\n")
+print(f"converged={estimates.converged} in {estimates.iterations_used} iterations\n")
 print("rater   true   recovered   se")
 for i, rater in enumerate(estimates.ids.raters):
     print(f"{rater:<6} {truth.severity[i]:+.3f}   {estimates.params.severity[i]:+.3f}"

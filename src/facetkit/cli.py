@@ -103,7 +103,7 @@ def cmd_estimate(args):
     _emit(estimates.to_json_text(), args.out)
     print(
         f"{'converged' if estimates.converged else 'NOT CONVERGED'} after "
-        f"{estimates.iterations_used} sweeps, "
+        f"{estimates.iterations_used} iterations, "
         f"log-likelihood {estimates.log_likelihood_final:.3f}",
         file=sys.stderr,
     )

@@ -1,10 +1,15 @@
 """Joint maximum-likelihood estimation of all facet measures.
 
-Alternating damped Newton-Raphson sweeps over persons, raters, items, and
-thresholds, with Jacobi-style simultaneous updates within each facet and
-re-centering of rater/item/threshold measures after every sweep.  Extreme
-response strings (all-minimum or all-maximum) are excluded from the joint
-fit and solved afterwards, each against its adjusted raw score.
+Each iteration takes one damped Newton step on all parameters at once:
+abilities, severities, difficulties and thresholds.  The person block of
+the information matrix is diagonal, so the persons are eliminated and a
+dense system over raters, items and thresholds is solved (Wright & Masters
+1982, *Rating Scale Analysis*; Linacre 1989, *Many-Facet Rasch
+Measurement*).  A backtracking line search keeps the likelihood from
+decreasing, and rater/item/threshold measures are re-centered after every
+iteration.  Extreme response strings (all-minimum or all-maximum) are
+excluded from the joint fit and solved afterwards, each against its
+adjusted raw score.
 
 Identification: person abilities are free; severities, difficulties, and
 thresholds sum to zero over non-extreme elements.  Re-centering shifts are
@@ -34,11 +39,11 @@ class EstimationError(RuntimeError):
 @dataclass(frozen=True)
 class EstimationConfig:
     max_iterations: int = 200
-    convergence_tol: float = 1e-4   # max absolute parameter change per sweep
+    convergence_tol: float = 1e-4   # max absolute parameter change per iteration
     residual_tol: float = 0.01     # max absolute per-element score residual
     logit_clamp: float = 10.0
     extreme_adjust: float = 0.25   # score points added/removed from extreme totals
-    newton_damping: float = 1.0    # max logits moved per update
+    newton_damping: float = 1.0    # max logits any parameter moves per iteration
 
     def __post_init__(self):
         for name in ("convergence_tol", "residual_tol", "extreme_adjust", "newton_damping"):
@@ -71,8 +76,11 @@ class EstimationConfig:
 class FacetEstimates:
     """Fitted measures, standard errors, and convergence report.
 
-    ``sweep_log_likelihoods`` lives in memory only: the JSON form does not
-    carry it, so an instance read back from JSON has an empty tuple there.
+    ``sweep_log_likelihoods`` holds the active-cell log-likelihood at the
+    start and after each joint iteration; ``iterations_used`` counts those
+    iterations.  The log-likelihoods live in memory only: the JSON form does
+    not carry them, so an instance read back from JSON has an empty tuple
+    there.
     """
 
     params: ModelParams
@@ -193,7 +201,7 @@ def _initial_values(cells, active, K, flags):
         counts = cells.sums(which, None, active)
         raw = cells.sums(which, cells.x[active], active)
         top = K * counts
-        # extremes are excluded from the sweep; give them a placeholder of 0
+        # extremes are excluded from the joint fit; give them a placeholder of 0
         v = np.zeros_like(raw)
         ok = (raw > 0) & (raw < top)
         v[ok] = sign * np.log(raw[ok] / (top[ok] - raw[ok]))
@@ -253,13 +261,13 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
                 f"{which} {bad!r} has no usable observations once extreme strings are removed"
             )
 
-    ability, severity, difficulty, thresholds = _initial_values(cells, active, K, flags)
+    params = _initial_values(cells, active, K, flags)
+    ability, severity, difficulty, thresholds = params
     nx_p = flags["person"] == EXTREME_NONE
     nx_r = flags["rater"] == EXTREME_NONE
     nx_i = flags["item"] == EXTREME_NONE
-
+    estimable = (nx_p, nx_r, nx_i, np.ones(K, dtype=bool))
     x_act = cells.x[active]
-    n_ge = np.array([(x_act >= k).sum() for k in range(1, K + 1)], dtype=float)
 
     def recompute():
         loc = cells.locations(ability, severity, difficulty, active)
@@ -269,18 +277,23 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     damp = config.newton_damping
     clamp = config.logit_clamp
 
-    def line_search(vec, step, loglik):
-        """Move ``vec`` by the largest of step, step/2, ... (60 halvings) that
-        keeps the active-cell likelihood from decreasing; else leave it."""
-        base = vec.copy()
+    def line_search(steps, loglik):
+        """Move all four vectors by the largest of steps, steps/2, ...
+        (60 halvings) that keeps the active-cell likelihood from decreasing;
+        else leave them.  A value already past the clamp (re-centering can
+        push one there) may stay where it is but not move further out."""
+        bases = [vec.copy() for vec in params]
         scale_factor = 1.0
         for _ in range(60):
-            vec[:] = np.clip(base + step * scale_factor, -clamp, clamp)
+            for vec, base, step in zip(params, bases, steps):
+                vec[:] = np.clip(base + step * scale_factor,
+                                 np.minimum(base, -clamp), np.maximum(base, clamp))
             state = recompute()
             if state[3] >= loglik - 1e-12:
                 return state
             scale_factor *= 0.5
-        vec[:] = base
+        for vec, base in zip(params, bases):
+            vec[:] = base
         return recompute()
 
     probs, e, w, loglik = recompute()
@@ -291,39 +304,16 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     warned_singular = False
 
     for iterations in range(1, config.max_iterations + 1):
-        prev = (ability.copy(), severity.copy(), difficulty.copy(), thresholds.copy())
+        prev = [vec.copy() for vec in params]
 
-        # facet sweeps: simultaneous (Jacobi) Newton updates, backtracked so
-        # the active-cell likelihood never decreases
-        for which, vec, mask, sign in (
-            ("person", ability, nx_p, +1.0),
-            ("rater", severity, nx_r, -1.0),
-            ("item", difficulty, nx_i, -1.0),
-        ):
-            resid = cells.sums(which, x_act - e, active)
-            info = cells.sums(which, w, active)
-            step = np.zeros_like(vec)
-            step[mask] = np.clip(
-                sign * resid[mask] / np.maximum(info[mask], 1e-12), -damp, damp
-            )
-            probs, e, w, loglik = line_search(vec, step, loglik)
-
-        # joint K-dimensional Newton step on category-count residuals
-        p_ge = 1.0 - np.cumsum(probs, axis=-1)[:, :-1]  # P(X >= k), k = 1..K
-        sums_ge = p_ge.sum(axis=0)
-        grad = sums_ge - n_ge
-        # sum over cells of Cov([X>=k],[X>=l]); P(X>=max(k,l)) = min of the two
-        # because P(X>=k) is nonincreasing in k
-        kk = np.arange(K)
-        curv = sums_ge[np.maximum.outer(kk, kk)] - p_ge.T @ p_ge
-        try:
-            delta = np.linalg.solve(curv + 1e-10 * np.eye(K), grad)
-        except np.linalg.LinAlgError:
-            delta = grad / np.maximum(np.diag(curv), 1e-10)
-            if not warned_singular:
-                warnings.warn("threshold curvature singular; using diagonal step")
-                warned_singular = True
-        probs, e, w, loglik = line_search(thresholds, np.clip(delta, -damp, damp), loglik)
+        steps, singular = _joint_step(cells, active, probs, e, w, params, estimable, clamp)
+        if singular and not warned_singular:
+            warnings.warn("threshold curvature singular; using diagonal step")
+            warned_singular = True
+        largest = max(np.max(np.abs(step), initial=0.0) for step in steps)
+        if largest > damp:
+            steps = [step * (damp / largest) for step in steps]
+        probs, e, w, loglik = line_search(steps, loglik)
         if np.any(np.abs(thresholds) >= clamp):
             warnings.warn(
                 "a threshold hit the logit clamp; some categories are likely unobserved"
@@ -343,14 +333,9 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
 
         sweep_lls.append(loglik)
 
-        max_change = max(
-            np.max(np.abs(ability - prev[0])),
-            np.max(np.abs(severity - prev[1])),
-            np.max(np.abs(difficulty - prev[2])),
-            np.max(np.abs(thresholds - prev[3])),
-        )
+        max_change = max(np.max(np.abs(vec - old)) for vec, old in zip(params, prev))
         # the compensated re-centering leaves every cell location unchanged,
-        # so the moments from the threshold stage stay valid here
+        # so the moments from the line search stay valid here
         max_resid = max(
             np.max(np.abs(cells.sums("person", x_act - e, active)[nx_p])),
             np.max(np.abs(cells.sums("rater", x_act - e, active)[nx_r])),
@@ -377,8 +362,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     se_ability = _safe_se(cells.sums("person", w_all))
     se_severity = _safe_se(cells.sums("rater", w_all))
     se_difficulty = _safe_se(cells.sums("item", w_all))
-    pge_all = 1.0 - np.cumsum(probs_all, axis=-1)[:, :-1]
-    se_thresholds = _safe_se((pge_all * (1.0 - pge_all)).sum(axis=0))
+    se_thresholds = _safe_se(np.diag(_threshold_information(probs_all)[1]))
 
     params = ModelParams(ability, severity, difficulty, thresholds)
     final_ll = observed_log_likelihood(probs_all, cells.x)
@@ -406,6 +390,116 @@ def _safe_se(information):
     return 1.0 / np.sqrt(np.maximum(information, 1e-12))
 
 
+def _threshold_information(probs):
+    """Sums over cells of P(X >= k), k = 1..K, and the K x K threshold information.
+
+    The information is the sum over cells of Cov([X >= k], [X >= l]), which
+    for k <= l equals P(X >= l) P(X < k).  Both sums come from cumulative
+    sums of the column totals of ``probs`` and of ``probs.T @ probs``, so no
+    per-cell array of K columns is formed and every term is a sum of
+    positive products, precise even where one category is nearly certain.
+    """
+    K = probs.shape[1] - 1
+    sums_ge = np.cumsum(probs.sum(axis=0)[::-1])[::-1][1:]
+    # tail_head[l, m] = sum over cells of P(X >= l) P(X <= m)
+    tail_head = np.cumsum(np.cumsum((probs.T @ probs)[::-1], axis=0)[::-1], axis=1)
+    k = np.arange(1, K + 1)
+    return sums_ge, tail_head[np.maximum.outer(k, k), np.minimum.outer(k, k) - 1]
+
+
+def _joint_step(cells, active, probs, e, w, params, estimable, clamp):
+    """One Newton step on (ability, severity, difficulty, thresholds) at once.
+
+    ``probs``, ``e`` and ``w`` are the moments of the active cells at
+    ``params``; ``estimable`` masks the elements the fit moves.  Returns the
+    four steps and whether the system was singular, in which case each step
+    is the diagonal one.
+
+    The algebra uses the signs in which every sufficient statistic enters
+    positively: a cell's score X for its person, -severity and -difficulty,
+    and [X >= k] for -threshold k.  The information is the sum over cells of
+    their covariance, the gradient their observed minus expected totals.
+    The person block is diagonal, so persons are eliminated: the Schur
+    complement over raters, items and thresholds is accumulated over
+    contiguous blocks of persons (cells are person-major) and solved
+    densely, then the person steps are back-substituted.  The rater, item
+    and threshold steps each sum to zero over their free elements, which
+    fixes the three directions that leave every location unchanged.  A
+    parameter at the clamp whose gradient points further out is held; only
+    in this sum-zero form does holding it keep it in place, since with one
+    element pinned instead the rest of its group could move against it.
+    """
+    K = probs.shape[1] - 1
+    P, R, I = cells.size["person"], cells.size["rater"], cells.size["item"]
+    RI, M = R + I, R + I + K
+    sel = np.nonzero(active)[0]
+    pidx, ridx, iidx, x = cells.pidx[sel], cells.ridx[sel], cells.iidx[sel], cells.x[sel]
+
+    resid = x - e
+    sums_ge, info_t = _threshold_information(probs)
+    n_ge = np.cumsum(np.bincount(x.astype(int), minlength=K + 1)[::-1])[::-1][1:]
+    g_p = np.bincount(pidx, resid, P)
+    g_o = np.concatenate([np.bincount(ridx, resid, R), np.bincount(iidx, resid, I),
+                          n_ge - sums_ge])
+
+    info = np.zeros((M, M))
+    info[:R, R:RI] = np.bincount(ridx * I + iidx, w, R * I).reshape(R, I)
+    cov_p = np.empty((P, K))
+    tail = np.zeros(sel.size)
+    for k in range(K, 0, -1):
+        tail += (k - e) * probs[:, k]  # Cov(X, [X >= k]) of each cell
+        cov_p[:, k - 1] = np.bincount(pidx, tail, P)
+        info[:R, RI + k - 1] = np.bincount(ridx, tail, R)
+        info[R:RI, RI + k - 1] = np.bincount(iidx, tail, I)
+    info += info.T
+    info[RI:, RI:] = info_t
+    info[np.arange(RI), np.arange(RI)] = np.concatenate([np.bincount(ridx, w, R),
+                                                         np.bincount(iidx, w, I)])
+
+    grads = (g_p, -g_o[:R], -g_o[R:RI], -g_o[RI:])
+    free = [ok & ~((np.abs(v) >= clamp) & (np.sign(g) == np.sign(v)))
+            for v, g, ok in zip(params, grads, estimable)]
+    # basis of the steps that sum to zero over each group's free elements:
+    # the last free element of a group moves against all the others
+    basis = []
+    for start, f in zip((0, R, RI), free[1:]):
+        f = start + np.flatnonzero(f)
+        part = np.zeros((M, max(f.size - 1, 0)))
+        part[f[:-1], np.arange(f.size - 1)] = 1.0
+        part[f[-1:]] = -1.0
+        basis.append(part)
+    basis = np.hstack(basis)
+
+    inv_d = np.where(free[0], 1.0 / np.maximum(np.bincount(pidx, w, P), 1e-12), 0.0)
+    schur, rhs = info.copy(), g_o.copy()
+    block = max(1, 2**14 // M)  # persons per block: about 128 KB of block matrix
+    for p0 in range(0, P, block):
+        p1 = min(p0 + block, P)
+        c0, c1 = np.searchsorted(pidx, (p0, p1))
+        local = (pidx[c0:c1] - p0) * RI
+        b = np.empty((p1 - p0, M))
+        b[:, :RI] = np.bincount(
+            np.concatenate([local + ridx[c0:c1], local + R + iidx[c0:c1]]),
+            np.concatenate([w[c0:c1], w[c0:c1]]), (p1 - p0) * RI,
+        ).reshape(p1 - p0, RI)
+        b[:, RI:] = cov_p[p0:p1]
+        scaled = b * inv_d[p0:p1, None]
+        schur -= scaled.T @ b
+        rhs -= scaled.T @ g_p[p0:p1]
+
+    try:
+        d_o = basis @ np.linalg.solve(basis.T @ schur @ basis, basis.T @ rhs)
+        d_p = inv_d * (g_p - np.bincount(pidx, w * (d_o[ridx] + d_o[R + iidx]), P)
+                       - cov_p @ d_o[RI:])
+        singular = False
+    except np.linalg.LinAlgError:
+        free_o = np.concatenate(free[1:])
+        d_o = np.where(free_o, g_o / np.maximum(np.diag(info), 1e-10), 0.0)
+        d_p = inv_d * g_p
+        singular = True
+    return (d_p, -d_o[:R], -d_o[R:RI], -d_o[RI:]), singular
+
+
 def _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, config):
     """Assign measures to extreme elements, one damped Newton per facet.
 
@@ -416,8 +510,9 @@ def _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, 
     keeps its own raw total.  Its measure is solved against every other
     measure held fixed.  A cell belongs to one element of a facet, so
     all of a facet's extreme elements are solved at once; each stops at
-    ``|sum E - target| < 1e-10``, or when it rests at the clamp.  Persons
-    first, then raters, then items.
+    ``|sum E - target| < 1e-10``, or once it rests at the clamp with its
+    step pointing further out, where every later step would be clipped
+    away.  Persons first, then raters, then items.
     """
     adjust, damp, clamp = config.extreme_adjust, config.newton_damping, config.logit_clamp
     for which, vec, sign in (
@@ -442,7 +537,7 @@ def _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, 
             step = np.clip(sign * -f / np.maximum(cells.sums(which, w, own), 1e-12),
                            -damp, damp)
             v[live] = np.clip(v[live] + step[live], -clamp, clamp)
-            live &= ~((np.abs(v) >= clamp) & (np.abs(step) < 1e-12))
+            live &= ~((np.abs(v) >= clamp) & (np.sign(step) == np.sign(v)))
             if not live.any():
                 break
         vec[flagged] = v[flagged]

@@ -1,7 +1,9 @@
 """Tests for joint maximum-likelihood estimation and severity labels."""
 
 import dataclasses
+import importlib
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -16,16 +18,20 @@ from facetkit import (
     ScaleSpec,
     SimSpec,
     StudyConfig,
+    category_probs,
     estimate,
     expected_score,
+    ingest_csv,
     ingest_csv_text,
     log_likelihood,
     severity_classification,
     simulate,
 )
-from facetkit.estimate import _mark_extremes
+from facetkit.estimate import _joint_step, _mark_extremes
 from facetkit.model import cell_moments
 from conftest import paper_spec, small_tensor
+
+estimate_module = importlib.import_module("facetkit.estimate")
 
 
 class TestPreconditions:
@@ -347,6 +353,34 @@ def cascade_tensor():
     return small_tensor(scores, scale=(0, 3), raters=("A", "B", "C"))
 
 
+@st.composite
+def sparse_designs(draw):
+    """3-10 persons x 1-3 items x 2-4 raters on a 0-K scale (K = 1..4), about
+    a quarter of the cells missing, one rater and one item scored at one end
+    of the scale throughout, so extremes and cascades are common."""
+    P, I, R = (draw(st.integers(lo, hi)) for lo, hi in ((3, 10), (1, 3), (2, 4)))
+    K = draw(st.integers(1, 4))
+    size = P * I * R
+    scores = np.array(draw(st.lists(st.integers(0, K), min_size=size,
+                                    max_size=size)), float).reshape(P, I, R)
+    keep = np.array(draw(st.lists(st.integers(0, 3), min_size=size,
+                                  max_size=size))).reshape(P, I, R) > 0
+    scores[:, :, draw(st.integers(0, R - 1))] = draw(st.sampled_from([0, K]))
+    scores[:, draw(st.integers(0, I - 1))] = draw(st.sampled_from([0, K]))
+    scores[~keep] = np.nan
+    return small_tensor(scores, scale=(0, K))
+
+
+def estimate_or_skip(tensor):
+    """Fit quietly; a design that cannot be estimated is not an example."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return estimate(tensor)
+    except EstimationError:
+        assume(False)
+
+
 class TestSolveExtremes:
     def assert_same_as_reference(self, tensor, config=EstimationConfig()):
         est = estimate(tensor, config)
@@ -388,6 +422,33 @@ class TestSolveExtremes:
         est = self.assert_same_as_reference(type(tensor)(tensor.scale, tensor.ids, values))
         assert est.extreme_persons[:3] == ("max-extreme", "min-extreme", "none")
 
+    def test_element_beyond_the_clamp_stops_early(self, monkeypatch):
+        # an all-maximum person of 48 cells needs an ability above 5: at
+        # logit_clamp=5 it reaches the clamp in a few steps, and every later
+        # step would point further out
+        tensor, _ = simulate(paper_spec(seed=31))
+        values = np.array(tensor.values)
+        values[0] = 6.0
+        tensor = type(tensor)(tensor.scale, tensor.ids, values)
+        config = EstimationConfig(logit_clamp=5)
+        est = self.assert_same_as_reference(tensor, config)
+        assert est.params.ability[0] == 5.0
+        flags, solved = extreme_flags(est), measures(est)
+        start = {which: np.where(flags[which] == "none", solved[which], 0.0)
+                 for which in FACETS}
+        calls = []
+
+        def counting_moments(*args):
+            calls.append(args)
+            return cell_moments(*args)
+
+        monkeypatch.setattr(estimate_module, "cell_moments", counting_moments)
+        estimate_module._solve_extremes(
+            tensor.cell_index, tensor.scale.span, flags, start["person"], start["rater"],
+            start["item"], est.params.thresholds, config)
+        assert start["person"][0] == 5.0
+        assert len(calls) <= 10  # one per step for the person, one per other facet
+
     def test_random_sparse_designs_with_extreme_raters_and_items(self):
         # rater r1 scores one end of the scale; item i3 the other end apart
         # from r1's cells, so it turns extreme once r1 is dropped
@@ -412,28 +473,13 @@ class TestSolveExtremes:
         assert extreme_items >= 25
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_extreme_totals_meet_their_targets(self, data):
+    @given(sparse_designs())
+    def test_extreme_totals_meet_their_targets(self, tensor):
         # each extreme element's expected total over all its cells equals
         # its clipped raw total, against the measures it was solved with:
         # extremes of facets solved after it still sit at 0 then
-        P, I, R = (data.draw(st.integers(lo, hi)) for lo, hi in ((3, 10), (1, 3), (2, 4)))
-        K = data.draw(st.integers(1, 4))
-        size = P * I * R
-        scores = np.array(data.draw(st.lists(st.integers(0, K), min_size=size,
-                                             max_size=size)), float).reshape(P, I, R)
-        keep = np.array(data.draw(st.lists(st.integers(0, 3), min_size=size,
-                                           max_size=size))).reshape(P, I, R) > 0
-        scores[:, :, data.draw(st.integers(0, R - 1))] = data.draw(st.sampled_from([0, K]))
-        scores[:, data.draw(st.integers(0, I - 1))] = data.draw(st.sampled_from([0, K]))
-        scores[~keep] = np.nan
-        tensor = small_tensor(scores, scale=(0, K))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                est = estimate(tensor)
-        except EstimationError:
-            assume(False)
+        est = estimate_or_skip(tensor)
+        K = tensor.scale.span
         cells, config = tensor.cell_index, est.config
         flags, solved = extreme_flags(est), measures(est)
         for k, which in enumerate(FACETS):
@@ -447,6 +493,165 @@ class TestSolveExtremes:
             clamped = np.abs(solved[which]) == config.logit_clamp
             extreme = flags[which] != "none"
             assert np.all((met | clamped)[extreme])
+
+
+def recentre(steps, estimable):
+    """Re-centre severity, difficulty and threshold steps over the estimable
+    elements and fold the shifts into the estimable abilities, as the
+    estimator does after each iteration."""
+    steps = [np.array(step, float) for step in steps]
+    shift = 0.0
+    for step, ok in zip(steps[1:], estimable[1:]):
+        c = step[ok].mean()
+        step[ok] -= c
+        shift += c
+    steps[0][estimable[0]] -= shift
+    return steps
+
+
+def dense_joint_step(cells, active, params, estimable, clamp):
+    """The Newton step from the full information matrix over persons, raters,
+    items and thresholds, built cell by cell from each category's sufficient
+    statistic.  Non-estimable measures do not move, and neither does a held
+    one (at the clamp, gradient pointing out) once re-centered; the rest is
+    the least-squares solution over the remaining directions."""
+    sizes = [vec.size for vec in params]
+    offsets = np.cumsum([0] + sizes)
+    K = sizes[3]
+    sel = np.flatnonzero(active)
+    probs = category_probs(cells.locations(*params[:3], sel), params[3])
+    m = np.arange(K + 1.0)[:, None]
+    # m for the person, -m for the rater and the item, -[m >= k] for threshold k
+    stat = np.hstack([m, -m, -m, -(m >= np.arange(1, K + 1)).astype(float)])
+    cols = np.column_stack([offsets[0] + cells.pidx[sel], offsets[1] + cells.ridx[sel],
+                            offsets[2] + cells.iidx[sel]]
+                           + [np.full(sel.size, offsets[3] + k) for k in range(K)])
+    mean = probs @ stat
+    cov = np.einsum("cm,ma,mb->cab", probs, stat, stat) - mean[:, :, None] * mean[:, None, :]
+    n = offsets[-1]
+    info, grad = np.zeros((n, n)), np.zeros(n)
+    np.add.at(info, (cols[:, :, None], cols[:, None, :]), cov)
+    np.add.at(grad, cols, stat[cells.x[sel].astype(int)] - mean)
+
+    value, ok = np.concatenate(params), np.concatenate(estimable)
+    held = ok & (np.abs(value) >= clamp) & (np.sign(grad) == np.sign(value))
+
+    def split(vec):
+        return np.split(vec, offsets[1:-1])
+
+    centring = np.column_stack([np.concatenate(recentre(split(e), estimable))
+                                for e in np.eye(n)])
+    fixed = np.vstack([np.eye(n)[~ok], centring[held]])
+    basis = np.eye(n)
+    if fixed.size:
+        _, sv, vt = np.linalg.svd(fixed)
+        basis = vt[(sv > 1e-10).sum():].T
+    u = np.linalg.lstsq(basis.T @ info @ basis, basis.T @ grad, rcond=None)[0]
+    return recentre(split(basis @ u), estimable), split(held)
+
+
+def bundled_tensor():
+    return ingest_csv(str(files("facetkit") / "data" / "paper_shaped.csv"), 0, 6)
+
+
+class TestJointNewton:
+    def assert_schur_step_matches_dense(self, tensor, params, clamp=10.0):
+        cells, K = tensor.cell_index, tensor.scale.span
+        flags, active = _mark_extremes(cells, K)
+        estimable = [flags[which] == "none" for which in FACETS] + [np.ones(K, bool)]
+        params = [np.array(vec, float) for vec in params]
+        probs, e, w = cell_moments(cells.locations(*params[:3], active), params[3])
+        steps, singular = _joint_step(cells, active, probs, e, w, params, estimable, clamp)
+        assert not singular
+        dense, held = dense_joint_step(cells, active, params, estimable, clamp)
+        for got, want in zip(recentre(steps, estimable), dense):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+        assert max(np.abs(step).max() for step in dense) > 0.05
+        return estimable, held
+
+    def test_schur_step_on_the_bundled_tensor(self):
+        tensor = bundled_tensor()
+        p = estimate(tensor).params
+        rng = np.random.default_rng(3)
+        params = [vec + rng.normal(0, 0.3, vec.size)
+                  for vec in (p.ability, p.severity, p.difficulty, p.thresholds)]
+        _, held = self.assert_schur_step_matches_dense(tensor, params)
+        assert not any(h.any() for h in held)
+
+    def test_schur_step_with_an_extreme_rater_and_a_clamped_threshold(self):
+        # 60 % of the cells missing, rater A4 scores 0 throughout and no
+        # score is 3, so threshold 3 rests at the clamp with its gradient
+        # pointing out: it is held, and A4 is not estimated
+        tensor, _ = simulate(paper_spec(seed=40))
+        values = np.array(tensor.values)
+        values[np.random.default_rng(40).random(values.shape) < 0.6] = np.nan
+        values[:, :, 5][~np.isnan(values[:, :, 5])] = 0
+        values[values == 3] = 2
+        tensor = type(tensor)(tensor.scale, tensor.ids, values)
+        with pytest.warns(UserWarning, match="threshold hit the logit clamp"):
+            p = estimate(tensor).params
+        rng = np.random.default_rng(4)
+        params = [vec + rng.normal(0, 0.3, vec.size)
+                  for vec in (p.ability, p.severity, p.difficulty)]
+        estimable, held = self.assert_schur_step_matches_dense(
+            tensor, params + [p.thresholds])
+        assert not estimable[1][5]
+        assert held[3].tolist() == [False, False, True, False, False, False]
+
+    def test_unobserved_category_converges(self):
+        # every 3 recoded to 2: threshold 3 runs to the clamp and is held
+        # there while the other score equations are solved
+        tensor = bundled_tensor()
+        values = np.array(tensor.values)
+        values[values == 3] = 2
+        tensor = type(tensor)(tensor.scale, tensor.ids, values)
+        with pytest.warns(UserWarning, match="threshold hit the logit clamp"):
+            est = estimate(tensor)
+        assert est.converged
+        p = est.params
+        for vec in (p.ability, p.severity, p.difficulty, p.thresholds):
+            assert np.all(np.isfinite(vec))
+        assert est.log_likelihood_final >= -1645.5
+        cells = tensor.cell_index
+        probs = category_probs(cells.locations(p.ability, p.severity, p.difficulty),
+                               p.thresholds)
+        expected_ge = probs[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:].sum(axis=0)
+        observed_ge = np.array([(cells.x >= k).sum() for k in range(1, 7)])
+        assert np.max(np.abs(expected_ge - observed_ge)) <= 0.1
+
+    def test_singular_system_falls_back_to_diagonal_steps(self, paper_tensor, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(estimate_module.np.linalg, "solve", singular)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            est = estimate(paper_tensor, EstimationConfig(max_iterations=20))
+        messages = [str(w.message) for w in record]
+        assert messages.count("threshold curvature singular; using diagonal step") == 1
+        assert np.all(np.diff(est.sweep_log_likelihoods) >= -1e-9)
+        assert est.sweep_log_likelihoods[-1] > est.sweep_log_likelihoods[0]
+
+    def test_criterion_4_design_converges_in_few_iterations(self, large_estimates):
+        assert large_estimates.converged
+        assert large_estimates.iterations_used <= 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_designs())
+    def test_contract_on_sparse_designs(self, tensor):
+        est = estimate_or_skip(tensor)
+        assert np.all(np.diff(est.sweep_log_likelihoods) >= -1e-9)
+        assert estimate_or_skip(tensor).to_json_text() == est.to_json_text()
+        if est.converged:
+            cells, flags, p = tensor.cell_index, extreme_flags(est), est.params
+            keep = np.ones(cells.n, dtype=bool)
+            for which in FACETS:
+                keep &= flags[which][cells.index[which]] == "none"
+            loc = cells.locations(p.ability, p.severity, p.difficulty, keep)
+            resid = cells.x[keep] - expected_score(loc, p.thresholds)
+            for which in FACETS:
+                sums = cells.sums(which, resid, keep)[flags[which] == "none"]
+                assert np.max(np.abs(sums)) <= est.config.residual_tol + 1e-9
 
 
 class TestNonConvergence:

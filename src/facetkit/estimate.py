@@ -352,7 +352,8 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
                                      ("max score residual", max_resid, config.residual_tol))
             if not value <= tol
         )
-        warnings.warn(f"estimation did not converge in {config.max_iterations} sweeps ({failed})")
+        warnings.warn(
+            f"estimation did not converge in {config.max_iterations} iterations ({failed})")
 
     _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, config)
 

@@ -12,6 +12,8 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,6 +56,14 @@ class ScaleSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ScaleSpec":
         return cls(int(d["min_score"]), int(d["max_score"]))
+
+
+def _score_value(s):
+    """A cell score as written out: None for a declared-missing cell (NaN),
+    an int when the score is integral, the float otherwise."""
+    if s != s:
+        return None
+    return int(s) if s == int(s) else s
 
 
 def _check_unique(name, ids):
@@ -294,15 +304,10 @@ class RatingsTensor:
 
         Covers present cells and declared-missing cells only.
         """
-        listed = self.present_mask | self.declared_missing
         persons, items, raters = self.ids.persons, self.ids.items, self.ids.raters
-        pidx, iidx, ridx = np.nonzero(listed)
-        scores = self.values[pidx, iidx, ridx].tolist()
+        pidx, iidx, ridx = np.nonzero(self.present_mask | self.declared_missing)
+        scores = map(_score_value, self.values[pidx, iidx, ridx].tolist())
         for p, i, r, s in zip(pidx.tolist(), iidx.tolist(), ridx.tolist(), scores):
-            if s != s:  # NaN: a declared-missing cell
-                s = None
-            elif s == int(s):
-                s = int(s)
             yield persons[p], items[i], raters[r], s
 
     # -- serialization ------------------------------------------------------
@@ -319,18 +324,46 @@ class RatingsTensor:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(self.to_csv_text())
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "scale": self.scale.to_dict(),
-            "facets": self.ids.to_dict(),
-            "cells": [list(row) for row in self.long_rows()],
-        }
+    def _json_head(self) -> dict:
+        d = {"scale": self.scale.to_dict(), "facets": self.ids.to_dict()}
         if not self.integer_scores:
             d["integer_scores"] = False
         return d
 
+    def to_json_dict(self) -> dict:
+        return {**self._json_head(), "cells": [list(row) for row in self.long_rows()]}
+
     def to_json_text(self) -> str:
-        return canonical_json(self.to_json_dict())
+        """``canonical_json(self.to_json_dict())``, byte for byte.
+
+        Under ``indent`` the json module encodes with its pure-Python
+        encoder, so only the small head goes through :func:`canonical_json`.
+        The cells block is joined from strings: each id and each distinct
+        score is encoded once, and rows are laid out as ``indent=2`` would.
+        """
+        pidx, iidx, ridx = np.nonzero(self.present_mask | self.declared_missing)
+        scores, score_code = np.unique(self.values[pidx, iidx, ridx], return_inverse=True)
+        # a row reads ',\n    [\n      P,\n      I,\n      R,\n      S\n    ]'
+        # (the first without its comma); each token carries the layout around it
+        sep = ",\n      "
+        columns = (
+            (self.ids.persons, pidx, ",\n    [\n      ", sep),
+            (self.ids.items, iidx, "", sep),
+            (self.ids.raters, ridx, "", sep),
+            (map(_score_value, scores.tolist()), score_code, "", "\n    ]"),
+        )
+        pieces = [None] * (4 * pidx.size)
+        for k, (entries, codes, before, after) in enumerate(columns):
+            tokens = [before + json.dumps(x) + after for x in entries]
+            pieces[k::4] = map(tokens.__getitem__, codes.tolist())
+        # "cells" sorts before every other key, so it opens the object
+        head = canonical_json(self._json_head())[2:]
+        if pieces:
+            pieces[0] = '{\n  "cells": [' + pieces[0][1:]
+            pieces.append("\n  ],\n" + head)
+        else:
+            pieces = ['{\n  "cells": [],\n', head]
+        return "".join(pieces)
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -344,8 +377,7 @@ class RatingsTensor:
             tuple(d["facets"]["items"]),
             tuple(d["facets"]["raters"]),
         )
-        cells = [(p, i, r, s) for p, i, r, s in d["cells"]]
-        return cls.from_cells(scale, ids, cells,
+        return cls.from_cells(scale, ids, d["cells"],
                               integer_scores=d.get("integer_scores", True))
 
     @classmethod
@@ -355,25 +387,29 @@ class RatingsTensor:
 
     @classmethod
     def from_cells(cls, scale, ids, cells, integer_scores=True) -> "RatingsTensor":
-        """Build a tensor from (person, item, rater, score-or-None) tuples."""
-        P, I, R = len(ids.persons), len(ids.items), len(ids.raters)
-        values = np.full((P, I, R), np.nan)
-        declared = np.zeros((P, I, R), dtype=bool)
-        seen = set()
-        for person, item, rater, score in cells:
-            try:
-                p = ids.person_index[person]
-                i = ids.item_index[item]
-                r = ids.rater_index[rater]
-            except KeyError as e:
-                raise KeyError(f"unknown identifier {e.args[0]!r}") from None
-            if (p, i, r) in seen:
-                raise IngestError(f"duplicate cell ({person!r}, {item!r}, {rater!r})")
-            seen.add((p, i, r))
-            if score is None:
-                declared[p, i, r] = True
-            else:
-                values[p, i, r] = score
+        """Build a tensor from (person, item, rater, score-or-None) tuples.
+
+        The first faulty cell raises: ``KeyError`` for an identifier not in
+        ``ids``, :class:`IngestError` for a cell listed twice.
+        """
+        rows = [(p, i, r, s) for p, i, r, s in cells]  # each cell unpacks to four values
+        columns = list(zip(*rows)) or [()] * 4
+        indexes = (ids.person_index, ids.item_index, ids.rater_index)
+        pidx, iidx, ridx = (np.array([index.get(x, -1) for x in column], dtype=np.intp)
+                            for index, column in zip(indexes, columns))
+        unknown = np.flatnonzero((pidx < 0) | (iidx < 0) | (ridx < 0))
+        end = unknown[0] if unknown.size else len(rows)
+        shape = (len(ids.persons), len(ids.items), len(ids.raters))
+        flat = _flat_codes(shape, pidx, iidx, ridx)
+        repeat = _first_repeat(flat[:end])
+        if repeat is not None:
+            person, item, rater, _ = rows[repeat[0]]
+            raise IngestError(f"duplicate cell ({person!r}, {item!r}, {rater!r})")
+        if unknown.size:
+            x = next(x for x, index in zip(rows[end], indexes) if x not in index)
+            raise KeyError(f"unknown identifier {x!r}")
+        missing = np.array([s is None for s in columns[3]], dtype=bool)
+        values, declared = _fill(shape, flat, np.array(columns[3], dtype=float), missing)
         return cls(scale, ids, values, declared, integer_scores)
 
     def __eq__(self, other):
@@ -405,6 +441,39 @@ def ingest_csv_text(text, scale_min=None, scale_max=None) -> RatingsTensor:
     return _ingest_rows(csv.reader(io.StringIO(text)), scale_min, scale_max, "<text>")
 
 
+def _flat_codes(shape, pidx, iidx, ridx):
+    """Each cell's position ``(p*I + i)*R + r`` in the flattened cube."""
+    _, I, R = shape
+    return (pidx * I + iidx) * R + ridx
+
+
+def _first_repeat(keys):
+    """``(k, j)`` for the first key equal to an earlier one, ``keys[j]``,
+    or None when the keys are distinct."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    earlier = first[inverse]
+    repeats = np.flatnonzero(earlier != np.arange(keys.size))
+    return (repeats[0], earlier[repeats[0]]) if repeats.size else None
+
+
+def _fill(shape, flat, scores, missing):
+    """The values and declared-missing cubes of the cells at ``flat`` codes;
+    ``scores`` is NaN wherever ``missing``."""
+    values = np.full(shape, np.nan)
+    np.put(values, flat, scores)
+    declared = np.zeros(shape, dtype=bool)
+    np.put(declared, flat[missing], True)
+    return values, declared
+
+
+def _first_appearance_codes(column):
+    """The distinct entries of ``column`` in first-appearance order, and the
+    code (position among them) of every entry."""
+    index = {}
+    codes = [index.setdefault(x, len(index)) for x in column]
+    return tuple(index), np.array(codes, dtype=np.intp)
+
+
 def _ingest_rows(reader, scale_min, scale_max, source):
     header = next(reader, None)
     if header is None:
@@ -415,48 +484,58 @@ def _ingest_rows(reader, scale_min, scale_max, source):
             f"{source}: expected header person_id,item_id,rater_id,score, got {','.join(header)}"
         )
 
-    persons, items, raters = [], [], []
-    pseen, iseen, rseen = set(), set(), set()
-    rows = []
-    seen = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise IngestError(f"{source}: malformed row at line {lineno} (expected 4 fields)")
-        person, item, rater, score_text = (c.strip() for c in row)
-        if not person or not item or not rater:
-            raise IngestError(f"{source}: malformed row at line {lineno} (blank identifier)")
-        if score_text == "":
-            score = None
-        else:
-            try:
-                score = int(score_text)
-            except ValueError:
-                raise IngestError(
-                    f"{source}: non-integer score {score_text!r} at line {lineno}"
-                ) from None
-        if (person, item, rater) in seen:
-            raise IngestError(
-                f"{source}: duplicate ({person},{item},{rater}) at line {lineno} "
-                f"(first seen at line {seen[(person, item, rater)]})"
-            )
-        seen[(person, item, rater)] = lineno
-        if person not in pseen:
-            pseen.add(person)
-            persons.append(person)
-        if item not in iseen:
-            iseen.add(item)
-            items.append(item)
-        if rater not in rseen:
-            rseen.add(rater)
-            raters.append(rater)
-        rows.append((lineno, person, item, rater, score))
+    # a line number is the CSV record ordinal + 1; blank records are skipped
+    records = list(reader)
+    lengths = np.fromiter(map(len, records), np.intp, len(records))
+    blank = [k for k in np.flatnonzero(lengths <= 1) if not "".join(records[k]).strip()]
+    keep = np.ones(len(records), dtype=bool)
+    keep[blank] = False
+    rows = list(compress(records, keep))
+    lines = np.flatnonzero(keep) + 2
+
+    # Each line check runs over whole columns and records its first faulty
+    # row as (row, check, message).  The earliest row wins; on one row the
+    # checks rank as listed: field count, blank identifier, score text,
+    # duplicate.
+    faults = []
+    malformed = np.flatnonzero(lengths[keep] != 4)
+    end = malformed[0] if malformed.size else len(rows)
+    if malformed.size:
+        faults.append((end, 0, f"malformed row at line {lines[end]} (expected 4 fields)"))
+    columns = [list(map(str.strip, map(itemgetter(k), rows[:end]))) for k in range(4)]
+    blank_ids = [column.index("") for column in columns[:3] if "" in column]
+    if blank_ids:
+        k = min(blank_ids)
+        faults.append((k, 1, f"malformed row at line {lines[k]} (blank identifier)"))
+
+    # score texts are parsed by int() once each, in first-appearance order,
+    # so the first text that fails also appears first
+    texts, score_code = _first_appearance_codes(columns[3])
+    distinct = []
+    for text in texts:
+        try:
+            distinct.append(None if text == "" else int(text))
+        except ValueError:
+            k = columns[3].index(text)
+            faults.append((k, 2, f"non-integer score {text!r} at line {lines[k]}"))
+            break
+
+    (persons, pidx), (items, iidx), (raters, ridx) = map(_first_appearance_codes, columns[:3])
+    shape = (len(persons), len(items), len(raters))
+    flat = _flat_codes(shape, pidx, iidx, ridx)
+    repeat = _first_repeat(flat)
+    if repeat is not None:
+        k, j = repeat
+        person, item, rater = (column[k] for column in columns[:3])
+        faults.append((k, 3, f"duplicate ({person},{item},{rater}) at line {lines[k]} "
+                             f"(first seen at line {lines[j]})"))
+    if faults:
+        raise IngestError(f"{source}: {min(faults)[2]}")
 
     if not rows:
         raise IngestError(f"{source}: no data rows")
 
-    observed = [s for _, _, _, _, s in rows if s is not None]
+    observed = [s for s in distinct if s is not None]
     if not observed:
         raise IngestError(f"{source}: every score is missing")
     lo = min(observed) if scale_min is None else scale_min
@@ -468,18 +547,13 @@ def _ingest_rows(reader, scale_min, scale_max, source):
         )
     scale = ScaleSpec(lo, hi)
 
-    ids = FacetIds(tuple(persons), tuple(items), tuple(raters))
-    P, I, R = len(persons), len(items), len(raters)
-    values = np.full((P, I, R), np.nan)
-    declared = np.zeros((P, I, R), dtype=bool)
-    for lineno, person, item, rater, score in rows:
-        p, i, r = ids.person_index[person], ids.item_index[item], ids.rater_index[rater]
-        if score is None:
-            declared[p, i, r] = True
-        else:
-            if score < scale.min_score or score > scale.max_score:
-                raise IngestError(f"{source}: score out of range at line {lineno}")
-            values[p, i, r] = score
+    ids = FacetIds(persons, items, raters)
+    outside = [s is not None and not scale.min_score <= s <= scale.max_score for s in distinct]
+    out_rows = np.flatnonzero(np.array(outside)[score_code])
+    if out_rows.size:
+        raise IngestError(f"{source}: score out of range at line {lines[out_rows[0]]}")
+    scores = np.array(distinct, dtype=float)[score_code]
+    values, declared = _fill(shape, flat, scores, np.isnan(scores))
     if min(observed) > lo or max(observed) < hi:
         warnings.warn(
             f"observed scores span [{min(observed)}, {max(observed)}], narrower "

@@ -201,6 +201,9 @@ class TestRun:
             "ensemble_agreement.csv", "estimates.json", "raters.csv",
             "wright.txt", "wright.svg", "descriptives.csv", "summary.json",
         }
+        # tensor.json holds no estimate, so its bytes are pinned exactly
+        digest = hashlib.sha256((out / "tensor.json").read_bytes()).hexdigest()
+        assert digest == "090f76d88d13aa65740df42ac20a3846473b8a9970794757fff27bccb298ae0a"
 
     def test_rerun_is_hash_identical(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -669,6 +669,7 @@ class TestNonConvergence:
         with pytest.warns(UserWarning, match="did not converge") as record:
             est = estimate(paper_tensor, config)
         message = str(record[0].message)
+        assert message.startswith("estimation did not converge in 3 iterations (")
         assert f"max score residual {est.max_score_residual:.3g}" in message
         assert "tolerance 1e-09" in message
         assert "max change" not in message

@@ -1,0 +1,371 @@
+"""Tests for the tensor.json encoder and the CSV ingest against references.
+
+``reference_ingest_rows`` is the row-by-row ingest the vectorized
+``ratings._ingest_rows`` replaced, kept as the reference for its results,
+error messages, line numbers and warnings.  The encoder is checked against
+``canonical_json(tensor.to_json_dict())``, the generic encoding of the same
+document.
+"""
+
+import csv
+import io
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from facetkit import (
+    EnsembleSpec,
+    FacetIds,
+    IngestError,
+    RatingsTensor,
+    ScaleSpec,
+    build_ensemble,
+    ingest_csv_text,
+)
+from facetkit.ratings import _ingest_rows, canonical_json
+
+
+def reference_ingest_rows(reader, scale_min, scale_max, source):
+    header = next(reader, None)
+    if header is None:
+        raise IngestError(f"{source}: empty file")
+    header = [h.strip().lower() for h in header]
+    if header != ["person_id", "item_id", "rater_id", "score"]:
+        raise IngestError(
+            f"{source}: expected header person_id,item_id,rater_id,score, got {','.join(header)}"
+        )
+
+    persons, items, raters = [], [], []
+    pseen, iseen, rseen = set(), set(), set()
+    rows = []
+    seen = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 4:
+            raise IngestError(f"{source}: malformed row at line {lineno} (expected 4 fields)")
+        person, item, rater, score_text = (c.strip() for c in row)
+        if not person or not item or not rater:
+            raise IngestError(f"{source}: malformed row at line {lineno} (blank identifier)")
+        if score_text == "":
+            score = None
+        else:
+            try:
+                score = int(score_text)
+            except ValueError:
+                raise IngestError(
+                    f"{source}: non-integer score {score_text!r} at line {lineno}"
+                ) from None
+        if (person, item, rater) in seen:
+            raise IngestError(
+                f"{source}: duplicate ({person},{item},{rater}) at line {lineno} "
+                f"(first seen at line {seen[(person, item, rater)]})"
+            )
+        seen[(person, item, rater)] = lineno
+        if person not in pseen:
+            pseen.add(person)
+            persons.append(person)
+        if item not in iseen:
+            iseen.add(item)
+            items.append(item)
+        if rater not in rseen:
+            rseen.add(rater)
+            raters.append(rater)
+        rows.append((lineno, person, item, rater, score))
+
+    if not rows:
+        raise IngestError(f"{source}: no data rows")
+
+    observed = [s for _, _, _, _, s in rows if s is not None]
+    if not observed:
+        raise IngestError(f"{source}: every score is missing")
+    lo = min(observed) if scale_min is None else scale_min
+    hi = max(observed) if scale_max is None else scale_max
+    if lo >= hi:
+        raise IngestError(
+            f"{source}: cannot infer a scale from scores spanning [{lo}, {hi}]; "
+            "declare scale_min/scale_max"
+        )
+    scale = ScaleSpec(lo, hi)
+
+    ids = FacetIds(tuple(persons), tuple(items), tuple(raters))
+    P, I, R = len(persons), len(items), len(raters)
+    values = np.full((P, I, R), np.nan)
+    declared = np.zeros((P, I, R), dtype=bool)
+    for lineno, person, item, rater, score in rows:
+        p, i, r = ids.person_index[person], ids.item_index[item], ids.rater_index[rater]
+        if score is None:
+            declared[p, i, r] = True
+        else:
+            if score < scale.min_score or score > scale.max_score:
+                raise IngestError(f"{source}: score out of range at line {lineno}")
+            values[p, i, r] = score
+    if min(observed) > lo or max(observed) < hi:
+        warnings.warn(
+            f"observed scores span [{min(observed)}, {max(observed)}], narrower "
+            f"than the declared scale [{lo}, {hi}]",
+            stacklevel=3,
+        )
+    return RatingsTensor(scale, ids, values, declared)
+
+
+# -- differential ingest ---------------------------------------------------
+
+# raw ids: " pad " strips to "pad", so those two collide after stripping;
+# "n\nl" spans two physical lines inside one quoted CSV record
+IDS = ["p1", "p2", "é", "日本", "a,b", 'q"t', "x\\y", " pad ", "pad", "n\nl"]
+GOOD_SCORES = ["0", "1", "2", "3", "0", "1", "2", "3", "", " ", " 4 ", "+3", "٣", "1_0", "-1"]
+BAD_SCORES = ["3.0", "x", "1e3", "--1", "3 4"]
+SCALES = [(None, None), (None, None), (0, 4), (-1, 10), (1, 3)]
+
+
+def csv_line(fields):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
+@st.composite
+def ingest_inputs(draw):
+    """A ratings CSV of distinct cells with up to three injected faults."""
+    persons = draw(st.lists(st.sampled_from(IDS), min_size=2, max_size=4, unique=True))
+    items = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True))
+    raters = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True))
+    grid = [(p, i, r) for p in persons for i in items for r in raters]
+    cells = draw(st.permutations(grid))[:draw(st.integers(2, len(grid)))]
+    lines = [csv_line([*cell, draw(st.sampled_from(GOOD_SCORES))]) for cell in cells]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        kind = draw(st.sampled_from(
+            ["short", "long", "blank_id", "bad_score", "duplicate", "blank_line"]))
+        at = draw(st.integers(0, len(lines)))
+        cell = list(draw(st.sampled_from(grid)))
+        if kind == "short":
+            line = csv_line(cell)
+        elif kind == "long":
+            line = csv_line([*cell, "1", "2"])
+        elif kind == "blank_id":
+            cell[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "  "]))
+            line = csv_line([*cell, "1"])
+        elif kind == "bad_score":
+            line = csv_line([*cell, draw(st.sampled_from(BAD_SCORES))])
+        elif kind == "duplicate":
+            line = lines[draw(st.integers(0, len(lines) - 1))]
+        else:
+            line = draw(st.sampled_from(["\n", "   \n", ",,,\n", '""\n']))
+        lines.insert(at, line)
+    header = draw(st.sampled_from(["person_id,item_id,rater_id,score\n",
+                                   " Person_ID , item_id,RATER_ID,score\n"]))
+    return header + "".join(lines), draw(st.sampled_from(SCALES))
+
+
+def ingest_outcome(ingest, text, scale):
+    """The tensor, or the exception type and message, plus the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            tensor = ingest(csv.reader(io.StringIO(text)), *scale, "<text>")
+        except Exception as e:  # the exception itself is the outcome compared
+            result = (type(e), str(e))
+        else:
+            result = (tensor, tensor.to_json_text(),
+                      type(tensor.scale.min_score), type(tensor.scale.max_score))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_outcome(text, scale):
+    got = ingest_outcome(_ingest_rows, text, scale)
+    assert got == ingest_outcome(reference_ingest_rows, text, scale)
+    return got
+
+
+class TestIngestMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(ingest_inputs())
+    def test_random_files(self, case):
+        assert_same_outcome(*case)
+
+    @pytest.mark.parametrize("rows, message", [
+        # the earliest faulty line wins, whatever the fault
+        (["p1,i1,r1,3", "p1,i1,r2,2", "p1,i1,r1,4", "p2,i1,r1,x"],
+         "duplicate (p1,i1,r1) at line 4 (first seen at line 2)"),
+        (["p1,i1,r1,3", "p1,i1,r2,3.0", "p1,i1,r1,4", "p2,i1,r1"],
+         "non-integer score '3.0' at line 3"),
+        (["p1,i1,r1,3", ",i1,r2,3", "p1,i1,r1,4.5"],
+         "malformed row at line 3 (blank identifier)"),
+        (["p1,i1,,3", " ,i1,r1,2"], "malformed row at line 2 (blank identifier)"),
+        (["p1,i1,r1,3", "p1,i1", "p1,i1,r1,3"],
+         "malformed row at line 3 (expected 4 fields)"),
+        # on one line: field count, blank identifier, score text, duplicate
+        (["p1,i1,r1,3", "p1,i1,r1,x"], "non-integer score 'x' at line 3"),
+        (["p1,i1,r1,3", "p1, ,r1,x"], "malformed row at line 3 (blank identifier)"),
+        (["p1,i1,r1,3", " ,i1,r1,3,9"], "malformed row at line 3 (expected 4 fields)"),
+        # blank records count as lines; a quoted newline does not
+        (["p1,i1,r1,3", "", "   ", '"p\n2",i1,r1,2', "p1,i1,r1,1"],
+         "duplicate (p1,i1,r1) at line 6 (first seen at line 2)"),
+        # then the file-level checks, in order
+        (["", "  "], "no data rows"),
+        (["p1,i1,r1,", "p1,i1,r2,9x"], "non-integer score '9x' at line 3"),
+        (["p1,i1,r1,", "p1,i1,r2,"], "every score is missing"),
+        # per-line faults come before the out-of-range check
+        (["p1,i1,r1,9", "p1,i1,r2,x"], "non-integer score 'x' at line 3"),
+        (["p1,i1,r1,3", "p1,i1,r2,9", "p2,i1,r1,-1"], "score out of range at line 3"),
+    ])
+    def test_fault_precedence(self, rows, message):
+        text = "person_id,item_id,rater_id,score\n" + "\n".join(rows) + "\n"
+        (kind, got), _ = assert_same_outcome(text, (0, 6))
+        assert kind is IngestError
+        assert got == f"<text>: {message}"
+
+    def test_score_text_is_parsed_by_int(self):
+        text = "person_id,item_id,rater_id,score\np1,i1,r1,+3\np1,i1,r2, 4 \np2,i1,r1,1_0\n"
+        (tensor, *_), warned = assert_same_outcome(text, (None, None))
+        assert np.array_equal(tensor.values[:, 0, :], [[3.0, 4.0], [10.0, np.nan]],
+                              equal_nan=True)
+        assert tensor.scale == ScaleSpec(3, 10)
+        assert warned == []
+
+
+# -- the tensor.json encoder -----------------------------------------------
+
+def edge_tensors():
+    """Tensors at the corners of the encoder: escapes, missing cells, floats."""
+    nan = np.nan
+    ids = FacetIds(("Zoë", "日本", "🙂"), ('a"b', "c\\d"), ("e,f", " r 2"))
+    scores = np.array([[[3, nan], [nan, 0]], [[6, 1], [nan, nan]], [[nan, nan], [2, 5]]])
+    declared = np.isnan(scores) & (np.arange(12).reshape(3, 2, 2) % 3 == 0)
+    means = np.array([[[10 / 3, 2.5], [3.0, nan]], [[nan, 0.1], [6.0, 1 / 7]]])
+    empty = np.full((1, 1, 2), nan)
+    return {
+        "ids_with_escapes": RatingsTensor(ScaleSpec(0, 6), ids, scores, declared),
+        "non_integer_means": RatingsTensor(
+            ScaleSpec(0, 6), FacetIds(("p1", "p2"), ("i1", "i2"), ("E1", "E2")),
+            means, np.isnan(means), integer_scores=False),
+        "negative_scale": RatingsTensor(
+            ScaleSpec(-3, 3), FacetIds(("p1",), ("i1",), ("r1", "r2", "r3")),
+            np.array([[[-3.0, -0.0, 3.0]]])),
+        "non_string_ids": RatingsTensor(
+            ScaleSpec(1, 2), FacetIds((1, 2), (1.5,), (True,)), np.array([[[1.0]], [[2.0]]])),
+        "no_listed_cells": RatingsTensor(ScaleSpec(0, 3), FacetIds(("p",), ("i",), ("a", "b")),
+                                         empty),
+        "no_listed_cells_float": RatingsTensor(
+            ScaleSpec(0, 3), FacetIds(("p",), ("i",), ("a", "b")), empty, integer_scores=False),
+        "only_declared_missing": RatingsTensor(
+            ScaleSpec(0, 3), FacetIds(("p",), ("i",), ("a", "b")), empty, np.isnan(empty)),
+    }
+
+
+class TestJsonEncoder:
+    @pytest.mark.parametrize("name", list(edge_tensors()))
+    def test_bytes_match_the_generic_encoder(self, name):
+        tensor = edge_tensors()[name]
+        text = tensor.to_json_text()
+        assert text == canonical_json(tensor.to_json_dict())
+        back = RatingsTensor.from_json_dict(json.loads(text))
+        assert back == tensor
+        assert back.integer_scores == tensor.integer_scores
+        assert back.to_json_text() == text
+
+    def test_empty_cells_and_key_order(self):
+        text = edge_tensors()["no_listed_cells_float"].to_json_text()
+        assert text.startswith('{\n  "cells": [],\n  "facets": {\n')
+        assert '\n  },\n  "integer_scores": false,\n  "scale": {\n' in text
+
+    def test_score_forms(self):
+        cells = json.loads(edge_tensors()["non_integer_means"].to_json_text())["cells"]
+        assert [row[3] for row in cells] == [10 / 3, 2.5, 3, None, None, 0.1, 6, 1 / 7]
+        assert isinstance(cells[2][3], int)
+
+
+# -- round trips -----------------------------------------------------------
+
+ID_TEXT = st.text(alphabet='ab,"é日\\ -', min_size=1, max_size=4).filter(
+    lambda s: s == s.strip())
+
+
+@st.composite
+def listed_tensors(draw, first_person_lists_all=False):
+    """Small integer tensors with absent and declared-missing cells.
+
+    Every person lists at least one cell and cell (0, 0, 0) is scored.
+    With ``first_person_lists_all`` the first person lists every (item,
+    rater) pair, so the ids of the person-major listing appear in tensor
+    order and a CSV re-ingest rebuilds the same ids.
+    """
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)))
+    ids = FacetIds(*(draw(st.lists(ID_TEXT, min_size=n, max_size=n, unique=True))
+                     for n in shape))
+    lo = draw(st.integers(-2, 1))
+    hi = lo + draw(st.integers(1, 6))
+    # 0 absent, 1 declared missing, 2 scored
+    kind = np.array(draw(st.lists(st.sampled_from([0, 1, 2, 2]),
+                                  min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))).reshape(shape)
+    kind[0, 0, 0] = 2
+    if first_person_lists_all:
+        kind[0][kind[0] == 0] = 1
+    kind[kind.reshape(shape[0], -1).max(axis=1) == 0, 0, 0] = 1
+    scores = np.array(draw(st.lists(st.integers(lo, hi), min_size=kind.size,
+                                    max_size=kind.size)), float).reshape(shape)
+    return RatingsTensor(ScaleSpec(lo, hi), ids, np.where(kind == 2, scores, np.nan), kind == 1)
+
+
+class TestRoundTrips:
+    @settings(max_examples=200, deadline=None)
+    @given(listed_tensors(first_person_lists_all=True))
+    def test_csv_tensor_json_tensor_csv(self, tensor):
+        text = tensor.to_csv_text()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the observed range may be narrower
+            again = ingest_csv_text(text, tensor.scale.min_score, tensor.scale.max_score)
+        assert again == tensor
+        back = RatingsTensor.from_json_dict(json.loads(again.to_json_text()))
+        assert back == tensor
+        assert back.to_csv_text() == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(listed_tensors(), st.booleans(), st.data())
+    def test_tensor_json_tensor(self, tensor, with_ensemble, data):
+        if with_ensemble:
+            members = data.draw(st.lists(st.sampled_from(tensor.ids.raters), min_size=1,
+                                         unique=True))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # cells no member scored
+                tensor = build_ensemble(tensor, EnsembleSpec("E#", members, "none"))
+        text = tensor.to_json_text()
+        assert text == canonical_json(tensor.to_json_dict())
+        back = RatingsTensor.from_json_dict(json.loads(text))
+        assert back == tensor
+        assert back.integer_scores == tensor.integer_scores
+        assert back.to_json_text() == text
+
+
+class TestFromCells:
+    ids = FacetIds(("p1", "p2"), ("i1",), ("r1", "r2"))
+
+    def build(self, cells):
+        return RatingsTensor.from_cells(ScaleSpec(0, 3), self.ids, cells)
+
+    def test_unknown_identifier(self):
+        with pytest.raises(KeyError) as e:
+            self.build([("p1", "i1", "r1", 1), ("p1", "zz", "r9", 2)])
+        assert e.value.args == ("unknown identifier 'zz'",)
+
+    def test_duplicate_cell(self):
+        with pytest.raises(IngestError) as e:
+            self.build([("p1", "i1", "r1", 1), ("p2", "i1", "r1", None),
+                        ("p1", "i1", "r1", 2), ("p9", "i1", "r1", 2)])
+        assert str(e.value) == "duplicate cell ('p1', 'i1', 'r1')"
+
+    def test_first_faulty_cell_wins(self):
+        with pytest.raises(KeyError, match="'r7'"):
+            self.build([("p1", "i1", "r1", 1), ("p1", "i1", "r7", 2), ("p1", "i1", "r1", 2)])
+
+    def test_cells_fill_the_cube(self):
+        tensor = self.build([("p2", "i1", "r2", 3), ("p1", "i1", "r2", None)])
+        assert np.array_equal(tensor.values[:, 0, :], [[np.nan, np.nan], [np.nan, 3.0]],
+                              equal_nan=True)
+        assert tensor.declared_missing[:, 0, :].tolist() == [[False, True], [False, False]]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, product
 
 import numpy as np
 
@@ -60,22 +61,7 @@ class AgreementTable:
         ]
 
 
-def _paired_scores(tensor, rater_a, rater_b, items):
-    """Paired (person, item) score vectors where both raters are present."""
-    for r in (rater_a, rater_b):
-        if r not in tensor.ids.rater_index:
-            raise KeyError(f"unknown rater identifier {r!r}")
-    items = tuple(items)
-    for it in items:
-        if it not in tensor.ids.item_index:
-            raise KeyError(f"unknown item identifier {it!r}")
-    ia = tensor.ids.rater_index[rater_a]
-    ib = tensor.ids.rater_index[rater_b]
-    cols = [tensor.ids.item_index[it] for it in items]
-    a = tensor.values[:, cols, ia].ravel()
-    b = tensor.values[:, cols, ib].ravel()
-    both = ~np.isnan(a) & ~np.isnan(b)
-    return a[both], b[both]
+_DEGENERATE = "degenerate marginals: both raters constant on the same category"
 
 
 def _weight_matrix(n_cat, span, weighting):
@@ -90,6 +76,36 @@ def _weight_matrix(n_cat, span, weighting):
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
+def _pair_fault(n, non_integer, outside):
+    """Why kappa cannot be computed from ``n`` paired scores, or None."""
+    if n < 2:
+        return f"need at least 2 paired observations, got {n}"
+    if non_integer:
+        return "kappa requires integer score categories"
+    if outside:
+        return "score outside the declared scale"
+    return None
+
+
+def _kappas(counts, n, weights):
+    """Kappa, observed and expected disagreement of each table in a stack
+    of K x K paired-category counts, and whether its chance disagreement
+    is zero (degenerate marginals)."""
+    row = counts.sum(axis=2)
+    col = counts.sum(axis=1)
+    outer = row[:, :, None] * col[:, None, :]
+    # symmetrized count form: integer-valued sums keep the +-1 anchors exact
+    # and make qwk(a, b) == qwk(b, a) bit for bit.  Each table's K*K terms
+    # are summed as one contiguous row, so every table gets the summation
+    # order of a lone table's .sum()
+    flat = (len(counts), -1)
+    obs2 = (weights * (counts + counts.transpose(0, 2, 1))).reshape(flat).sum(axis=1)
+    exp2 = (weights * (outer + outer.transpose(0, 2, 1))).reshape(flat).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = 1.0 - n * obs2 / exp2
+        return kappa, obs2 / (2 * n), exp2 / (2 * n**2), exp2 == 0.0
+
+
 def qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
     """Quadratic weighted kappa for two paired integer score vectors.
 
@@ -101,34 +117,115 @@ def qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired score vectors must be 1-d and equal length")
-    if a.size < 2:
-        raise ValueError(f"need at least 2 paired observations, got {a.size}")
-    if not (np.all(a == np.round(a)) and np.all(b == np.round(b))):
-        raise ValueError("kappa requires integer score categories")
+    non_integer = not (np.all(a == np.round(a)) and np.all(b == np.round(b)))
     n_cat = max_score - min_score + 1
-    span = max_score - min_score
-    ai = (a - min_score).astype(int)
-    bi = (b - min_score).astype(int)
-    if ai.min() < 0 or ai.max() >= n_cat or bi.min() < 0 or bi.max() >= n_cat:
-        raise ValueError("score outside the declared scale")
+    a, b = a - min_score, b - min_score
+    outside = np.any((a < 0) | (a >= n_cat) | (b < 0) | (b >= n_cat))
+    fault = _pair_fault(a.size, non_integer, outside)
+    if fault:
+        raise ValueError(fault)
+    codes = (a * n_cat + b).astype(np.intp)
+    counts = np.bincount(codes, minlength=n_cat * n_cat).reshape(1, n_cat, n_cat)
+    weights = _weight_matrix(n_cat, max_score - min_score, weighting)
+    kappa, observed, expected, degenerate = _kappas(
+        counts.astype(float), np.array([a.size]), weights)
+    if degenerate[0]:
+        raise DegenerateMarginalsError(_DEGENERATE)
+    return float(kappa[0]), float(observed[0]), float(expected[0])
 
-    n = a.size
-    counts = np.zeros((n_cat, n_cat))
-    np.add.at(counts, (ai, bi), 1.0)
-    row = counts.sum(axis=1)
-    col = counts.sum(axis=0)
 
-    weights = _weight_matrix(n_cat, span, weighting)
-    # symmetrized count form: integer-valued sums keep the +-1 anchors exact
-    # and make qwk(a, b) == qwk(b, a) bit for bit
-    obs2 = float((weights * (counts + counts.T)).sum())
-    exp2 = float((weights * (np.outer(row, col) + np.outer(col, row))).sum())
-    if exp2 == 0.0:
-        raise DegenerateMarginalsError(
-            "degenerate marginals: both raters constant on the same category"
-        )
-    kappa = 1.0 - n * obs2 / exp2
-    return kappa, obs2 / (2 * n), exp2 / (2 * n**2)
+def _memberships(codes, groups, size):
+    """Every (entry, group) pair where ``codes[entry]`` is listed in
+    ``groups[group]``, once per listing; codes lie in ``range(size)``."""
+    members = np.fromiter(chain.from_iterable(groups), np.intp)
+    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    order = np.argsort(members, kind="stable")
+    count = np.bincount(members, minlength=size)
+    first = np.cumsum(count) - count          # where a code's listings start in order
+    n = count[codes]
+    entry = np.repeat(np.arange(codes.size), n)
+    k = np.arange(entry.size) - np.repeat(np.cumsum(n) - n, n)
+    return entry, owner[order[first[codes[entry]] + k]]
+
+
+def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"):
+    """A :class:`QwkResult` per (candidate, benchmark, item group), in that
+    nested order, with degenerate tables flagged.
+
+    Every candidate cell is paired with the benchmark's score at the same
+    (person, item) and counted into the K x K table of its (candidate,
+    group): one ``bincount`` builds all tables of a benchmark.  The first
+    faulty table in row order raises, with the error :func:`qwk` gives it.
+    """
+    ids, scale = tensor.ids, tensor.scale
+    candidates, benchmarks = list(candidates), list(benchmarks)
+    groups = [tuple(g) for g in item_groups]
+    C, B, G, K = len(candidates), len(benchmarks), len(groups), scale.num_categories
+    if not C * B * G:
+        return []
+    cand = np.array([ids.rater_index.get(r, -1) for r in candidates], dtype=np.intp)
+    bench = [ids.rater_index.get(r, -1) for r in benchmarks]
+    items = [[ids.item_index.get(i, -1) for i in g] for g in groups]
+
+    cells = tensor.cell_index
+    known = np.flatnonzero(cand >= 0)
+    sel, slot = _memberships(cells.ridx, [[c] for c in cand[known]], len(ids.raters))
+    entry, group = _memberships(cells.iidx[sel], [[i for i in g if i >= 0] for g in items],
+                                len(ids.items))
+    sel, table = sel[entry], known[slot[entry]] * G + group
+    pidx, iidx, a = cells.pidx[sel], cells.iidx[sel], cells.x[sel]
+    n = np.zeros((B, C * G), dtype=np.intp)
+    non_integer = np.zeros((B, C * G), dtype=bool)
+    outside = np.zeros((B, C * G), dtype=bool)
+    counts = [None] * B
+    for k, code in enumerate(bench):
+        if code < 0:
+            continue
+        b = tensor.values[pidx, iidx, code] - scale.min_score
+        paired = ~np.isnan(b)
+        t, ta, tb = table[paired], a[paired], b[paired]
+        frac = (ta != np.round(ta)) | (tb != np.round(tb))
+        out = (ta < 0) | (ta > scale.span) | (tb < 0) | (tb > scale.span)
+        n[k] = np.bincount(t, minlength=C * G)
+        non_integer[k] = np.bincount(t[frac], minlength=C * G) > 0
+        outside[k] = np.bincount(t[out], minlength=C * G) > 0
+        ok = ~(frac | out)
+        codes = (t[ok] * K + ta[ok].astype(np.intp)) * K + tb[ok].astype(np.intp)
+        counts[k] = np.bincount(codes, minlength=C * G * K * K)
+
+    def by_row(arr):  # (benchmark, candidate * group) -> row order
+        return arr.reshape(B, C, G).transpose(1, 0, 2).ravel()
+
+    unknown = ((cand < 0)[:, None, None] | (np.array(bench) < 0)[None, :, None]
+               | np.array([min(g, default=0) < 0 for g in items])[None, None, :]).ravel()
+    faults = (unknown, by_row(n) < 2, by_row(non_integer), by_row(outside))
+    bad = np.flatnonzero(np.logical_or.reduce(faults))
+    if bad.size:
+        first = bad[0]
+        c, k, g = np.unravel_index(first, (C, B, G))
+        if unknown[first]:
+            for rater in (candidates[c], benchmarks[k]):
+                if rater not in ids.rater_index:
+                    raise KeyError(f"unknown rater identifier {rater!r}")
+            item = next(i for i in groups[g] if i not in ids.item_index)
+            raise KeyError(f"unknown item identifier {item!r}")
+        raise ValueError(_pair_fault(by_row(n)[first], *(f[first] for f in faults[2:])))
+
+    weights = _weight_matrix(K, scale.span, weighting)
+    kappa, observed, expected = (np.empty((B, C * G)) for _ in range(3))
+    degenerate = np.empty((B, C * G), dtype=bool)
+    for k, tables in enumerate(counts):
+        kappa[k], observed[k], expected[k], degenerate[k] = _kappas(
+            tables.reshape(C * G, K, K).astype(float), n[k], weights)
+    rows = []
+    for key, n_pairs, kap, obs, exp, degen in zip(
+            product(candidates, benchmarks, groups),
+            *(by_row(arr).tolist() for arr in (n, kappa, observed, expected, degenerate))):
+        if degen:
+            rows.append(QwkResult(*key, n_pairs, math.nan, math.nan, 0.0, degenerate=True))
+        else:
+            rows.append(QwkResult(*key, n_pairs, kap, obs, exp))
+    return rows
 
 
 def qwk(tensor: RatingsTensor, rater_a, rater_b, items=None,
@@ -140,30 +237,109 @@ def qwk(tensor: RatingsTensor, rater_a, rater_b, items=None,
     """
     if items is None:
         items = tensor.ids.items
-    items = tuple(items)
-    a, b = _paired_scores(tensor, rater_a, rater_b, items)
-    kappa, observed, expected = qwk_vectors(
-        a, b, tensor.scale.min_score, tensor.scale.max_score, weighting
-    )
-    return QwkResult(rater_a, rater_b, items, int(a.size), kappa, observed, expected)
+    (row,) = _qwk_rows(tensor, [rater_a], [rater_b], [items], weighting)
+    if row.degenerate:
+        raise DegenerateMarginalsError(_DEGENERATE)
+    return row
 
 
 def qwk_matrix(tensor, benchmark_raters, candidate_raters, item_groups) -> AgreementTable:
     """One QWK per (candidate, benchmark, item group); degenerate cells flagged."""
-    rows = []
-    for cand in candidate_raters:
-        for bench in benchmark_raters:
-            for group in item_groups:
-                group = tuple(group)
-                try:
-                    rows.append(qwk(tensor, cand, bench, group))
-                except DegenerateMarginalsError:
-                    a, b = _paired_scores(tensor, cand, bench, group)
-                    rows.append(
-                        QwkResult(cand, bench, group, int(a.size),
-                                  math.nan, math.nan, 0.0, degenerate=True)
-                    )
-    return AgreementTable(tuple(rows))
+    return AgreementTable(tuple(_qwk_rows(tensor, candidate_raters, benchmark_raters,
+                                          item_groups)))
+
+
+def grouped_moments(keys, x, size):
+    """Count, mean and sample (n - 1) variance of the rows of ``x`` in each
+    of ``size`` groups, NaN where undefined; a 2-d ``x`` gives them per
+    column, shape (size, columns).  A group sums its rows in the order
+    given, as numpy sums down a column."""
+    count = np.bincount(keys, minlength=size)
+    columns = np.atleast_2d(x.T)
+
+    def sums(v):
+        return np.stack([np.bincount(keys, column, size) for column in v], axis=1)
+
+    n = count[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = sums(columns) / n
+        dev = columns - mean.T[:, keys]
+        var = np.where(n > 1, sums(dev * dev) / (n - 1), np.nan)
+    shape = (size, *x.shape[1:])
+    return count, mean.reshape(shape), var.reshape(shape)
+
+
+def _rater_rows(tensor):
+    """Every rater's scores as rows, one per person the rater scored and
+    one column per item (NaN where unscored), rater-major and person-major,
+    with the rater of each row.  There are as many entries as cells when
+    raters score every item of their persons, and never more than the cube
+    has."""
+    cells = tensor.cell_index
+    P, I, R = tensor.shape
+    # rater codes as the smallest unsigned type let the stable sort use radix sort
+    order = np.argsort(cells.ridx.astype(np.min_scalar_type(R)), kind="stable")
+    rater, pidx, iidx = cells.ridx[order], cells.pidx[order], cells.iidx[order]
+    key = rater * P + pidx
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    rows = np.full((int(new.sum()), I), np.nan)
+    rows[np.cumsum(new) - 1, iidx] = tensor.values[pidx, iidx, rater]
+    return rows, rater[new]
+
+
+def _group_alpha(rows, owner, n_raters, items):
+    """Persons kept, alpha and total-score variance of every rater on one
+    group of item codes, from :func:`_rater_rows`."""
+    k = len(items)
+    mat = rows[:, items]
+    totals = mat.sum(axis=1)
+    complete = ~np.isnan(totals)      # listwise deletion
+    if not complete.all():
+        mat, totals, owner = mat[complete], totals[complete], owner[complete]
+    n, _, total_var = grouped_moments(owner, totals, n_raters)
+    _, _, item_var = grouped_moments(owner, mat, n_raters)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (k / (k - 1)) * (1.0 - item_var.sum(axis=1) / total_var)
+    return n.tolist(), alpha.tolist(), total_var.tolist()
+
+
+def alpha_results(tensor, raters, item_groups):
+    """Cronbach alpha of each rater on each item group, group-major.
+
+    Each group is computed once per tensor for all raters at once, in one
+    pass over their cells, and later calls read it back.  The first faulty
+    (group, rater), in that order, raises with the error
+    :func:`cronbach_alpha` gives it.
+    """
+    ids = tensor.ids
+    raters = list(raters)
+    memo = tensor.derived.setdefault("alpha", {})   # item codes -> stats of every rater
+    rows = None
+    results = []
+    for items in item_groups:
+        items = tuple(items)
+        k = len(items)
+        codes = tuple(ids.item_index.get(i, -1) for i in items)
+        if k >= 2 and min(codes) >= 0 and codes not in memo:
+            if rows is None:
+                rows = _rater_rows(tensor)
+            memo[codes] = _group_alpha(*rows, len(ids.raters), codes)
+        for rater in raters:
+            if rater not in ids.rater_index:
+                raise KeyError(f"unknown rater identifier {rater!r}")
+            if k < 2:
+                raise ValueError(f"need at least 2 items for alpha, got {k}")
+            for item, code in zip(items, codes):
+                if code < 0:
+                    raise KeyError(f"unknown item identifier {item!r}")
+            n, alpha, total_var = (stat[ids.rater_index[rater]] for stat in memo[codes])
+            if n < 2:
+                raise ValueError(f"need at least 2 persons after listwise deletion, got {n}")
+            if total_var == 0.0:
+                raise ValueError("no person variance: total scores are constant")
+            results.append(AlphaResult(rater, items, k, n, alpha))
+    return results
 
 
 def cronbach_alpha(tensor: RatingsTensor, rater, items) -> AlphaResult:
@@ -173,28 +349,4 @@ def cronbach_alpha(tensor: RatingsTensor, rater, items) -> AlphaResult:
     Sample variances use the n-1 denominator.  Alpha can go negative;
     it is reported as computed, never clamped.
     """
-    if rater not in tensor.ids.rater_index:
-        raise KeyError(f"unknown rater identifier {rater!r}")
-    items = tuple(items)
-    if len(items) < 2:
-        raise ValueError(f"need at least 2 items for alpha, got {len(items)}")
-    for it in items:
-        if it not in tensor.ids.item_index:
-            raise KeyError(f"unknown item identifier {it!r}")
-    ridx = tensor.ids.rater_index[rater]
-    cols = [tensor.ids.item_index[it] for it in items]
-    mat = tensor.values[:, cols, ridx]
-    complete = ~np.isnan(mat).any(axis=1)
-    mat = mat[complete]
-    if mat.shape[0] < 2:
-        raise ValueError(
-            f"need at least 2 persons after listwise deletion, got {mat.shape[0]}"
-        )
-    totals = mat.sum(axis=1)
-    total_var = totals.var(ddof=1)
-    if total_var == 0.0:
-        raise ValueError("no person variance: total scores are constant")
-    k = len(items)
-    item_vars = mat.var(axis=0, ddof=1)
-    alpha = (k / (k - 1)) * (1.0 - item_vars.sum() / total_var)
-    return AlphaResult(rater, items, k, int(mat.shape[0]), float(alpha))
+    return alpha_results(tensor, [rater], [items])[0]

@@ -220,6 +220,12 @@ class RatingsTensor:
         return CellIndex(self)
 
     @cached_property
+    def derived(self) -> dict:
+        """Statistics computed from this tensor, kept for reuse.  The tensor
+        is immutable, so they never go stale."""
+        return {}
+
+    @cached_property
     def connected(self) -> bool:
         """True when all facet elements are linked through shared observations."""
         cells = self.cell_index
@@ -390,7 +396,8 @@ class RatingsTensor:
         """Build a tensor from (person, item, rater, score-or-None) tuples.
 
         The first faulty cell raises: ``KeyError`` for an identifier not in
-        ``ids``, :class:`IngestError` for a cell listed twice.
+        ``ids``, :class:`IngestError` for a cell listed twice or scored NaN
+        (a missing score is None).  On one cell the checks rank in that order.
         """
         rows = [(p, i, r, s) for p, i, r, s in cells]  # each cell unpacks to four values
         columns = list(zip(*rows)) or [()] * 4
@@ -398,16 +405,21 @@ class RatingsTensor:
         pidx, iidx, ridx = (np.array([index.get(x, -1) for x in column], dtype=np.intp)
                             for index, column in zip(indexes, columns))
         unknown = np.flatnonzero((pidx < 0) | (iidx < 0) | (ridx < 0))
-        end = unknown[0] if unknown.size else len(rows)
+        nan_score = np.flatnonzero([s is not None and s != s for s in columns[3]])
+        first_unknown, first_nan = (faulty[0] if faulty.size else len(rows)
+                                    for faulty in (unknown, nan_score))
         shape = (len(ids.persons), len(ids.items), len(ids.raters))
         flat = _flat_codes(shape, pidx, iidx, ridx)
-        repeat = _first_repeat(flat[:end])
+        repeat = _first_repeat(flat[:min(first_unknown, first_nan + 1)])
         if repeat is not None:
             person, item, rater, _ = rows[repeat[0]]
             raise IngestError(f"duplicate cell ({person!r}, {item!r}, {rater!r})")
-        if unknown.size:
-            x = next(x for x, index in zip(rows[end], indexes) if x not in index)
+        if unknown.size and first_unknown <= first_nan:
+            x = next(x for x, index in zip(rows[first_unknown], indexes) if x not in index)
             raise KeyError(f"unknown identifier {x!r}")
+        if nan_score.size:
+            person, item, rater, _ = rows[first_nan]
+            raise IngestError(f"NaN score in cell ({person!r}, {item!r}, {rater!r})")
         missing = np.array([s is None for s in columns[3]], dtype=bool)
         values, declared = _fill(shape, flat, np.array(columns[3], dtype=float), missing)
         return cls(scale, ids, values, declared, integer_scores)
@@ -420,6 +432,7 @@ class RatingsTensor:
             and self.ids == other.ids
             and np.array_equal(self.values, other.values, equal_nan=True)
             and np.array_equal(self.declared_missing, other.declared_missing)
+            and self.integer_scores == other.integer_scores
         )
 
     __hash__ = None

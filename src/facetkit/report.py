@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .agreement import grouped_moments
 from .estimate import FacetEstimates
 from .fitstats import FitReport
 from .ratings import RatingsTensor
@@ -103,27 +104,28 @@ def descriptive_table(tensor: RatingsTensor) -> Table:
     """Mean and sample SD of each rater's scores per item, plus row averages."""
     if tensor.n_cells == 0:
         raise ValueError("empty tensor")
-    columns = ["rater"]
-    for item in tensor.ids.items:
-        columns += [f"{item}:mean", f"{item}:sd"]
-    columns.append("average")
+    cells = tensor.cell_index
+    _, n_items, n_raters = tensor.shape
+    scores = tensor.values[cells.pidx, cells.iidx, cells.ridx]
+    count, mean, var = grouped_moments(cells.ridx * n_items + cells.iidx, scores,
+                                       n_raters * n_items)
+    scored = (count > 0).reshape(n_raters, n_items)
+    mean = mean.reshape(n_raters, n_items)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        average = np.where(scored, mean, 0.0).sum(axis=1) / scored.sum(axis=1)
+    names = [(f"{item}:mean", f"{item}:sd") for item in tensor.ids.items]
+    columns = ("rater", *(name for pair in names for name in pair), "average")
     rows = []
-    for r, rater in enumerate(tensor.ids.raters):
+    for rater, means, sds, avg in zip(tensor.ids.raters, mean.tolist(),
+                                      np.sqrt(var).reshape(n_raters, n_items).tolist(),
+                                      average.tolist()):
         row = {"rater": rater}
-        means = []
-        for i, item in enumerate(tensor.ids.items):
-            col = tensor.values[:, i, r]
-            col = col[~np.isnan(col)]
-            if col.size == 0:
-                row[f"{item}:mean"] = math.nan
-                row[f"{item}:sd"] = math.nan
-            else:
-                row[f"{item}:mean"] = float(col.mean())
-                row[f"{item}:sd"] = float(col.std(ddof=1)) if col.size > 1 else math.nan
-                means.append(col.mean())
-        row["average"] = float(np.mean(means)) if means else math.nan
+        for (mean_name, sd_name), m, sd in zip(names, means, sds):
+            row[mean_name] = m
+            row[sd_name] = sd
+        row["average"] = avg
         rows.append(row)
-    return Table(tuple(columns), tuple(rows))
+    return Table(columns, tuple(rows))
 
 
 # -- Wright maps -------------------------------------------------------------

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agreement import cronbach_alpha, qwk_matrix
+from .agreement import alpha_results, qwk_matrix
 from .ensemble import EnsembleSpec, build_ensemble
 from .estimate import EstimationConfig, estimate, severity_classification
 from .fitstats import FitCuts, STRINGENT_CUTS, fit_statistics, with_flags
@@ -136,13 +136,13 @@ def agreement_table(table) -> Table:
 def alpha_table(tensor, groups, raters) -> Table:
     """Cronbach alpha of each rater on each (name, items) group, groups in
     the order given."""
-    rows = []
-    for group_name, items in groups:
-        for rater in raters:
-            res = cronbach_alpha(tensor, rater, items)
-            rows.append({"rater": rater, "group": group_name, "n_items": res.n_items,
-                         "n_persons": res.n_persons, "alpha": res.alpha})
-    return Table(("rater", "group", "n_items", "n_persons", "alpha"), tuple(rows))
+    groups, raters = list(groups), list(raters)
+    results = alpha_results(tensor, raters, [items for _, items in groups])
+    names = [name for name, _ in groups for _ in raters]
+    rows = tuple({"rater": res.rater, "group": name, "n_items": res.n_items,
+                  "n_persons": res.n_persons, "alpha": res.alpha}
+                 for name, res in zip(names, results))
+    return Table(("rater", "group", "n_items", "n_persons", "alpha"), rows)
 
 
 def fit_stage(tensor, estimates, cuts, facet="rater", sort="by_measure"):

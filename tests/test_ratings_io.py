@@ -369,3 +369,36 @@ class TestFromCells:
         assert np.array_equal(tensor.values[:, 0, :], [[np.nan, np.nan], [np.nan, 3.0]],
                               equal_nan=True)
         assert tensor.declared_missing[:, 0, :].tolist() == [[False, True], [False, False]]
+
+    def test_nan_score_raises(self):
+        # Python's json reads the NaN literal as a float NaN, not as a blank
+        text = ('{"cells": [["p1", "i1", "r1", 2], ["p2", "i1", "r1", NaN]], '
+                '"facets": {"items": ["i1"], "persons": ["p1", "p2"], "raters": ["r1"]}, '
+                '"scale": {"max_score": 3, "min_score": 0}}')
+        with pytest.raises(IngestError) as e:
+            RatingsTensor.from_json_dict(json.loads(text))
+        assert str(e.value) == "NaN score in cell ('p2', 'i1', 'r1')"
+
+    @pytest.mark.parametrize("cells, error, message", [
+        # on one cell: unknown identifier, then duplicate, then NaN score
+        ([("p1", "i1", "r1", 1), ("p1", "zz", "r1", np.nan)], KeyError, "'zz'"),
+        ([("p1", "i1", "r1", 1), ("p1", "i1", "r1", float("nan"))], IngestError,
+         "duplicate cell"),
+        # otherwise the earliest faulty cell wins
+        ([("p1", "i1", "r1", np.nan), ("p1", "zz", "r1", 1)], IngestError, "NaN score"),
+        ([("p1", "i1", "r1", np.nan), ("p2", "i1", "r1", 1), ("p2", "i1", "r1", 1)],
+         IngestError, "NaN score"),
+        ([("p1", "zz", "r1", 1), ("p2", "i1", "r1", np.nan)], KeyError, "'zz'"),
+    ])
+    def test_nan_score_precedence(self, cells, error, message):
+        with pytest.raises(error, match=message):
+            self.build(cells)
+
+
+def test_equality_compares_integer_scores():
+    ids = FacetIds(("p1", "p2"), ("i1",), ("r1",))
+    cube = np.array([[[1.0]], [[2.0]]])
+    tensor = RatingsTensor(ScaleSpec(0, 3), ids, cube)
+    floats = RatingsTensor(ScaleSpec(0, 3), ids, cube, integer_scores=False)
+    assert tensor != floats
+    assert tensor == RatingsTensor(ScaleSpec(0, 3), ids, cube.copy())

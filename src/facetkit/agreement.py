@@ -297,7 +297,10 @@ def _group_alpha(rows, owner, n_raters, items):
     complete = ~np.isnan(totals)      # listwise deletion
     if not complete.all():
         mat, totals, owner = mat[complete], totals[complete], owner[complete]
-    n, _, total_var = grouped_moments(owner, totals, n_raters)
+    n, mean, total_var = grouped_moments(owner, totals, n_raters)
+    # totals that are equal but for rounding (non-integer scores) leave a
+    # variance of order eps^2 * mean^2: count a few ulps of mean^2 as none
+    total_var[total_var <= 4 * np.finfo(float).eps * mean**2] = 0.0
     _, _, item_var = grouped_moments(owner, mat, n_raters)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = (k / (k - 1)) * (1.0 - item_var.sum(axis=1) / total_var)

@@ -194,12 +194,13 @@ def _mark_extremes(cells, K):
             return flags, active
 
 
-def _initial_values(cells, active, K, flags):
-    """PROX-style log-odds starting values from adjusted raw totals."""
+def _initial_values(cells, K, flags):
+    """PROX-style log-odds starting values from the raw totals over the
+    cells of the fit."""
 
     def logodds(which, sign):
-        counts = cells.sums(which, None, active)
-        raw = cells.sums(which, cells.x[active], active)
+        counts = cells.sums(which)
+        raw = cells.sums(which, cells.x)
         top = K * counts
         # extremes are excluded from the joint fit; give them a placeholder of 0
         v = np.zeros_like(raw)
@@ -211,7 +212,7 @@ def _initial_values(cells, active, K, flags):
     severity = logodds("rater", -1.0)
     difficulty = logodds("item", -1.0)
 
-    counts = np.bincount(cells.x[active].astype(int), minlength=K + 1).astype(float)
+    counts = np.bincount(cells.x.astype(int), minlength=K + 1).astype(float)
     counts = np.maximum(counts, 0.5)
     thresholds = np.log(counts[:-1] / counts[1:])
 
@@ -252,8 +253,9 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     flags, active = _mark_extremes(cells, K)
     if not active.any():
         raise EstimationError("every response string is extreme; nothing to estimate")
+    fit_cells = cells.subset(active)
     for which in ("person", "rater", "item"):
-        counts = cells.sums(which, None, active)
+        counts = fit_cells.sums(which)
         starved = (counts == 0) & (flags[which] == EXTREME_NONE)
         if starved.any():
             bad = getattr(tensor.ids, which + "s")[int(np.nonzero(starved)[0][0])]
@@ -261,18 +263,17 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
                 f"{which} {bad!r} has no usable observations once extreme strings are removed"
             )
 
-    params = _initial_values(cells, active, K, flags)
+    params = _initial_values(fit_cells, K, flags)
     ability, severity, difficulty, thresholds = params
     nx_p = flags["person"] == EXTREME_NONE
     nx_r = flags["rater"] == EXTREME_NONE
     nx_i = flags["item"] == EXTREME_NONE
     estimable = (nx_p, nx_r, nx_i, np.ones(K, dtype=bool))
-    x_act = cells.x[active]
 
     def recompute():
-        loc = cells.locations(ability, severity, difficulty, active)
+        loc = fit_cells.locations(ability, severity, difficulty)
         probs, e, w = cell_moments(loc, thresholds)
-        return probs, e, w, observed_log_likelihood(probs, x_act)
+        return probs, e, w, observed_log_likelihood(probs, fit_cells.x)
 
     damp = config.newton_damping
     clamp = config.logit_clamp
@@ -297,6 +298,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         return recompute()
 
     probs, e, w, loglik = recompute()
+    resid_sums = _residual_sums(fit_cells, e)
     sweep_lls = [loglik]
     iterations = 0
     converged = False
@@ -306,7 +308,8 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     for iterations in range(1, config.max_iterations + 1):
         prev = [vec.copy() for vec in params]
 
-        steps, singular = _joint_step(cells, active, probs, e, w, params, estimable, clamp)
+        steps, singular = _joint_step(fit_cells, probs, e, w, resid_sums, params,
+                                      estimable, clamp)
         if singular and not warned_singular:
             warnings.warn("threshold curvature singular; using diagonal step")
             warned_singular = True
@@ -335,12 +338,11 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
 
         max_change = max(np.max(np.abs(vec - old)) for vec, old in zip(params, prev))
         # the compensated re-centering leaves every cell location unchanged,
-        # so the moments from the line search stay valid here
-        max_resid = max(
-            np.max(np.abs(cells.sums("person", x_act - e, active)[nx_p])),
-            np.max(np.abs(cells.sums("rater", x_act - e, active)[nx_r])),
-            np.max(np.abs(cells.sums("item", x_act - e, active)[nx_i])),
-        )
+        # so the moments from the line search stay valid here, and their
+        # residual sums are the next step's gradient
+        resid_sums = _residual_sums(fit_cells, e)
+        max_resid = max(np.max(np.abs(g[mask]))
+                        for g, mask in zip(resid_sums, estimable))
         if max_change <= config.convergence_tol and max_resid <= config.residual_tol:
             converged = True
             break
@@ -391,6 +393,12 @@ def _safe_se(information):
     return 1.0 / np.sqrt(np.maximum(information, 1e-12))
 
 
+def _residual_sums(cells, e):
+    """Per-person, per-rater and per-item sums of x - E over ``cells``."""
+    resid = cells.x - e
+    return tuple(cells.sums(which, resid) for which in ("person", "rater", "item"))
+
+
 def _threshold_information(probs):
     """Sums over cells of P(X >= k), k = 1..K, and the K x K threshold information.
 
@@ -401,18 +409,19 @@ def _threshold_information(probs):
     positive products, precise even where one category is nearly certain.
     """
     K = probs.shape[1] - 1
-    sums_ge = np.cumsum(probs.sum(axis=0)[::-1])[::-1][1:]
+    sums_ge = np.cumsum((np.ones(len(probs)) @ probs)[::-1])[::-1][1:]
     # tail_head[l, m] = sum over cells of P(X >= l) P(X <= m)
     tail_head = np.cumsum(np.cumsum((probs.T @ probs)[::-1], axis=0)[::-1], axis=1)
     k = np.arange(1, K + 1)
     return sums_ge, tail_head[np.maximum.outer(k, k), np.minimum.outer(k, k) - 1]
 
 
-def _joint_step(cells, active, probs, e, w, params, estimable, clamp):
+def _joint_step(cells, probs, e, w, resid_sums, params, estimable, clamp):
     """One Newton step on (ability, severity, difficulty, thresholds) at once.
 
-    ``probs``, ``e`` and ``w`` are the moments of the active cells at
-    ``params``; ``estimable`` masks the elements the fit moves.  Returns the
+    ``cells`` are the cells of the fit, ``probs``, ``e`` and ``w`` their
+    moments at ``params`` and ``resid_sums`` their :func:`_residual_sums`;
+    ``estimable`` masks the elements the fit moves.  Returns the
     four steps and whether the system was singular, in which case each step
     is the diagonal one.
 
@@ -433,20 +442,17 @@ def _joint_step(cells, active, probs, e, w, params, estimable, clamp):
     K = probs.shape[1] - 1
     P, R, I = cells.size["person"], cells.size["rater"], cells.size["item"]
     RI, M = R + I, R + I + K
-    sel = np.nonzero(active)[0]
-    pidx, ridx, iidx, x = cells.pidx[sel], cells.ridx[sel], cells.iidx[sel], cells.x[sel]
+    pidx, ridx, iidx, x = cells.pidx, cells.ridx, cells.iidx, cells.x
 
-    resid = x - e
     sums_ge, info_t = _threshold_information(probs)
     n_ge = np.cumsum(np.bincount(x.astype(int), minlength=K + 1)[::-1])[::-1][1:]
-    g_p = np.bincount(pidx, resid, P)
-    g_o = np.concatenate([np.bincount(ridx, resid, R), np.bincount(iidx, resid, I),
-                          n_ge - sums_ge])
+    g_p, g_r, g_i = resid_sums
+    g_o = np.concatenate([g_r, g_i, n_ge - sums_ge])
 
     info = np.zeros((M, M))
     info[:R, R:RI] = np.bincount(ridx * I + iidx, w, R * I).reshape(R, I)
     cov_p = np.empty((P, K))
-    tail = np.zeros(sel.size)
+    tail = np.zeros(cells.n)
     for k in range(K, 0, -1):
         tail += (k - e) * probs[:, k]  # Cov(X, [X >= k]) of each cell
         cov_p[:, k - 1] = np.bincount(pidx, tail, P)

@@ -82,19 +82,29 @@ def category_probs(location, thresholds) -> np.ndarray:
     """Probability of each score category 0..K at the given logit location.
 
     ``location`` is ability - severity - difficulty; it may be a scalar or
-    an array (an axis for the K+1 categories is appended).  Computed as a
-    max-subtracted softmax over cumulative sums, so large locations cannot
-    overflow.
+    an array (an axis for the K+1 categories is appended).
+
+    The softmax is over psi_k = k*location - sum(thresholds[:k]), centred
+    on the middle category c = K//2 so that psi_c = 0: every row then sums
+    to at least 1 and cannot underflow.  No centred psi exceeds
+    max|location|*max(c, K-c) + max|cum_k - cum_c| in magnitude; while
+    that bound is at most 700, exp cannot overflow and no per-row max is
+    needed.  Past it, the row max is subtracted first.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     location = np.asarray(location, dtype=float)
     K = thresholds.size
-    # psi_k = k*location - sum(thresholds[:k]), psi_0 = 0
+    c = K // 2
     cum = np.concatenate([[0.0], np.cumsum(thresholds)])
-    psi = location[..., None] * np.arange(K + 1) - cum
-    psi -= psi.max(axis=-1, keepdims=True)
-    exppsi = np.exp(psi)
-    return exppsi / exppsi.sum(axis=-1, keepdims=True)
+    cum -= cum[c]
+    psi = np.multiply.outer(location, np.arange(-c, K - c + 1, dtype=float))
+    psi -= cum
+    reach = np.max(np.abs(location), initial=0.0) * max(c, K - c)
+    if reach + np.max(np.abs(cum)) > 700:
+        psi -= psi.max(axis=-1, keepdims=True)
+    probs = np.exp(psi, out=psi)
+    probs /= (probs @ np.ones(K + 1))[..., None]
+    return probs
 
 
 def cell_moments(location, thresholds):
@@ -102,12 +112,14 @@ def cell_moments(location, thresholds):
 
     This is the one moment kernel: estimation, fit statistics and the
     public :func:`expected_score`/:func:`score_variance` all take E and W
-    from here.  W is also d(E)/d(location).
+    from here.  W is also d(E)/d(location).  E and E[X^2] come from one
+    product of the probabilities with the columns k and k^2.
     """
     probs = category_probs(location, thresholds)
     k = np.arange(probs.shape[-1], dtype=float)
-    e = probs @ k
-    w = probs @ k**2 - e**2
+    moments = np.stack([k, k * k]) @ probs.reshape(-1, k.size).T
+    e, w = moments.reshape(2, *probs.shape[:-1])
+    w -= e * e
     return probs, e, w
 
 

@@ -120,17 +120,30 @@ class CellIndex:
     category.  This is the one cell list: every consumer of per-cell
     quantities (estimation, fit statistics, the log-likelihood, the
     connectivity check) reads it through :attr:`RatingsTensor.cell_index`
-    rather than re-deriving the cells.
+    rather than re-deriving the cells; a selection that is read many times,
+    such as the cells of a fit, is a :meth:`subset` of it.
     """
 
-    def __init__(self, tensor):
-        self.pidx, self.iidx, self.ridx = np.nonzero(tensor.present_mask)
-        self.x = tensor.values[self.pidx, self.iidx, self.ridx] - tensor.scale.min_score
+    def __init__(self, pidx, iidx, ridx, x, shape):
+        self.pidx, self.iidx, self.ridx, self.x = pidx, iidx, ridx, x
         self.n = self.pidx.size
         for arr in (self.pidx, self.iidx, self.ridx, self.x):
             arr.setflags(write=False)
         self.index = {"person": self.pidx, "item": self.iidx, "rater": self.ridx}
-        self.size = dict(zip(("person", "item", "rater"), tensor.shape))
+        self.shape = shape
+        self.size = dict(zip(("person", "item", "rater"), shape))
+
+    @classmethod
+    def of(cls, tensor) -> "CellIndex":
+        """The scored cells of ``tensor``."""
+        pidx, iidx, ridx = np.nonzero(tensor.present_mask)
+        x = tensor.values[pidx, iidx, ridx] - tensor.scale.min_score
+        return cls(pidx, iidx, ridx, x, tensor.shape)
+
+    def subset(self, sel) -> "CellIndex":
+        """The selected cells, in the same order, as a cell list of their own."""
+        return CellIndex(self.pidx[sel], self.iidx[sel], self.ridx[sel], self.x[sel],
+                         self.shape)
 
     def locations(self, ability, severity, difficulty, sel=slice(None)):
         """``ability - severity - difficulty`` for the selected cells."""
@@ -217,7 +230,7 @@ class RatingsTensor:
     @cached_property
     def cell_index(self) -> CellIndex:
         """The present cells as flat index arrays, built once per tensor."""
-        return CellIndex(self)
+        return CellIndex.of(self)
 
     @cached_property
     def derived(self) -> dict:

@@ -180,15 +180,24 @@ def simulate(spec: SimSpec):
     K = spec.scale.num_categories - 1
 
     ability = np.empty(spec.n_persons)
-    cats = np.empty((spec.n_persons, spec.n_items, spec.n_raters), dtype=float)
-    base_loc = -(difficulty[:, None] + severity[None, :])  # (items, raters)
+    u = np.empty((spec.n_persons, spec.n_items, spec.n_raters))
     for j in range(spec.n_persons):
         rng = np.random.default_rng([spec.seed, 0, j])
         ability[j] = rng.normal(spec.ability_mean, spec.ability_sd)
-        probs = category_probs(ability[j] + base_loc, thresholds)
-        cdf = np.cumsum(probs, axis=-1)
-        u = rng.random((spec.n_items, spec.n_raters))
-        cats[j] = np.minimum((u[..., None] > cdf).sum(axis=-1), K)
+        u[j] = rng.random((spec.n_items, spec.n_raters))
+    # a cell's category is the number of its cumulative probabilities
+    # 0..K-1 below its uniform draw, so rounding that leaves the last one
+    # short of 1 cannot give K+1.  One kernel call per block of about 2**16
+    # cells keeps the probabilities of a large design from taking K+1 times
+    # the memory of the cube.
+    base_loc = -(difficulty[:, None] + severity[None, :])  # (items, raters)
+    cats = np.zeros(u.shape)
+    block = max(1, 2**16 // base_loc.size)
+    for p0 in range(0, spec.n_persons, block):
+        cdf = category_probs(ability[p0:p0 + block, None, None] + base_loc, thresholds)
+        np.cumsum(cdf, axis=-1, out=cdf)
+        for k in range(K):
+            cats[p0:p0 + block] += u[p0:p0 + block] > cdf[..., k]
 
     for ridx in sorted(int(r) for r in spec.pathologies):
         pathology = spec.pathologies[ridx]

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from facetkit import (
     DegenerateMarginalsError,
+    FacetIds,
+    RatingsTensor,
+    ScaleSpec,
     cronbach_alpha,
     qwk,
     qwk_matrix,
@@ -247,3 +250,15 @@ class TestCronbachAlpha:
         )
         with pytest.raises(ValueError, match="no person variance"):
             cronbach_alpha(flat, "R1", ["i1", "i2"])
+
+    def test_totals_equal_but_for_rounding_have_no_variance(self):
+        # 0.2 + 0.4 and 0.4 + 0.2 are 0.6000000000000001, 0.6 + 0 is 0.6:
+        # the rounding alone once gave a total variance of 1e-33 and an
+        # alpha of -2.6e31
+        scores = np.array([[[0.2], [0.4]], [[0.6], [0.0]], [[0.4], [0.2]]])
+        t = RatingsTensor(ScaleSpec(0, 6), FacetIds(("p1", "p2", "p3"), ("i1", "i2"),
+                                                    ("R1",)),
+                          scores, integer_scores=False)
+        with pytest.raises(ValueError,
+                           match="^no person variance: total scores are constant$"):
+            cronbach_alpha(t, "R1", ["i1", "i2"])

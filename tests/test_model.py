@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from facetkit import (
+    EstimationConfig,
     ModelParams,
     category_probs,
     expected_score,
     log_likelihood,
     score_variance,
 )
+from facetkit.model import cell_moments
 from conftest import small_tensor
 
 
@@ -20,6 +24,55 @@ def random_draws(n, rng, k=6):
     locations = rng.uniform(-4, 4, n)
     thresholds = [rng.uniform(-2, 2, k) for _ in range(n)]
     return [(loc, thr - thr.mean()) for loc, thr in zip(locations, thresholds)]
+
+
+def reference_category_probs(location, thresholds):
+    """The plain max-subtracted softmax over psi_k = k*location - cum_k."""
+    thresholds = np.asarray(thresholds, dtype=float)
+    location = np.asarray(location, dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(thresholds)])
+    psi = location[..., None] * np.arange(thresholds.size + 1) - cum
+    psi -= psi.max(axis=-1, keepdims=True)
+    exppsi = np.exp(psi)
+    return exppsi / exppsi.sum(axis=-1, keepdims=True)
+
+
+CLAMP = EstimationConfig().logit_clamp
+
+
+@st.composite
+def kernel_inputs(draw):
+    K = draw(st.integers(1, 10))
+    thresholds = draw(st.lists(st.floats(-CLAMP, CLAMP), min_size=K, max_size=K))
+    location = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
+    return np.array(location), np.array(thresholds)
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_inputs())
+    def test_centred_kernel_matches_the_reference(self, inputs):
+        location, thresholds = inputs
+        want = reference_category_probs(location, thresholds)
+        probs, e, w = cell_moments(location, thresholds)
+        assert_allclose(probs, want, rtol=0, atol=1e-13)
+        assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) <= 1e-12
+        k = np.arange(thresholds.size + 1)
+        want_e = want @ k
+        assert_allclose(e, want_e, rtol=0, atol=1e-12)
+        assert_allclose(w, want @ k**2 - want_e**2, rtol=0, atol=1e-12)
+
+    def test_far_locations_take_the_max_subtracted_fallback(self):
+        # centred on category 5 of 0..10, psi reaches 5 * 1e3: exp would
+        # overflow without the row max taken off
+        thresholds = np.linspace(-CLAMP, CLAMP, 10)
+        location = np.array([-1e3, 1e3])
+        probs = category_probs(location, thresholds)
+        assert np.all(np.isfinite(probs))
+        assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert_allclose(probs, reference_category_probs(location, thresholds),
+                        rtol=0, atol=1e-13)
+        assert probs[0, 0] == pytest.approx(1.0) and probs[1, -1] == pytest.approx(1.0)
 
 
 class TestCategoryProbs:

@@ -1,5 +1,7 @@
 """Tests for the generative sampler and its pathologies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,33 @@ class TestDeterminism:
         _, truth2 = simulate(spec)
         np.testing.assert_array_equal(truth1.severity, truth2.severity)
         assert np.all(np.abs(truth1.severity) <= 1.0)
+
+
+# sha256 of simulate(spec).to_json_text(): a change to the kernel or to the
+# order of the draws that flips a single score changes the hash.  The
+# crossed design has 70 000 cells, more than one kernel call takes.
+PINNED_DRAWS = {
+    "crossed_0_6": (
+        SimSpec(n_persons=700, n_items=4, n_raters=25, scale=ScaleSpec(0, 6), seed=101,
+                severity=("uniform", -1.0, 1.0), difficulty=[-0.5, 0.0, 0.2, 0.3],
+                thresholds=[-1.5, -0.9, -0.3, 0.2, 0.9, 1.6]),
+        "b0c98b50c2262d1cc77d0a676e24005dfbc2ff29d8fcd91ccf8a5c6f2fec6411"),
+    "wide_0_3_ability_sd_4": (
+        SimSpec(n_persons=300, n_items=2, n_raters=2, scale=ScaleSpec(0, 3), seed=102,
+                ability_sd=4.0, thresholds=[-1.0, 0.0, 1.0]),
+        "2d0586adb7a0693b3a671d980c3c5dccf4b808665de23e04ee0cfdb925d3112d"),
+    "two_categories": (
+        SimSpec(n_persons=80, n_items=3, n_raters=4, scale=ScaleSpec(1, 2), seed=103,
+                severity=[0.5, -0.5, 0.25, -0.25], ability_sd=1.5),
+        "e74db7c54e245184f3d6d9ce474bbba088c23b62407ddce1cc9a1a13fe39f5a6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DRAWS))
+def test_draws_are_pinned(name):
+    spec, digest = PINNED_DRAWS[name]
+    tensor, _ = simulate(spec)
+    assert hashlib.sha256(tensor.to_json_text().encode()).hexdigest() == digest
 
 
 class TestModelConformance:

@@ -8,8 +8,8 @@ dense system over raters, items and thresholds is solved (Wright & Masters
 Measurement*).  A backtracking line search keeps the likelihood from
 decreasing, and rater/item/threshold measures are re-centered after every
 iteration.  Extreme response strings (all-minimum or all-maximum) are
-excluded from the joint fit and solved afterwards, each against its
-adjusted raw score.
+excluded from the fit.  The same iterations then measure all of them at
+once, with every fitted measure held, each against its adjusted raw score.
 
 Identification: person abilities are free; severities, difficulties, and
 thresholds sum to zero over non-extreme elements.  Re-centering shifts are
@@ -18,6 +18,7 @@ folded back into the abilities, so the likelihood is invariant under them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ from .ratings import FacetIds, RatingsTensor, ScaleSpec, canonical_json
 EXTREME_NONE = "none"
 EXTREME_MIN = "min-extreme"
 EXTREME_MAX = "max-extreme"
+
+_FACETS = ("person", "rater", "item")
 
 
 class EstimationError(RuntimeError):
@@ -55,14 +58,7 @@ class EstimationConfig:
             raise ValueError("logit_clamp must be >= 5")
 
     def to_dict(self) -> dict:
-        return {
-            "max_iterations": self.max_iterations,
-            "convergence_tol": self.convergence_tol,
-            "residual_tol": self.residual_tol,
-            "logit_clamp": self.logit_clamp,
-            "extreme_adjust": self.extreme_adjust,
-            "newton_damping": self.newton_damping,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimationConfig":
@@ -108,17 +104,10 @@ class FacetEstimates:
             "scale": self.scale.to_dict(),
             "facets": self.ids.to_dict(),
             "params": self.params.to_dict(),
-            "se": {
-                "ability": self.se_ability.tolist(),
-                "severity": self.se_severity.tolist(),
-                "difficulty": self.se_difficulty.tolist(),
-                "thresholds": self.se_thresholds.tolist(),
-            },
-            "extreme_flags": {
-                "persons": list(self.extreme_persons),
-                "raters": list(self.extreme_raters),
-                "items": list(self.extreme_items),
-            },
+            "se": {name: getattr(self, "se_" + name).tolist()
+                   for name in ("ability", "severity", "difficulty", "thresholds")},
+            "extreme_flags": {name: list(getattr(self, "extreme_" + name))
+                              for name in ("persons", "raters", "items")},
             "iterations_used": self.iterations_used,
             "converged": self.converged,
             "log_likelihood_final": self.log_likelihood_final,
@@ -137,24 +126,15 @@ class FacetEstimates:
     def from_json_dict(cls, d: dict) -> "FacetEstimates":
         return cls(
             params=ModelParams.from_dict(d["params"]),
-            se_ability=np.asarray(d["se"]["ability"], float),
-            se_severity=np.asarray(d["se"]["severity"], float),
-            se_difficulty=np.asarray(d["se"]["difficulty"], float),
-            se_thresholds=np.asarray(d["se"]["thresholds"], float),
-            extreme_persons=tuple(d["extreme_flags"]["persons"]),
-            extreme_raters=tuple(d["extreme_flags"]["raters"]),
-            extreme_items=tuple(d["extreme_flags"]["items"]),
+            **{"se_" + name: np.asarray(v, float) for name, v in d["se"].items()},
+            **{"extreme_" + name: tuple(v) for name, v in d["extreme_flags"].items()},
             iterations_used=int(d["iterations_used"]),
             converged=bool(d["converged"]),
             log_likelihood_final=float(d["log_likelihood_final"]),
             sweep_log_likelihoods=(),
             max_score_residual=float(d["max_score_residual"]),
             config=EstimationConfig.from_dict(d["config"]),
-            ids=FacetIds(
-                tuple(d["facets"]["persons"]),
-                tuple(d["facets"]["items"]),
-                tuple(d["facets"]["raters"]),
-            ),
+            ids=FacetIds(*(tuple(d["facets"][k]) for k in ("persons", "items", "raters"))),
             scale=ScaleSpec.from_dict(d["scale"]),
         )
 
@@ -172,14 +152,12 @@ def _mark_extremes(cells, K):
     facet, so removing one element's cells leaves the others' tallies as
     they were.  An element with active cells has not been flagged yet.
     """
-    flags = {
-        which: np.array([EXTREME_NONE] * cells.size[which], dtype=object)
-        for which in ("person", "rater", "item")
-    }
+    flags = {which: np.array([EXTREME_NONE] * cells.size[which], dtype=object)
+             for which in _FACETS}
     active = np.ones(cells.n, dtype=bool)
     while True:
         changed = False
-        for which in ("person", "rater", "item"):
+        for which in _FACETS:
             counts = cells.sums(which, None, active)
             raw = cells.sums(which, cells.x[active], active)
             is_min = (counts > 0) & (raw == 0)
@@ -194,32 +172,26 @@ def _mark_extremes(cells, K):
             return flags, active
 
 
-def _initial_values(cells, K, flags):
-    """PROX-style log-odds starting values from the raw totals over the
+def _initial_values(cells, K, free, totals):
+    """PROX-style log-odds starting values from the raw ``totals`` over the
     cells of the fit."""
 
-    def logodds(which, sign):
-        counts = cells.sums(which)
-        raw = cells.sums(which, cells.x)
-        top = K * counts
+    def logodds(which, raw, sign):
+        top = K * cells.sums(which)
         # extremes are excluded from the joint fit; give them a placeholder of 0
         v = np.zeros_like(raw)
         ok = (raw > 0) & (raw < top)
         v[ok] = sign * np.log(raw[ok] / (top[ok] - raw[ok]))
         return v
 
-    ability = logodds("person", +1.0)
-    severity = logodds("rater", -1.0)
-    difficulty = logodds("item", -1.0)
+    ability, severity, difficulty = (logodds(which, raw, sign) for which, raw, sign
+                                     in zip(_FACETS, totals, (1.0, -1.0, -1.0)))
 
-    counts = np.bincount(cells.x.astype(int), minlength=K + 1).astype(float)
-    counts = np.maximum(counts, 0.5)
+    counts = np.maximum(np.bincount(cells.x.astype(int), minlength=K + 1), 0.5)
     thresholds = np.log(counts[:-1] / counts[1:])
 
-    nx_r = flags["rater"] == EXTREME_NONE
-    nx_i = flags["item"] == EXTREME_NONE
-    severity[nx_r] -= severity[nx_r].mean()
-    difficulty[nx_i] -= difficulty[nx_i].mean()
+    severity[free[1]] -= severity[free[1]].mean()
+    difficulty[free[2]] -= difficulty[free[2]].mean()
     thresholds -= thresholds.mean()
     return ability, severity, difficulty, thresholds
 
@@ -227,9 +199,10 @@ def _initial_values(cells, K, flags):
 def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEstimates:
     """Fit the rating-scale model to a ratings tensor by JMLE.
 
-    Raises :class:`EstimationError` for a disconnected design or one with
-    fewer than two observed categories, and :class:`ValueError` for an
-    ``extreme_adjust`` not below half the scale span.  Non-convergence within
+    Raises :class:`EstimationError` for a disconnected design (also one that
+    falls apart once extreme strings are removed) or one with fewer than two
+    observed categories, and :class:`ValueError` for an ``extreme_adjust``
+    not below half the scale span.  Non-convergence within
     ``max_iterations`` is reported via the ``converged`` flag and a
     warning, not an error.
     """
@@ -254,7 +227,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     if not active.any():
         raise EstimationError("every response string is extreme; nothing to estimate")
     fit_cells = cells.subset(active)
-    for which in ("person", "rater", "item"):
+    for which in _FACETS:
         counts = fit_cells.sums(which)
         starved = (counts == 0) & (flags[which] == EXTREME_NONE)
         if starved.any():
@@ -262,91 +235,25 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             raise EstimationError(
                 f"{which} {bad!r} has no usable observations once extreme strings are removed"
             )
+    free = [flags[which] == EXTREME_NONE for which in _FACETS] + [np.ones(K, dtype=bool)]
+    if not active.all():
+        # without the extreme strings the persons can fall into groups that
+        # share no rater (or no item); a group could then shift with its
+        # raters (items) and leave every location as it was
+        persons = np.flatnonzero(free[0])
+        for facet in ("rater", "item"):
+            label = fit_cells.components((facet,))[persons]
+            apart = persons[label != label[0]]
+            if apart.size:
+                a, b = (tensor.ids.persons[p] for p in (persons[0], apart[0]))
+                raise EstimationError(f"disconnected design once extreme strings are "
+                                      f"removed: persons {a!r} and {b!r} share no {facet}s")
 
-    params = _initial_values(fit_cells, K, flags)
-    ability, severity, difficulty, thresholds = params
-    nx_p = flags["person"] == EXTREME_NONE
-    nx_r = flags["rater"] == EXTREME_NONE
-    nx_i = flags["item"] == EXTREME_NONE
-    estimable = (nx_p, nx_r, nx_i, np.ones(K, dtype=bool))
-
-    def recompute():
-        loc = fit_cells.locations(ability, severity, difficulty)
-        probs, e, w = cell_moments(loc, thresholds)
-        return probs, e, w, observed_log_likelihood(probs, fit_cells.x)
-
-    damp = config.newton_damping
-    clamp = config.logit_clamp
-
-    def line_search(steps, loglik):
-        """Move all four vectors by the largest of steps, steps/2, ...
-        (60 halvings) that keeps the active-cell likelihood from decreasing;
-        else leave them.  A value already past the clamp (re-centering can
-        push one there) may stay where it is but not move further out."""
-        bases = [vec.copy() for vec in params]
-        scale_factor = 1.0
-        for _ in range(60):
-            for vec, base, step in zip(params, bases, steps):
-                vec[:] = np.clip(base + step * scale_factor,
-                                 np.minimum(base, -clamp), np.maximum(base, clamp))
-            state = recompute()
-            if state[3] >= loglik - 1e-12:
-                return state
-            scale_factor *= 0.5
-        for vec, base in zip(params, bases):
-            vec[:] = base
-        return recompute()
-
-    probs, e, w, loglik = recompute()
-    resid_sums = _residual_sums(fit_cells, e)
-    sweep_lls = [loglik]
-    iterations = 0
-    converged = False
-    max_change = max_resid = np.inf
-    warned_singular = False
-
-    for iterations in range(1, config.max_iterations + 1):
-        prev = [vec.copy() for vec in params]
-
-        steps, singular = _joint_step(fit_cells, probs, e, w, resid_sums, params,
-                                      estimable, clamp)
-        if singular and not warned_singular:
-            warnings.warn("threshold curvature singular; using diagonal step")
-            warned_singular = True
-        largest = max(np.max(np.abs(step), initial=0.0) for step in steps)
-        if largest > damp:
-            steps = [step * (damp / largest) for step in steps]
-        probs, e, w, loglik = line_search(steps, loglik)
-        if np.any(np.abs(thresholds) >= clamp):
-            warnings.warn(
-                "a threshold hit the logit clamp; some categories are likely unobserved"
-            )
-
-        # re-center severities/difficulties/thresholds over non-extreme
-        # elements; fold the shifts into ability so probabilities are intact
-        shift = 0.0
-        for vec, mask in ((severity, nx_r), (difficulty, nx_i)):
-            c = vec[mask].mean()
-            vec[mask] -= c
-            shift += c
-        c = thresholds.mean()
-        thresholds -= c
-        shift += c
-        ability[nx_p] -= shift
-
-        sweep_lls.append(loglik)
-
-        max_change = max(np.max(np.abs(vec - old)) for vec, old in zip(params, prev))
-        # the compensated re-centering leaves every cell location unchanged,
-        # so the moments from the line search stay valid here, and their
-        # residual sums are the next step's gradient
-        resid_sums = _residual_sums(fit_cells, e)
-        max_resid = max(np.max(np.abs(g[mask]))
-                        for g, mask in zip(resid_sums, estimable))
-        if max_change <= config.convergence_tol and max_resid <= config.residual_tol:
-            converged = True
-            break
-
+    targets = _totals(fit_cells, K)
+    params = _initial_values(fit_cells, K, free, targets)
+    iterations, converged, sweep_lls, max_change, max_resid = _newton(
+        fit_cells, targets, free, True, params, config,
+        config.max_iterations, config.convergence_tol, config.residual_tol)
     if not converged:
         failed = "; ".join(
             f"last {name} {value:.3g} above tolerance {tol:g}"
@@ -356,31 +263,26 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         )
         warnings.warn(
             f"estimation did not converge in {config.max_iterations} iterations ({failed})")
-
-    _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, config)
+    if not active.all():
+        _solve_extremes(cells.subset(~active), K, free, params, config)
 
     # standard errors from observed Fisher information at the final estimates
-    loc_all = cells.locations(ability, severity, difficulty)
-    probs_all, _, w_all = cell_moments(loc_all, thresholds)
-    se_ability = _safe_se(cells.sums("person", w_all))
-    se_severity = _safe_se(cells.sums("rater", w_all))
-    se_difficulty = _safe_se(cells.sums("item", w_all))
-    se_thresholds = _safe_se(np.diag(_threshold_information(probs_all)[1]))
-
-    params = ModelParams(ability, severity, difficulty, thresholds)
-    final_ll = observed_log_likelihood(probs_all, cells.x)
+    probs_all, _, w_all = cell_moments(cells.locations(*params[:3]), params[3])
+    information = [cells.sums(which, w_all) for which in _FACETS]
+    information.append(np.diag(_threshold_information(probs_all)[1]))
+    se = [1.0 / np.sqrt(np.maximum(info, 1e-12)) for info in information]
     return FacetEstimates(
-        params=params,
-        se_ability=se_ability,
-        se_severity=se_severity,
-        se_difficulty=se_difficulty,
-        se_thresholds=se_thresholds,
+        params=ModelParams(*params),
+        se_ability=se[0],
+        se_severity=se[1],
+        se_difficulty=se[2],
+        se_thresholds=se[3],
         extreme_persons=tuple(flags["person"]),
         extreme_raters=tuple(flags["rater"]),
         extreme_items=tuple(flags["item"]),
         iterations_used=iterations,
         converged=converged,
-        log_likelihood_final=final_ll,
+        log_likelihood_final=observed_log_likelihood(probs_all, cells.observed()),
         sweep_log_likelihoods=tuple(sweep_lls),
         max_score_residual=float(max_resid),
         config=config,
@@ -389,14 +291,115 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     )
 
 
-def _safe_se(information):
-    return 1.0 / np.sqrt(np.maximum(information, 1e-12))
+def _totals(cells, K):
+    """Each person's, rater's and item's raw total over ``cells``, and the
+    count of scores at or above each category 1..K."""
+    n_ge = np.cumsum(np.bincount(cells.x.astype(int), minlength=K + 1)[::-1])[::-1][1:]
+    return tuple(cells.sums(which, cells.x) for which in _FACETS) + (n_ge,)
 
 
-def _residual_sums(cells, e):
-    """Per-person, per-rater and per-item sums of x - E over ``cells``."""
-    resid = cells.x - e
-    return tuple(cells.sums(which, resid) for which in ("person", "rater", "item"))
+def _held(vec, grad, clamp):
+    """The elements of ``vec`` at the clamp whose gradient points further out."""
+    return (np.abs(vec) >= clamp) & (np.sign(grad) == np.sign(vec))
+
+
+def _newton(cells, targets, free, gauge, params, config, max_iterations, change_tol,
+            resid_tol):
+    """Damped Newton iterations moving the ``free`` elements of ``params``
+    (in place) until their expected totals over ``cells`` meet ``targets``:
+    per person, rater and item, and the counts of scores >= 1..K.
+
+    Each iteration takes one :func:`_joint_step`, scaled so that nothing
+    moves more than ``newton_damping``, and a line search on the
+    adjusted-target likelihood: the log-likelihood plus each free measure
+    times (target - observed total), signed as it enters the locations.
+    With ``gauge``, the free severities, difficulties and thresholds are
+    re-centered after every iteration, the shifts folded into the free
+    abilities.  Stops before a step once the last one moved nothing more
+    than ``change_tol`` and all free elements are within ``resid_tol`` of
+    their targets (without the gauge, those held at the clamp aside).
+    Returns the iterations, whether it stopped so, the objective at the
+    start and after each iteration, and the last change and residual.
+    """
+    ability, severity, difficulty, thresholds = params
+    clamp, damp = config.logit_clamp, config.newton_damping
+    index = cells.observed()
+    # target minus observed total of each free element: zero in the fit itself
+    offsets = [np.where(f, t - o, 0.0)
+               for t, o, f in zip(targets, _totals(cells, thresholds.size), free)]
+    signs = (1.0, -1.0, -1.0, -1.0)
+
+    def recompute():
+        loc = cells.locations(ability, severity, difficulty)
+        probs, e, w = cell_moments(loc, thresholds)
+        adjusted = sum(s * (off @ vec) for s, off, vec in zip(signs, offsets, params))
+        return probs, e, w, observed_log_likelihood(probs, index) + adjusted
+
+    def line_search(steps, gain, objective):
+        """Move all four vectors by the largest of steps, steps/2, ...
+        (60 halvings) that keeps the objective from decreasing, else leave
+        them; steps of predicted gain within 1e-12 of zero, which no
+        evaluation of the objective resolves, are taken whole.  A value past
+        the clamp may stay where it is but not move further out."""
+        bases = [vec.copy() for vec in params]
+        scale_factor = 1.0
+        for _ in range(60):
+            for vec, base, step in zip(params, bases, steps):
+                vec[:] = np.clip(base + step * scale_factor,
+                                 np.minimum(base, -clamp), np.maximum(base, clamp))
+            state = recompute()
+            if state[3] >= objective - 1e-12 or abs(gain) <= 1e-12:
+                return state
+            scale_factor *= 0.5
+        for vec, base in zip(params, bases):
+            vec[:] = base
+        return recompute()
+
+    probs, e, w, objective = recompute()
+    objectives = [objective]
+    iterations = 0
+    change = np.inf
+    warned_singular = False
+    while True:
+        # target minus expected totals from the line search's moments, which
+        # re-centering leaves valid: the stopping check, then the gradient
+        diff = cells.x - e
+        resid = [cells.sums(which, diff) + off for which, off in zip(_FACETS, offsets)]
+        counted = free if gauge else [f & ~_held(v, s * g, clamp)
+                                      for f, v, s, g in zip(free, params, signs, resid)]
+        max_resid = max(np.max(np.abs(g[m]), initial=0.0) for g, m in zip(resid, counted))
+        if change <= change_tol and max_resid <= resid_tol:
+            return iterations, True, objectives, change, max_resid
+        if iterations == max_iterations:
+            return iterations, False, objectives, change, max_resid
+        iterations += 1
+        prev = [vec.copy() for vec in params]
+
+        steps, gain, singular = _joint_step(cells, probs, e, w, resid, targets[3], params,
+                                            free, gauge, clamp)
+        if singular and not warned_singular:
+            warnings.warn("threshold curvature singular; using diagonal step")
+            warned_singular = True
+        largest = max(np.max(np.abs(step), initial=0.0) for step in steps)
+        if largest > damp:
+            steps = [step * (damp / largest) for step in steps]
+            gain *= damp / largest
+        probs, e, w, objective = line_search(steps, gain, objective)
+        if np.any(free[3] & (np.abs(thresholds) >= clamp)):
+            warnings.warn("a threshold hit the logit clamp; some categories are likely "
+                          "unobserved")
+        if gauge:
+            # re-center severities/difficulties/thresholds over the free
+            # elements; fold the shifts into ability so probabilities are intact
+            shift = 0.0
+            for vec, mask in zip(params[1:], free[1:]):
+                c = vec[mask].mean()
+                vec[mask] -= c
+                shift += c
+            ability[free[0]] -= shift
+
+        objectives.append(objective)
+        change = max(np.max(np.abs(vec - old)) for vec, old in zip(params, prev))
 
 
 def _threshold_information(probs):
@@ -416,37 +419,43 @@ def _threshold_information(probs):
     return sums_ge, tail_head[np.maximum.outer(k, k), np.minimum.outer(k, k) - 1]
 
 
-def _joint_step(cells, probs, e, w, resid_sums, params, estimable, clamp):
+def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp):
     """One Newton step on (ability, severity, difficulty, thresholds) at once.
 
-    ``cells`` are the cells of the fit, ``probs``, ``e`` and ``w`` their
-    moments at ``params`` and ``resid_sums`` their :func:`_residual_sums`;
-    ``estimable`` masks the elements the fit moves.  Returns the
-    four steps and whether the system was singular, in which case each step
-    is the diagonal one.
+    ``probs``, ``e`` and ``w`` are the moments of ``cells`` at ``params``,
+    ``resid_sums`` each person's, rater's and item's target minus expected
+    total, ``n_ge`` the target counts of scores >= 1..K; ``free`` masks the
+    elements that move.  Returns the four steps, their predicted gain (sum
+    of step times gradient) and whether the system was singular, in which
+    case each step is the diagonal one.
 
     The algebra uses the signs in which every sufficient statistic enters
     positively: a cell's score X for its person, -severity and -difficulty,
     and [X >= k] for -threshold k.  The information is the sum over cells of
-    their covariance, the gradient their observed minus expected totals.
-    The person block is diagonal, so persons are eliminated: the Schur
-    complement over raters, items and thresholds is accumulated over
-    contiguous blocks of persons (cells are person-major) and solved
-    densely, then the person steps are back-substituted.  The rater, item
-    and threshold steps each sum to zero over their free elements, which
-    fixes the three directions that leave every location unchanged.  A
-    parameter at the clamp whose gradient points further out is held; only
-    in this sum-zero form does holding it keep it in place, since with one
-    element pinned instead the rest of its group could move against it.
+    their covariance.  The person block is diagonal, so persons are
+    eliminated: the Schur complement over raters, items and thresholds is
+    accumulated over contiguous blocks of persons (cells are person-major)
+    and solved densely, then the person steps are back-substituted.  With
+    ``gauge``, the rater, item and threshold steps each sum to zero over
+    their free elements, which fixes the three directions that leave every
+    location unchanged.  A parameter at the clamp whose gradient points
+    further out is held; only in this sum-zero form does holding it keep it
+    in place, since with one element pinned the rest of its group could
+    move against it.
     """
     K = probs.shape[1] - 1
     P, R, I = cells.size["person"], cells.size["rater"], cells.size["item"]
     RI, M = R + I, R + I + K
-    pidx, ridx, iidx, x = cells.pidx, cells.ridx, cells.iidx, cells.x
+    pidx, ridx, iidx = cells.pidx, cells.ridx, cells.iidx
+    g_p, g_r, g_i = resid_sums
+    free_p = free[0] & ~_held(params[0], g_p, clamp)
+    inv_d = np.where(free_p, 1.0 / np.maximum(np.bincount(pidx, w, P), 1e-12), 0.0)
+    if not any(f.any() for f in free[1:]):
+        # only persons move: their block is diagonal and no system is left
+        d_p = inv_d * g_p
+        return (d_p, np.zeros(R), np.zeros(I), np.zeros(K)), d_p @ g_p, False
 
     sums_ge, info_t = _threshold_information(probs)
-    n_ge = np.cumsum(np.bincount(x.astype(int), minlength=K + 1)[::-1])[::-1][1:]
-    g_p, g_r, g_i = resid_sums
     g_o = np.concatenate([g_r, g_i, n_ge - sums_ge])
 
     info = np.zeros((M, M))
@@ -464,24 +473,27 @@ def _joint_step(cells, probs, e, w, resid_sums, params, estimable, clamp):
                                                          np.bincount(iidx, w, I)])
 
     grads = (g_p, -g_o[:R], -g_o[R:RI], -g_o[RI:])
-    free = [ok & ~((np.abs(v) >= clamp) & (np.sign(g) == np.sign(v)))
-            for v, g, ok in zip(params, grads, estimable)]
-    # basis of the steps that sum to zero over each group's free elements:
-    # the last free element of a group moves against all the others
+    free = [free_p] + [ok & ~_held(v, g, clamp)
+                       for v, g, ok in zip(params[1:], grads[1:], free[1:])]
+    # basis of the free steps; with the gauge, of those that sum to zero over
+    # each group's free elements: its last free element moves against the rest
     basis = []
     for start, f in zip((0, R, RI), free[1:]):
         f = start + np.flatnonzero(f)
-        part = np.zeros((M, max(f.size - 1, 0)))
-        part[f[:-1], np.arange(f.size - 1)] = 1.0
-        part[f[-1:]] = -1.0
+        n = max(f.size - gauge, 0)
+        part = np.zeros((M, n))
+        part[f[:n], np.arange(n)] = 1.0
+        if gauge:
+            part[f[-1:]] = -1.0
         basis.append(part)
     basis = np.hstack(basis)
 
-    inv_d = np.where(free[0], 1.0 / np.maximum(np.bincount(pidx, w, P), 1e-12), 0.0)
     schur, rhs = info.copy(), g_o.copy()
     block = max(1, 2**14 // M)  # persons per block: about 128 KB of block matrix
     for p0 in range(0, P, block):
         p1 = min(p0 + block, P)
+        if not free[0][p0:p1].any():
+            continue  # a block without a free person adds nothing
         c0, c1 = np.searchsorted(pidx, (p0, p1))
         local = (pidx[c0:c1] - p0) * RI
         b = np.empty((p1 - p0, M))
@@ -500,54 +512,35 @@ def _joint_step(cells, probs, e, w, resid_sums, params, estimable, clamp):
                        - cov_p @ d_o[RI:])
         singular = False
     except np.linalg.LinAlgError:
-        free_o = np.concatenate(free[1:])
-        d_o = np.where(free_o, g_o / np.maximum(np.diag(info), 1e-10), 0.0)
+        d_o = np.where(np.concatenate(free[1:]), g_o / np.maximum(np.diag(info), 1e-10), 0.0)
         d_p = inv_d * g_p
         singular = True
-    return (d_p, -d_o[:R], -d_o[R:RI], -d_o[RI:]), singular
+    steps = (d_p, -d_o[:R], -d_o[R:RI], -d_o[RI:])
+    return steps, sum(step @ g for step, g in zip(steps, grads)), singular
 
 
-def _solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds, config):
-    """Assign measures to extreme elements, one damped Newton per facet.
-
-    An element's target is its raw total over all its cells, clipped to
-    ``[extreme_adjust, K*n - extreme_adjust]``: an all-minimum or
-    all-maximum string is pulled ``extreme_adjust`` score points inside the
-    range, and an element flagged only once other extremes were dropped
-    keeps its own raw total.  Its measure is solved against every other
-    measure held fixed.  A cell belongs to one element of a facet, so
-    all of a facet's extreme elements are solved at once; each stops at
-    ``|sum E - target| < 1e-10``, or once it rests at the clamp with its
-    step pointing further out, where every later step would be clipped
-    away.  Persons first, then raters, then items.
+def _solve_extremes(cells, K, free, params, config):
+    """Measure the elements not ``free`` in the fit on ``cells``, those
+    that touch them, all at once: :func:`_newton` without the gauge, the
+    fitted measures and thresholds held, so extremes that share cells meet
+    their targets together, to 1e-10 in change and target (or held at the
+    clamp).  A target is the raw total clipped to ``[extreme_adjust,
+    K*n - extreme_adjust]``, so an element flagged only once others were
+    dropped keeps its own.  Each starts at the log-odds of its target's
+    mean score about the mean location of its cells.
     """
-    adjust, damp, clamp = config.extreme_adjust, config.newton_damping, config.logit_clamp
-    for which, vec, sign in (
-        ("person", ability, +1.0),
-        ("rater", severity, -1.0),
-        ("item", difficulty, -1.0),
-    ):
-        flagged = flags[which] != EXTREME_NONE
-        idx = cells.index[which]
-        own = np.nonzero(flagged[idx])[0]  # cells of the elements still live
-        target = np.clip(cells.sums(which, cells.x[own], own), adjust,
-                         K * cells.sums(which, None, own) - adjust)
-        v = np.zeros_like(vec)
-        live = flagged.copy()
-        for _ in range(200):
-            vec[flagged] = v[flagged]
-            own = own[live[idx[own]]]
-            loc = cells.locations(ability, severity, difficulty, own)
-            _, e, w = cell_moments(loc, thresholds)
-            f = cells.sums(which, e, own) - target
-            live &= ~(np.abs(f) < 1e-10)
-            step = np.clip(sign * -f / np.maximum(cells.sums(which, w, own), 1e-12),
-                           -damp, damp)
-            v[live] = np.clip(v[live] + step[live], -clamp, clamp)
-            live &= ~((np.abs(v) >= clamp) & (np.sign(step) == np.sign(v)))
-            if not live.any():
-                break
-        vec[flagged] = v[flagged]
+    adjust, clamp = config.extreme_adjust, config.logit_clamp
+    extreme = [~f for f in free]
+    targets = list(_totals(cells, K))
+    loc = cells.locations(*params[:3])
+    for j, (which, sign) in enumerate(zip(_FACETS, (1.0, -1.0, -1.0))):
+        x = extreme[j]
+        top = K * cells.sums(which)[x]
+        targets[j][x] = target = np.clip(targets[j][x], adjust, top - adjust)
+        mean_loc = K * cells.sums(which, loc)[x] / top
+        params[j][x] = np.clip(sign * (np.log(target / (top - target)) - mean_loc),
+                               -clamp, clamp)
+    _newton(cells, targets, extreme, False, params, config, 200, 1e-10, 1e-10)
 
 
 def severity_classification(estimates: FacetEstimates, cut: float = 0.3,
@@ -563,12 +556,5 @@ def severity_classification(estimates: FacetEstimates, cut: float = 0.3,
         raise ValueError(
             "estimates did not converge; pass allow_unconverged=True to classify anyway"
         )
-    labels = {}
-    for rater, value in zip(estimates.ids.raters, estimates.params.severity):
-        if value > cut:
-            labels[rater] = "severe"
-        elif value < -cut:
-            labels[rater] = "lenient"
-        else:
-            labels[rater] = "neutral"
-    return labels
+    return {rater: "severe" if value > cut else "lenient" if value < -cut else "neutral"
+            for rater, value in zip(estimates.ids.raters, estimates.params.severity)}

@@ -123,9 +123,9 @@ def cell_moments(location, thresholds):
     return probs, e, w
 
 
-def observed_log_likelihood(probs, x) -> float:
-    """Sum of the log probabilities of the observed 0-based categories ``x``."""
-    return float(np.sum(np.log(probs[np.arange(x.size), x.astype(int)])))
+def observed_log_likelihood(probs, index) -> float:
+    """Sum of the log probabilities at ``index``, a :meth:`CellIndex.observed`."""
+    return float(np.sum(np.log(probs[index])))
 
 
 def expected_score(location, thresholds):
@@ -145,4 +145,4 @@ def log_likelihood(tensor: RatingsTensor, params: ModelParams) -> float:
     params.validate_for(tensor)
     cells = tensor.cell_index
     loc = cells.locations(params.ability, params.severity, params.difficulty)
-    return observed_log_likelihood(category_probs(loc, params.thresholds), cells.x)
+    return observed_log_likelihood(category_probs(loc, params.thresholds), cells.observed())

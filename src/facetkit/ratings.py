@@ -161,6 +161,37 @@ class CellIndex:
         return np.bincount(self.index[facet][sel], weights=weights,
                            minlength=self.size[facet])
 
+    def observed(self):
+        """Each cell's row and observed 0-based category: the index of its
+        observed probability in the cells' (cells, K+1) probabilities."""
+        return np.arange(self.n), self.x.astype(int)
+
+    def components(self, facets=("item", "rater")):
+        """Component label of every element (persons, items, raters) over
+        the edges joining each cell's person to its element of ``facets``.
+
+        Hook-and-compress: every label is a root (label[root] == root), each
+        round hooks the larger root of an edge onto the smaller one, then
+        pointer jumping flattens the trees until all roots are fixed.
+        """
+        P, I, _ = self.shape
+        first = {"item": P, "rater": P + I}
+        a = np.concatenate([self.pidx] * len(facets))
+        b = np.concatenate([first[facet] + self.index[facet] for facet in facets])
+        label = np.arange(sum(self.shape))
+        while True:
+            la, lb = label[a], label[b]
+            if np.array_equal(la, lb):
+                return label
+            low = np.minimum(la, lb)
+            np.minimum.at(label, la, low)
+            np.minimum.at(label, lb, low)
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+
 
 @dataclass(frozen=True)
 class RatingsTensor:
@@ -245,26 +276,8 @@ class RatingsTensor:
         # elements with no observations can never be linked
         if any(not cells.sums(facet).all() for facet in cells.index):
             return False
-        # hook-and-compress labelling over the person-item and person-rater
-        # edges: every label is a root (label[root] == root), each round
-        # hooks the larger root of an edge onto the smaller one, then
-        # pointer jumping flattens the trees until all roots are fixed
-        P, I, _ = self.shape
-        a = np.concatenate([cells.pidx, cells.pidx])
-        b = np.concatenate([P + cells.iidx, P + I + cells.ridx])
-        label = np.arange(sum(self.shape))
-        while True:
-            la, lb = label[a], label[b]
-            if np.array_equal(la, lb):
-                return bool(np.all(label == label[0]))
-            low = np.minimum(la, lb)
-            np.minimum.at(label, la, low)
-            np.minimum.at(label, lb, low)
-            while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
-                    break
-                label = jumped
+        label = cells.components()
+        return bool(np.all(label == label[0]))
 
     # -- slicing ------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from facetkit import (
     severity_classification,
     simulate,
 )
-from facetkit.estimate import _joint_step, _mark_extremes, _residual_sums
+from facetkit.estimate import _joint_step, _mark_extremes, _totals
 from facetkit.model import cell_moments
 from conftest import paper_spec, small_tensor
 
@@ -42,6 +42,34 @@ class TestPreconditions:
         tensor = ingest_csv_text(text)
         with pytest.raises(EstimationError, match="disconnected"):
             estimate(tensor)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_groups_linked_only_by_an_extreme_rater_rejected(self, seed):
+        # r1-r2 score p1-p10 and r3-r4 score p11-p20 on both items; r5 gives
+        # everyone 0.  Without r5 the two groups share items but no rater, so
+        # each could shift with its raters and no fit could fix the offset
+        # between them
+        rng = np.random.default_rng(seed)
+        scores = np.full((20, 2, 5), np.nan)
+        scores[:10, :, :2] = rng.integers(0, 5, size=(10, 2, 2))
+        scores[10:, :, 2:4] = rng.integers(0, 5, size=(10, 2, 2))
+        scores[:, :, 4] = 0
+        tensor = small_tensor(scores, scale=(0, 4))
+        assert tensor.connected
+        with pytest.raises(EstimationError, match="once extreme strings are removed: "
+                           "persons 'p1' and 'p11' share no raters"):
+            estimate(tensor)
+
+    def test_items_split_once_an_extreme_item_is_dropped(self):
+        # the transpose of the rater case: i1-i2 score p1-p10 and i3-i4
+        # p11-p20 under both raters, and i5 is all 0
+        rng = np.random.default_rng(1)
+        scores = np.full((20, 5, 2), np.nan)
+        scores[:10, :2] = rng.integers(0, 5, size=(10, 2, 2))
+        scores[10:, 2:4] = rng.integers(0, 5, size=(10, 2, 2))
+        scores[:, 4] = 0
+        with pytest.raises(EstimationError, match="persons 'p1' and 'p11' share no items"):
+            estimate(small_tensor(scores, scale=(0, 4)))
 
     def test_single_category_rejected(self):
         t = small_tensor([[3, 3], [3, 3]])
@@ -308,11 +336,10 @@ class TestMarkExtremes:
 
 
 def per_element_solve_extremes(cells, K, flags, ability, severity, difficulty,
-                               thresholds, config):
-    """The element-at-a-time extreme solve, kept as the reference.
-
-    Expects every extreme element at 0, where the joint fit leaves it.
-    """
+                               thresholds, config, tol=1e-10):
+    """The element-at-a-time extreme solve, kept as the reference: persons,
+    then raters, then items, each element solved from 0 with every other
+    measure held, until its expected total is within ``tol`` of its target."""
     for which, vec, sign in (
         ("person", ability, +1.0),
         ("rater", severity, -1.0),
@@ -328,7 +355,7 @@ def per_element_solve_extremes(cells, K, flags, ability, severity, difficulty,
                 loc = cells.locations(ability, severity, difficulty, sel)
                 _, e, w = cell_moments(loc, thresholds)
                 f = e.sum() - target
-                if abs(f) < 1e-10:
+                if abs(f) < tol:
                     break
                 step = np.clip(sign * -f / max(w.sum(), 1e-12),
                                -config.newton_damping, config.newton_damping)
@@ -390,15 +417,42 @@ def estimate_or_skip(tensor):
         assume(False)
 
 
+def swept_solve_extremes(cells, K, flags, ability, severity, difficulty, thresholds,
+                         config, tol):
+    """:func:`per_element_solve_extremes` repeated until no measure moves
+    more than 1e-12; returns the number of passes.  Where extremes of
+    different facets share cells, one pass solves each against the others'
+    values before their own solve; where they do not, the second pass moves
+    nothing."""
+    vecs = (ability, severity, difficulty)
+    for passes in range(1, 1001):
+        before = [vec.copy() for vec in vecs]
+        per_element_solve_extremes(cells, K, flags, ability, severity, difficulty,
+                                   thresholds, config, tol)
+        if max(np.max(np.abs(vec - old)) for vec, old in zip(vecs, before)) <= 1e-12:
+            return passes
+    raise AssertionError("the reference sweeps did not settle")
+
+
 class TestSolveExtremes:
-    def assert_same_as_reference(self, tensor, config=EstimationConfig()):
+    def assert_same_as_reference(self, tensor, config=EstimationConfig(), shared=False):
+        """The joint extreme solve against the per-element reference.
+
+        Without ``shared`` cells between extremes of different facets, one
+        pass of the reference is the answer.  With them, the reference is
+        swept to its fixed point, each element solve stopping at 1e-12: with
+        its 1e-10 stop, an element at that fixed point can keep a residual of
+        8.5e-11, 2.5e-10 logits from the root where its information is 0.25.
+        """
         est = estimate(tensor, config)
         flags, solved = extreme_flags(est), measures(est)
         start = {which: np.where(flags[which] == "none", solved[which], 0.0)
                  for which in FACETS}
-        per_element_solve_extremes(tensor.cell_index, tensor.scale.span, flags,
-                                   start["person"], start["rater"], start["item"],
-                                   est.params.thresholds, config)
+        passes = swept_solve_extremes(tensor.cell_index, tensor.scale.span, flags,
+                                      start["person"], start["rater"], start["item"],
+                                      est.params.thresholds, config,
+                                      1e-12 if shared else 1e-10)
+        assert passes > 2 if shared else passes == 2
         for which in FACETS:
             np.testing.assert_allclose(solved[which], start[which], rtol=0, atol=1e-10)
         return est
@@ -412,8 +466,19 @@ class TestSolveExtremes:
         assert sum(flag != "none" for flag in est.extreme_persons) > 100
 
     def test_cascade_extreme_rater(self):
-        est = self.assert_same_as_reference(cascade_tensor())
+        est = self.assert_same_as_reference(cascade_tensor(), shared=True)
         assert est.extreme_raters == ("none", "none", "max-extreme")
+
+    def test_cascade_persons_meet_their_targets_at_the_final_measures(self):
+        # min-extreme P0-P4 share cells with max-extreme rater C: a solve
+        # facet by facet meets P0's target only while C sits at 0, and leaves
+        # its expected total at 1.49 once C is measured
+        tensor = cascade_tensor()
+        est = estimate(tensor)
+        cells, p = tensor.cell_index, est.params
+        sel = cells.pidx == 0
+        loc = cells.locations(p.ability, p.severity, p.difficulty, sel)
+        assert expected_score(loc, p.thresholds).sum() == pytest.approx(0.25, abs=1e-10)
 
     def test_all_zero_rater(self):
         tensor, _ = simulate(paper_spec(seed=33))
@@ -433,8 +498,8 @@ class TestSolveExtremes:
 
     def test_element_beyond_the_clamp_stops_early(self, monkeypatch):
         # an all-maximum person of 48 cells needs an ability above 5: at
-        # logit_clamp=5 it reaches the clamp in a few steps, and every later
-        # step would point further out
+        # logit_clamp=5 it starts at the clamp with its gradient pointing
+        # further out, so it is held there from the first check
         tensor, _ = simulate(paper_spec(seed=31))
         values = np.array(tensor.values)
         values[0] = 6.0
@@ -442,9 +507,13 @@ class TestSolveExtremes:
         config = EstimationConfig(logit_clamp=5)
         est = self.assert_same_as_reference(tensor, config)
         assert est.params.ability[0] == 5.0
-        flags, solved = extreme_flags(est), measures(est)
-        start = {which: np.where(flags[which] == "none", solved[which], 0.0)
-                 for which in FACETS}
+        cells, K = tensor.cell_index, tensor.scale.span
+        flags, active = _mark_extremes(cells, K)
+        free = [flags[which] == "none" for which in FACETS] + [np.ones(K, dtype=bool)]
+        p = est.params
+        params = [np.where(f, vec, 0.0) for f, vec in zip(free, (p.ability, p.severity,
+                                                                 p.difficulty))]
+        params.append(np.array(p.thresholds))
         calls = []
 
         def counting_moments(*args):
@@ -452,12 +521,9 @@ class TestSolveExtremes:
             return cell_moments(*args)
 
         monkeypatch.setattr(estimate_module, "cell_moments", counting_moments)
-        estimate_module._solve_extremes(
-            tensor.cell_index, tensor.scale.span, flags, start["person"], start["rater"],
-            start["item"], est.params.thresholds, config)
-        assert start["person"][0] == 5.0
-        assert len(calls) <= 10  # one per step for the person, one per other facet
-
+        estimate_module._solve_extremes(cells.subset(~active), K, free, params, config)
+        assert params[0][0] == 5.0
+        assert len(calls) <= 10
     def test_random_sparse_designs_with_extreme_raters_and_items(self):
         # rater r1 scores one end of the scale; item i3 the other end apart
         # from r1's cells, so it turns extreme once r1 is dropped
@@ -470,7 +536,8 @@ class TestSolveExtremes:
             scores[:, 2, 1:] = 3.0 if low else 0.0
             scores[rng.random(scores.shape) < 0.3] = np.nan
             try:
-                est = self.assert_same_as_reference(small_tensor(scores, scale=(0, 3)))
+                est = self.assert_same_as_reference(small_tensor(scores, scale=(0, 3)),
+                                                    shared=True)
             except EstimationError:
                 continue
             assert est.extreme_raters[0] != "none"
@@ -484,18 +551,17 @@ class TestSolveExtremes:
     @settings(max_examples=100, deadline=None)
     @given(sparse_designs())
     def test_extreme_totals_meet_their_targets(self, tensor):
-        # each extreme element's expected total over all its cells equals
-        # its clipped raw total, against the measures it was solved with:
-        # extremes of facets solved after it still sit at 0 then
+        # each extreme element's expected total over all its cells, at the
+        # final measures, equals its clipped raw total unless it rests at
+        # the clamp
         est = estimate_or_skip(tensor)
         K = tensor.scale.span
         cells, config = tensor.cell_index, est.config
         flags, solved = extreme_flags(est), measures(est)
-        for k, which in enumerate(FACETS):
-            at_solve = {w: np.where((flags[w] != "none") & (j > k), 0.0, solved[w])
-                        for j, w in enumerate(FACETS)}
-            loc = cells.locations(at_solve["person"], at_solve["rater"], at_solve["item"])
-            total = cells.sums(which, cell_moments(loc, est.params.thresholds)[1])
+        loc = cells.locations(solved["person"], solved["rater"], solved["item"])
+        e = cell_moments(loc, est.params.thresholds)[1]
+        for which in FACETS:
+            total = cells.sums(which, e)
             target = np.clip(cells.sums(which, cells.x), config.extreme_adjust,
                              K * cells.sums(which) - config.extreme_adjust)
             met = np.abs(total - target) <= 1e-8
@@ -571,8 +637,10 @@ class TestJointNewton:
         params = [np.array(vec, float) for vec in params]
         probs, e, w = cell_moments(cells.locations(*params[:3], active), params[3])
         fit_cells = cells.subset(active)
-        steps, singular = _joint_step(fit_cells, probs, e, w, _residual_sums(fit_cells, e),
-                                      params, estimable, clamp)
+        resid = [fit_cells.sums(which, fit_cells.x - e) for which in FACETS]
+        steps, _, singular = _joint_step(fit_cells, probs, e, w, resid,
+                                         _totals(fit_cells, K)[3], params, estimable, True,
+                                         clamp)
         assert not singular
         dense, held = dense_joint_step(cells, active, params, estimable, clamp)
         for got, want in zip(recentre(steps, estimable), dense):

@@ -181,7 +181,7 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
     for k, code in enumerate(bench):
         if code < 0:
             continue
-        b = tensor.values[pidx, iidx, code] - scale.min_score
+        b = cells.slabs([code])[0, pidx, iidx] - scale.min_score
         paired = ~np.isnan(b)
         t, ta, tb = table[paired], a[paired], b[paired]
         frac = (ta != np.round(ta)) | (tb != np.round(tb))
@@ -284,7 +284,7 @@ def _rater_rows(tensor):
     new = np.ones(key.size, dtype=bool)
     new[1:] = key[1:] != key[:-1]
     rows = np.full((int(new.sum()), I), np.nan)
-    rows[np.cumsum(new) - 1, iidx] = tensor.values[pidx, iidx, rater]
+    rows[np.cumsum(new) - 1, iidx] = cells.score[order]
     return rows, rater[new]
 
 

@@ -38,19 +38,26 @@ class EnsembleSpec:
             )
 
 
-def _member_mean(tensor, members, rounding):
-    """Per (person, item) mean of present member scores, rounded and clamped."""
+def _member_slabs(tensor, members):
+    """The members' (persons, items) score slabs, one per member, filled
+    from their cells."""
     for m in members:
         if m not in tensor.ids.rater_index:
             raise KeyError(f"unknown rater identifier {m!r}")
-    cols = [tensor.ids.rater_index[m] for m in members]
-    block = tensor.values[:, :, cols]
+    return tensor.cell_index.slabs([tensor.ids.rater_index[m] for m in members])
+
+
+def _member_mean(slabs, scale, rounding):
+    """Per (person, item) mean of present member scores, rounded and clamped."""
+    # a (persons, items, members) view laid out member-major, so numpy adds
+    # the members plane by plane, in member order
+    block = slabs.transpose(1, 2, 0)
     have = ~np.isnan(block)
     n = have.sum(axis=2)
     with np.errstate(invalid="ignore"):
         mean = np.where(n > 0, np.nansum(block, axis=2) / np.maximum(n, 1), np.nan)
     rounded = ROUNDING_MODES[rounding](mean)
-    rounded = np.clip(rounded, tensor.scale.min_score, tensor.scale.max_score)
+    rounded = np.clip(rounded, scale.min_score, scale.max_score)
     rounded = np.where(n > 0, rounded, np.nan)
     return rounded, n
 
@@ -60,7 +67,7 @@ def build_ensemble(tensor: RatingsTensor, spec: EnsembleSpec) -> RatingsTensor:
 
     Cells where no member scored become declared-missing, with a warning.
     """
-    scores, n = _member_mean(tensor, spec.members, spec.rounding)
+    scores, n = _member_mean(_member_slabs(tensor, spec.members), tensor.scale, spec.rounding)
     if (n == 0).any():
         warnings.warn(
             f"ensemble {spec.name!r}: {(n == 0).sum()} cells have no member scores; "
@@ -110,22 +117,22 @@ class PruneTrace:
         return rows
 
 
-def _ensemble_qwks(tensor, members, benchmarks, items, rounding):
-    """Mean QWK of the member-average rater against each benchmark x item.
+def _ensemble_qwks(tensor, slab, members, benchmarks, items, rounding):
+    """Mean QWK of the member-average rater against each benchmark x item,
+    from the raters' score slabs in ``slab``.
 
     Returns (mean, cells); any degenerate or under-populated cell pushes
     the mean to -inf so the candidate can never win a pruning step.
     """
-    scores, _ = _member_mean(tensor, members, rounding)
+    scores, _ = _member_mean(np.stack([slab[m] for m in members]), tensor.scale, rounding)
     cells = []
     kappas = []
     poisoned = False
     for bench in benchmarks:
-        bcol = tensor.ids.rater_index[bench]
         for item in items:
             icol = tensor.ids.item_index[item]
             a = scores[:, icol]
-            b = tensor.values[:, icol, bcol]
+            b = slab[bench][:, icol]
             both = ~np.isnan(a) & ~np.isnan(b)
             try:
                 kappa, _, _ = qwk_vectors(
@@ -189,16 +196,16 @@ def greedy_prune(tensor: RatingsTensor, members, benchmarks, items=None,
             raise KeyError(f"unknown rater identifier {r!r}")
 
     # canonical member order: the tensor's rater order
-    order = {r: i for i, r in enumerate(tensor.ids.raters)}
-    current = sorted(members, key=lambda m: order[m])
+    current = sorted(members, key=tensor.ids.rater_index.__getitem__)
+    slab = dict(zip(current + benchmarks, _member_slabs(tensor, current + benchmarks)))
 
-    mean, cells = _ensemble_qwks(tensor, current, benchmarks, items, rounding)
+    mean, cells = _ensemble_qwks(tensor, slab, current, benchmarks, items, rounding)
     trace = [PruneStep(None, tuple(current), mean, cells)]
     for _ in range(steps):
         best = None
         for m in current:
             reduced = [r for r in current if r != m]
-            mean, cells = _ensemble_qwks(tensor, reduced, benchmarks, items, rounding)
+            mean, cells = _ensemble_qwks(tensor, slab, reduced, benchmarks, items, rounding)
             if best is None or mean > best[0]:
                 best = (mean, m, reduced, cells)
         mean, removed, current, cells = best

@@ -220,7 +220,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             "disconnected design: facet elements are not linked by shared observations"
         )
     cells = tensor.cell_index
-    if np.unique(cells.x).size < 2:
+    if cells.x.min() == cells.x.max():
         raise EstimationError("need at least 2 observed score categories")
 
     flags, active = _mark_extremes(cells, K)

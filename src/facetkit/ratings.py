@@ -1,7 +1,10 @@
 """Rating data model: score scale, facet identifiers, and the ratings tensor.
 
-Scores live in a person x item x rater cube with explicit missing cells.
-Every statistic in the toolkit reads from this one structure.
+A tensor stores its scored cells as flat (person, item, rater, score)
+arrays in person-major order, plus the positions of the cells declared
+missing, so its memory scales with the cells, not with persons x items x
+raters.  Every statistic in the toolkit reads from this one store; the
+dense cube is built only on request.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
@@ -113,37 +116,45 @@ class FacetIds:
 
 
 class CellIndex:
-    """The present cells of a tensor as flat arrays, in person-major order.
+    """The scored cells of a tensor as flat arrays, in person-major order.
 
-    ``pidx``, ``iidx`` and ``ridx`` locate each scored cell in the cube
-    (also keyed by facet name in ``index``) and ``x`` holds its 0-based
-    category.  This is the one cell list: every consumer of per-cell
-    quantities (estimation, fit statistics, the log-likelihood, the
-    connectivity check) reads it through :attr:`RatingsTensor.cell_index`
-    rather than re-deriving the cells; a selection that is read many times,
+    This is the tensor's store.  ``pidx``, ``iidx`` and ``ridx`` locate each
+    scored cell (also keyed by facet name in ``index``), ``score`` holds its
+    score and ``x`` its 0-based category, ``score - min_score``.  Every
+    consumer of per-cell quantities (estimation, fit statistics, the
+    log-likelihood, agreement, the connectivity check) reads it through
+    :attr:`RatingsTensor.cell_index`; a selection that is read many times,
     such as the cells of a fit, is a :meth:`subset` of it.
     """
 
-    def __init__(self, pidx, iidx, ridx, x, shape):
-        self.pidx, self.iidx, self.ridx, self.x = pidx, iidx, ridx, x
+    def __init__(self, pidx, iidx, ridx, score, shape, min_score=0):
+        self.pidx, self.iidx, self.ridx, self.score = pidx, iidx, ridx, score
+        self.x = score - min_score
         self.n = self.pidx.size
-        for arr in (self.pidx, self.iidx, self.ridx, self.x):
+        for arr in (self.pidx, self.iidx, self.ridx, self.score, self.x):
             arr.setflags(write=False)
         self.index = {"person": self.pidx, "item": self.iidx, "rater": self.ridx}
-        self.shape = shape
+        self.shape, self.min_score = shape, min_score
         self.size = dict(zip(("person", "item", "rater"), shape))
-
-    @classmethod
-    def of(cls, tensor) -> "CellIndex":
-        """The scored cells of ``tensor``."""
-        pidx, iidx, ridx = np.nonzero(tensor.present_mask)
-        x = tensor.values[pidx, iidx, ridx] - tensor.scale.min_score
-        return cls(pidx, iidx, ridx, x, tensor.shape)
 
     def subset(self, sel) -> "CellIndex":
         """The selected cells, in the same order, as a cell list of their own."""
-        return CellIndex(self.pidx[sel], self.iidx[sel], self.ridx[sel], self.x[sel],
-                         self.shape)
+        return CellIndex(self.pidx[sel], self.iidx[sel], self.ridx[sel], self.score[sel],
+                         self.shape, self.min_score)
+
+    def flat(self):
+        """Each cell's position ``(p*I + i)*R + r`` in the flattened cube."""
+        return _flat_codes(self.shape, self.pidx, self.iidx, self.ridx)
+
+    def slabs(self, raters):
+        """The scores of each rater code in ``raters`` as a (persons, items)
+        slab, NaN where it scored nothing; shape (len(raters), persons, items)."""
+        P, I, _ = self.shape
+        slabs = np.full((len(raters), P, I), np.nan)
+        for slab, rater in zip(slabs, raters):
+            sel = self.ridx == rater
+            slab[self.pidx[sel], self.iidx[sel]] = self.score[sel]
+        return slabs
 
     def locations(self, ability, severity, difficulty, sel=slice(None)):
         """``ability - severity - difficulty`` for the selected cells."""
@@ -193,75 +204,99 @@ class CellIndex:
                 label = jumped
 
 
-@dataclass(frozen=True)
 class RatingsTensor:
-    """Immutable cube of scores indexed by (person, item, rater).
+    """Immutable scores indexed by (person, item, rater), stored as cells.
 
-    ``values`` holds float scores with NaN for missing cells;
-    ``declared_missing`` marks cells that were explicitly listed as blank
-    (as opposed to simply absent from the input).
+    The store is :attr:`cell_index`, the scored cells in person-major
+    order, plus ``missing_codes``, the sorted flat positions ``(p*I + i)*R + r``
+    of the cells explicitly listed as blank (as opposed to simply absent
+    from the input).  Memory scales with the cells, not with P x I x R.
+
+    ``values`` (float scores, NaN where unscored), ``present_mask`` and
+    ``declared_missing`` are read-only P x I x R cubes built on first read;
+    a tensor built from a ``values`` cube keeps that cube.
     """
 
-    scale: ScaleSpec
-    ids: FacetIds
-    values: np.ndarray
-    declared_missing: np.ndarray = field(default=None)
-    integer_scores: bool = True
-
-    def __post_init__(self):
-        P, I, R = len(self.ids.persons), len(self.ids.items), len(self.ids.raters)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (P, I, R):
-            raise ValueError(f"values shape {values.shape} != ({P}, {I}, {R})")
-        declared = self.declared_missing
-        if declared is None:
-            declared = np.zeros_like(values, dtype=bool)
-        declared = np.asarray(declared, dtype=bool)
-        if declared.shape != values.shape:
-            raise ValueError("declared_missing shape mismatch")
+    def __init__(self, scale, ids, values, declared_missing=None, integer_scores=True):
+        shape = (len(ids.persons), len(ids.items), len(ids.raters))
+        values = np.asarray(values, dtype=float)
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} != {shape}")
         present = ~np.isnan(values)
-        if np.any(declared & present):
-            raise ValueError("a cell cannot be both scored and declared missing")
-        obs = values[present]
-        if obs.size:
-            if obs.min() < self.scale.min_score or obs.max() > self.scale.max_score:
-                raise ValueError(
-                    f"score outside scale [{self.scale.min_score}, {self.scale.max_score}]"
-                )
-            if self.integer_scores and not np.all(obs == np.round(obs)):
-                raise ValueError("non-integer score in an integer-score tensor")
+        missing = np.empty(0, dtype=np.intp)
+        if declared_missing is not None:
+            declared = np.asarray(declared_missing, dtype=bool)
+            if declared.shape != shape:
+                raise ValueError("declared_missing shape mismatch")
+            if np.any(declared & present):
+                raise ValueError("a cell cannot be both scored and declared missing")
+            declared.setflags(write=False)
+            missing = np.flatnonzero(declared)
+            self.__dict__["declared_missing"] = declared
+        _check_scores(scale, values[present], integer_scores)
         values.setflags(write=False)
-        declared.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "declared_missing", declared)
+        missing.setflags(write=False)
+        self.__dict__.update(scale=scale, ids=ids, values=values, missing_codes=missing,
+                             integer_scores=integer_scores)
+
+    @classmethod
+    def _of_codes(cls, scale, ids, flat, scores, integer_scores=True, order=slice(None)):
+        """The tensor of the listed cells at the distinct flat codes ``flat``,
+        taken in the person-major ``order``; a NaN score declares its cell
+        missing."""
+        flat, scores = flat[order], scores[order]
+        scored = ~np.isnan(scores)
+        score = scores[scored]
+        _check_scores(scale, score, integer_scores)
+        shape = (len(ids.persons), len(ids.items), len(ids.raters))
+        cells = CellIndex(*np.unravel_index(flat[scored], shape), score, shape, scale.min_score)
+        missing = flat[~scored]
+        missing.setflags(write=False)
+        tensor = cls.__new__(cls)
+        tensor.__dict__.update(scale=scale, ids=ids, cell_index=cells, missing_codes=missing,
+                               integer_scores=integer_scores)
+        return tensor
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable tensor")
 
     # -- basic queries ------------------------------------------------------
 
-    @property
+    @cached_property
+    def cell_index(self) -> CellIndex:
+        """The store's scored cells.  A tensor built from a cube finds them
+        in its cube on first read; every other tensor is built with them."""
+        present = ~np.isnan(self.values)
+        return CellIndex(*np.nonzero(present), self.values[present], self.shape,
+                         self.scale.min_score)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        cells = self.cell_index
+        return _cube(self.shape, cells.flat(), cells.score, np.nan)
+
+    @cached_property
     def present_mask(self) -> np.ndarray:
-        return ~np.isnan(self.values)
+        return _cube(self.shape, self.cell_index.flat(), True, False)
+
+    @cached_property
+    def declared_missing(self) -> np.ndarray:
+        return _cube(self.shape, self.missing_codes, True, False)
 
     @property
     def n_cells(self) -> int:
-        return int(self.present_mask.sum())
+        return self.cell_index.n
 
     @property
     def shape(self) -> tuple:
-        return self.values.shape
+        return len(self.ids.persons), len(self.ids.items), len(self.ids.raters)
 
     def score(self, person, item, rater) -> float:
-        return float(
-            self.values[
-                self.ids.person_index[person],
-                self.ids.item_index[item],
-                self.ids.rater_index[rater],
-            ]
-        )
-
-    @cached_property
-    def cell_index(self) -> CellIndex:
-        """The present cells as flat index arrays, built once per tensor."""
-        return CellIndex.of(self)
+        cells = self.cell_index
+        hit = ((cells.pidx == self.ids.person_index[person])
+               & (cells.iidx == self.ids.item_index[item])
+               & (cells.ridx == self.ids.rater_index[rater]))
+        return float(cells.score[hit][0]) if hit.any() else np.nan
 
     @cached_property
     def derived(self) -> dict:
@@ -278,6 +313,17 @@ class RatingsTensor:
             return False
         label = cells.components()
         return bool(np.all(label == label[0]))
+
+    def _listed(self):
+        """Facet codes and scores of the listed cells, scored and declared
+        missing (NaN), in person-major order."""
+        cells, missing = self.cell_index, self.missing_codes
+        if not missing.size:
+            return cells.pidx, cells.iidx, cells.ridx, cells.score
+        flat = np.concatenate([cells.flat(), missing])
+        order = np.argsort(flat, kind="stable")
+        scores = np.concatenate([cells.score, np.full(missing.size, np.nan)])[order]
+        return (*np.unravel_index(flat[order], self.shape), scores)
 
     # -- slicing ------------------------------------------------------------
 
@@ -304,9 +350,15 @@ class RatingsTensor:
             tuple(self.ids.items[i] for i in ii),
             tuple(self.ids.raters[i] for i in ri),
         )
-        vals = self.values[np.ix_(pi, ii, ri)].copy()
-        declared = self.declared_missing[np.ix_(pi, ii, ri)].copy()
-        return RatingsTensor(self.scale, sub_ids, vals, declared, self.integer_scores)
+        *codes, scores = self._listed()
+        for k, (kept, n) in enumerate(zip((pi, ii, ri), self.shape)):
+            new_code = np.full(n, -1)
+            new_code[kept] = np.arange(len(kept))
+            codes[k] = new_code[codes[k]]
+        sel = (codes[0] >= 0) & (codes[1] >= 0) & (codes[2] >= 0)
+        flat = _flat_codes((len(pi), len(ii), len(ri)), *(c[sel] for c in codes))
+        return RatingsTensor._of_codes(self.scale, sub_ids, flat, scores[sel],
+                                       self.integer_scores)
 
     def with_rater(self, rater_id, scores, declared_missing=None,
                    integer_scores=None) -> "RatingsTensor":
@@ -317,17 +369,19 @@ class RatingsTensor:
         P, I, R = self.shape
         if scores.shape != (P, I):
             raise ValueError(f"scores shape {scores.shape} != ({P}, {I})")
-        vals = np.concatenate([self.values, scores[:, :, None]], axis=2)
-        new_declared = (
-            np.zeros((P, I), dtype=bool) if declared_missing is None else declared_missing
-        )
-        declared = np.concatenate(
-            [self.declared_missing, np.asarray(new_declared, bool)[:, :, None]], axis=2
-        )
-        ids = FacetIds(self.ids.persons, self.ids.items, self.ids.raters + (rater_id,))
         if integer_scores is None:
             integer_scores = self.integer_scores
-        return RatingsTensor(self.scale, ids, vals, declared, integer_scores)
+        if declared_missing is not None:
+            declared_missing = np.asarray(declared_missing, dtype=bool)[:, :, None]
+        rater = RatingsTensor(self.scale, FacetIds(self.ids.persons, self.ids.items, (rater_id,)),
+                              scores[:, :, None], declared_missing, integer_scores)
+        (pidx, iidx, ridx, old), (new_p, new_i, _, new) = self._listed(), rater._listed()
+        shape = (P, I, R + 1)
+        flat = np.concatenate([_flat_codes(shape, pidx, iidx, ridx),
+                               _flat_codes(shape, new_p, new_i, R)])
+        ids = FacetIds(self.ids.persons, self.ids.items, self.ids.raters + (rater_id,))
+        return RatingsTensor._of_codes(self.scale, ids, flat, np.concatenate([old, new]),
+                                       integer_scores, np.argsort(flat, kind="stable"))
 
     # -- long-format views --------------------------------------------------
 
@@ -337,8 +391,8 @@ class RatingsTensor:
         Covers present cells and declared-missing cells only.
         """
         persons, items, raters = self.ids.persons, self.ids.items, self.ids.raters
-        pidx, iidx, ridx = np.nonzero(self.present_mask | self.declared_missing)
-        scores = map(_score_value, self.values[pidx, iidx, ridx].tolist())
+        pidx, iidx, ridx, scores = self._listed()
+        scores = map(_score_value, scores.tolist())
         for p, i, r, s in zip(pidx.tolist(), iidx.tolist(), ridx.tolist(), scores):
             yield persons[p], items[i], raters[r], s
 
@@ -373,8 +427,8 @@ class RatingsTensor:
         The cells block is joined from strings: each id and each distinct
         score is encoded once, and rows are laid out as ``indent=2`` would.
         """
-        pidx, iidx, ridx = np.nonzero(self.present_mask | self.declared_missing)
-        scores, score_code = np.unique(self.values[pidx, iidx, ridx], return_inverse=True)
+        pidx, iidx, ridx, listed = self._listed()
+        scores, score_code = np.unique(listed, return_inverse=True)
         # a row reads ',\n    [\n      P,\n      I,\n      R,\n      S\n    ]'
         # (the first without its comma); each token carries the layout around it
         sep = ",\n      "
@@ -436,7 +490,7 @@ class RatingsTensor:
                                     for faulty in (unknown, nan_score))
         shape = (len(ids.persons), len(ids.items), len(ids.raters))
         flat = _flat_codes(shape, pidx, iidx, ridx)
-        repeat = _first_repeat(flat[:min(first_unknown, first_nan + 1)])
+        order, repeat = _person_major(flat[:min(first_unknown, first_nan + 1)])
         if repeat is not None:
             person, item, rater, _ = rows[repeat[0]]
             raise IngestError(f"duplicate cell ({person!r}, {item!r}, {rater!r})")
@@ -446,20 +500,17 @@ class RatingsTensor:
         if nan_score.size:
             person, item, rater, _ = rows[first_nan]
             raise IngestError(f"NaN score in cell ({person!r}, {item!r}, {rater!r})")
-        missing = np.array([s is None for s in columns[3]], dtype=bool)
-        values, declared = _fill(shape, flat, np.array(columns[3], dtype=float), missing)
-        return cls(scale, ids, values, declared, integer_scores)
+        return cls._of_codes(scale, ids, flat, np.array(columns[3], dtype=float),
+                             integer_scores, order)
 
     def __eq__(self, other):
         if not isinstance(other, RatingsTensor):
             return NotImplemented
-        return (
-            self.scale == other.scale
-            and self.ids == other.ids
-            and np.array_equal(self.values, other.values, equal_nan=True)
-            and np.array_equal(self.declared_missing, other.declared_missing)
-            and self.integer_scores == other.integer_scores
-        )
+        stores = [(t.cell_index.pidx, t.cell_index.iidx, t.cell_index.ridx, t.cell_index.score,
+                   t.missing_codes) for t in (self, other)]
+        return ((self.scale, self.ids, self.integer_scores)
+                == (other.scale, other.ids, other.integer_scores)
+                and all(map(np.array_equal, *stores)))
 
     __hash__ = None
 
@@ -486,23 +537,33 @@ def _flat_codes(shape, pidx, iidx, ridx):
     return (pidx * I + iidx) * R + ridx
 
 
-def _first_repeat(keys):
-    """``(k, j)`` for the first key equal to an earlier one, ``keys[j]``,
-    or None when the keys are distinct."""
+def _person_major(keys):
+    """The order that sorts the flat codes ``keys`` person-major, and
+    ``(k, j)`` for the first key equal to an earlier one, ``keys[j]``, or
+    None when the keys are distinct."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     earlier = first[inverse]
     repeats = np.flatnonzero(earlier != np.arange(keys.size))
-    return (repeats[0], earlier[repeats[0]]) if repeats.size else None
+    return first, ((repeats[0], earlier[repeats[0]]) if repeats.size else None)
 
 
-def _fill(shape, flat, scores, missing):
-    """The values and declared-missing cubes of the cells at ``flat`` codes;
-    ``scores`` is NaN wherever ``missing``."""
-    values = np.full(shape, np.nan)
-    np.put(values, flat, scores)
-    declared = np.zeros(shape, dtype=bool)
-    np.put(declared, flat[missing], True)
-    return values, declared
+def _check_scores(scale, scores, integer_scores):
+    """Raise unless every score lies on ``scale``, and is an integer where
+    ``integer_scores`` asks for one."""
+    if scores.size:
+        if scores.min() < scale.min_score or scores.max() > scale.max_score:
+            raise ValueError(f"score outside scale [{scale.min_score}, {scale.max_score}]")
+        if integer_scores and not np.all(scores == np.round(scores)):
+            raise ValueError("non-integer score in an integer-score tensor")
+
+
+def _cube(shape, flat, entries, empty):
+    """A read-only cube holding ``entries`` at the ``flat`` codes and
+    ``empty`` elsewhere."""
+    cube = np.full(shape, empty)
+    np.put(cube, flat, entries)
+    cube.setflags(write=False)
+    return cube
 
 
 def _first_appearance_codes(column):
@@ -562,7 +623,7 @@ def _ingest_rows(reader, scale_min, scale_max, source):
     (persons, pidx), (items, iidx), (raters, ridx) = map(_first_appearance_codes, columns[:3])
     shape = (len(persons), len(items), len(raters))
     flat = _flat_codes(shape, pidx, iidx, ridx)
-    repeat = _first_repeat(flat)
+    order, repeat = _person_major(flat)
     if repeat is not None:
         k, j = repeat
         person, item, rater = (column[k] for column in columns[:3])
@@ -592,11 +653,10 @@ def _ingest_rows(reader, scale_min, scale_max, source):
     if out_rows.size:
         raise IngestError(f"{source}: score out of range at line {lines[out_rows[0]]}")
     scores = np.array(distinct, dtype=float)[score_code]
-    values, declared = _fill(shape, flat, scores, np.isnan(scores))
     if min(observed) > lo or max(observed) < hi:
         warnings.warn(
             f"observed scores span [{min(observed)}, {max(observed)}], narrower "
             f"than the declared scale [{lo}, {hi}]",
             stacklevel=3,
         )
-    return RatingsTensor(scale, ids, values, declared)
+    return RatingsTensor._of_codes(scale, ids, flat, scores, order=order)

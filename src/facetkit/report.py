@@ -106,8 +106,7 @@ def descriptive_table(tensor: RatingsTensor) -> Table:
         raise ValueError("empty tensor")
     cells = tensor.cell_index
     _, n_items, n_raters = tensor.shape
-    scores = tensor.values[cells.pidx, cells.iidx, cells.ridx]
-    count, mean, var = grouped_moments(cells.ridx * n_items + cells.iidx, scores,
+    count, mean, var = grouped_moments(cells.ridx * n_items + cells.iidx, cells.score,
                                        n_raters * n_items)
     scored = (count > 0).reshape(n_raters, n_items)
     mean = mean.reshape(n_raters, n_items)

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import facetkit
 from facetkit import STRINGENT_CUTS, EstimationConfig, FacetEstimates, RatingsTensor
 from facetkit.cli import build_parser, main
 
@@ -255,3 +259,15 @@ class TestRun:
         assert run_cli("run", BUNDLED_STUDY) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["stage"] == "setup"
+
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma costs 10-15 ms of import; a run's own code never needs it
+        code = ("import sys; from facetkit.cli import main; "
+                f"code = main(['run', {str(BUNDLED_STUDY)!r}, '--out', {str(tmp_path)!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        src = str(Path(facetkit.__file__).parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["0", "False"]

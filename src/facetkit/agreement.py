@@ -252,21 +252,21 @@ def qwk_matrix(tensor, benchmark_raters, candidate_raters, item_groups) -> Agree
 def grouped_moments(keys, x, size):
     """Count, mean and sample (n - 1) variance of the rows of ``x`` in each
     of ``size`` groups, NaN where undefined; a 2-d ``x`` gives them per
-    column, shape (size, columns).  A group sums its rows in the order
-    given, as numpy sums down a column."""
+    column, shape (size, columns).  Each group's rows, in the order given,
+    are one slice of ``x`` reduced along axis 0 by the steps of numpy's
+    ``mean`` and ``var``, so a figure has the bits of those calls on it."""
     count = np.bincount(keys, minlength=size)
-    columns = np.atleast_2d(x.T)
-
-    def sums(v):
-        return np.stack([np.bincount(keys, column, size) for column in v], axis=1)
-
-    n = count[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = sums(columns) / n
-        dev = columns - mean.T[:, keys]
-        var = np.where(n > 1, sums(dev * dev) / (n - 1), np.nan)
-    shape = (size, *x.shape[1:])
-    return count, mean.reshape(shape), var.reshape(shape)
+    # keys as the smallest unsigned type let the stable sort use radix sort
+    x = x[np.argsort(keys.astype(np.min_scalar_type(size)), kind="stable")]
+    mean, var = (np.full((size, *x.shape[1:]), np.nan) for _ in range(2))
+    for g, (n, end) in enumerate(zip(count.tolist(), np.cumsum(count).tolist())):
+        rows = x[end - n:end]
+        if n:
+            mean[g] = rows.sum(axis=0) / n
+        if n > 1:
+            dev = rows - mean[g]
+            var[g] = (dev * dev).sum(axis=0) / (n - 1)
+    return count, mean, var
 
 
 def _rater_rows(tensor):
@@ -293,11 +293,10 @@ def _group_alpha(rows, owner, n_raters, items):
     group of item codes, from :func:`_rater_rows`."""
     k = len(items)
     mat = rows[:, items]
-    totals = mat.sum(axis=1)
-    complete = ~np.isnan(totals)      # listwise deletion
-    if not complete.all():
-        mat, totals, owner = mat[complete], totals[complete], owner[complete]
-    n, mean, total_var = grouped_moments(owner, totals, n_raters)
+    complete = ~np.isnan(mat).any(axis=1)      # listwise deletion
+    # a boolean selection is C-ordered: a person's items sum as a lone row's
+    mat, owner = mat[complete], owner[complete]
+    n, mean, total_var = grouped_moments(owner, mat.sum(axis=1), n_raters)
     # totals that are equal but for rounding (non-integer scores) leave a
     # variance of order eps^2 * mean^2: count a few ulps of mean^2 as none
     total_var[total_var <= 4 * np.finfo(float).eps * mean**2] = 0.0

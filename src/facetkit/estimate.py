@@ -199,8 +199,9 @@ def _initial_values(cells, K, free, totals):
 def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEstimates:
     """Fit the rating-scale model to a ratings tensor by JMLE.
 
-    Raises :class:`EstimationError` for a disconnected design (also one that
-    falls apart once extreme strings are removed) or one with fewer than two
+    Raises :class:`EstimationError` naming two elements that the cells do not
+    link (:meth:`CellIndex.unlinked`, checked on all cells and again on the
+    non-extreme ones once extreme strings are removed), or for fewer than two
     observed categories, and :class:`ValueError` for an ``extreme_adjust``
     not below half the scale span.  Non-convergence within
     ``max_iterations`` is reported via the ``converged`` flag and a
@@ -215,11 +216,8 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             f"span, {K / 2:g}: at or above it an all-minimum string is measured "
             "at or above an all-maximum one"
         )
-    if not tensor.connected:
-        raise EstimationError(
-            "disconnected design: facet elements are not linked by shared observations"
-        )
     cells = tensor.cell_index
+    _require_linked(cells, tensor.ids)
     if cells.x.min() == cells.x.max():
         raise EstimationError("need at least 2 observed score categories")
 
@@ -227,27 +225,11 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     if not active.any():
         raise EstimationError("every response string is extreme; nothing to estimate")
     fit_cells = cells.subset(active)
-    for which in _FACETS:
-        counts = fit_cells.sums(which)
-        starved = (counts == 0) & (flags[which] == EXTREME_NONE)
-        if starved.any():
-            bad = getattr(tensor.ids, which + "s")[int(np.nonzero(starved)[0][0])]
-            raise EstimationError(
-                f"{which} {bad!r} has no usable observations once extreme strings are removed"
-            )
     free = [flags[which] == EXTREME_NONE for which in _FACETS] + [np.ones(K, dtype=bool)]
     if not active.all():
-        # without the extreme strings the persons can fall into groups that
-        # share no rater (or no item); a group could then shift with its
-        # raters (items) and leave every location as it was
-        persons = np.flatnonzero(free[0])
-        for facet in ("rater", "item"):
-            label = fit_cells.components((facet,))[persons]
-            apart = persons[label != label[0]]
-            if apart.size:
-                a, b = (tensor.ids.persons[p] for p in (persons[0], apart[0]))
-                raise EstimationError(f"disconnected design once extreme strings are "
-                                      f"removed: persons {a!r} and {b!r} share no {facet}s")
+        # dropping the extreme strings can split a linked design
+        _require_linked(fit_cells, tensor.ids, dict(zip(_FACETS, free)),
+                        " once extreme strings are removed")
 
     targets = _totals(fit_cells, K)
     params = _initial_values(fit_cells, K, free, targets)
@@ -289,6 +271,17 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         ids=tensor.ids,
         scale=tensor.scale,
     )
+
+
+def _require_linked(cells, ids, keep=None, when=""):
+    """Raise :class:`EstimationError` naming a pair :meth:`CellIndex.unlinked` finds."""
+    unlinked = cells.unlinked(keep)
+    if unlinked:
+        facet_a, a, facet_b, b, via = unlinked
+        a, b = (getattr(ids, f + "s")[code] for f, code in ((facet_a, a), (facet_b, b)))
+        pair = (f"{facet_a}s {a!r} and {b!r}" if facet_a == facet_b
+                else f"{facet_a} {a!r} and {facet_b} {b!r}")
+        raise EstimationError(f"disconnected design{when}: {pair} share no {via}s")
 
 
 def _totals(cells, K):

@@ -122,7 +122,7 @@ class CellIndex:
     scored cell (also keyed by facet name in ``index``), ``score`` holds its
     score and ``x`` its 0-based category, ``score - min_score``.  Every
     consumer of per-cell quantities (estimation, fit statistics, the
-    log-likelihood, agreement, the connectivity check) reads it through
+    log-likelihood, agreement, the link check :meth:`unlinked`) reads it through
     :attr:`RatingsTensor.cell_index`; a selection that is read many times,
     such as the cells of a fit, is a :meth:`subset` of it.
     """
@@ -177,31 +177,42 @@ class CellIndex:
         observed probability in the cells' (cells, K+1) probabilities."""
         return np.arange(self.n), self.x.astype(int)
 
-    def components(self, facets=("item", "rater")):
-        """Component label of every element (persons, items, raters) over
-        the edges joining each cell's person to its element of ``facets``.
-
-        Hook-and-compress: every label is a root (label[root] == root), each
-        round hooks the larger root of an edge onto the smaller one, then
-        pointer jumping flattens the trees until all roots are fixed.
-        """
-        P, I, _ = self.shape
-        first = {"item": P, "rater": P + I}
-        a = np.concatenate([self.pidx] * len(facets))
-        b = np.concatenate([first[facet] + self.index[facet] for facet in facets])
-        label = np.arange(sum(self.shape))
-        while True:
-            la, lb = label[a], label[b]
-            if np.array_equal(la, lb):
-                return label
-            low = np.minimum(la, lb)
-            np.minimum.at(label, la, low)
-            np.minimum.at(label, lb, low)
+    def unlinked(self, keep=None):
+        """The first two elements these cells leave unlinked, as ``(facet,
+        code, facet, code, via)`` with the facet they share no element of,
+        or None.  The kept elements (``keep`` maps facet names to masks; all
+        by default) must be one component in each of three graphs: persons
+        and raters joined by the cells, persons and items likewise, and
+        raters and items by their distinct (rater, item) pairs; an element
+        with no cell is linked to nothing.  Necessary for identified
+        measures, not sufficient."""
+        for a, b, via in (("person", "rater", "item"), ("person", "item", "rater"),
+                          ("rater", "item", "person")):
+            (na, nb), ends = (self.size[a], self.size[b]), (self.index[a], self.index[b])
+            if a == "rater":
+                pairs = np.bincount(ends[0] * nb + ends[1], minlength=na * nb)
+                ends = np.divmod(np.flatnonzero(pairs), nb)
+            # hook-and-compress: each round hooks the larger root of an edge
+            # onto the smaller, then pointer jumping flattens the trees
+            label, a_end, b_end = np.arange(na + nb), ends[0], na + ends[1]
             while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
+                la, lb = label[a_end], label[b_end]
+                if np.array_equal(la, lb):
                     break
-                label = jumped
+                low = np.minimum(la, lb)
+                np.minimum.at(label, la, low)
+                np.minimum.at(label, lb, low)
+                jumped = label[label]
+                while not np.array_equal(jumped, label):
+                    label, jumped = jumped, jumped[jumped]
+            labels = {a: label[:na], b: label[na:]}
+            kept = {f: np.arange(n) if keep is None else np.flatnonzero(keep[f])
+                    for f, n in ((a, na), (b, nb))}
+            for f, g, shared in ((a, a, b), (b, b, a), (a, b, via)):
+                apart = np.flatnonzero(labels[g][kept[g]] != labels[f][kept[f][0]])
+                if apart.size:
+                    return f, kept[f][0], g, kept[g][apart[0]], shared
+        return None
 
 
 class RatingsTensor:
@@ -306,13 +317,8 @@ class RatingsTensor:
 
     @cached_property
     def connected(self) -> bool:
-        """True when all facet elements are linked through shared observations."""
-        cells = self.cell_index
-        # elements with no observations can never be linked
-        if any(not cells.sums(facet).all() for facet in cells.index):
-            return False
-        label = cells.components()
-        return bool(np.all(label == label[0]))
+        """True when :meth:`CellIndex.unlinked` finds no pair in all cells."""
+        return self.cell_index.unlinked() is None
 
     def _listed(self):
         """Facet codes and scores of the listed cells, scored and declared

@@ -110,8 +110,8 @@ def descriptive_table(tensor: RatingsTensor) -> Table:
                                        n_raters * n_items)
     scored = (count > 0).reshape(n_raters, n_items)
     mean = mean.reshape(n_raters, n_items)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        average = np.where(scored, mean, 0.0).sum(axis=1) / scored.sum(axis=1)
+    # each rater's scored item means alone, so that numpy sums them as a loop would
+    average = np.array([np.mean(m[ok]) if ok.any() else np.nan for m, ok in zip(mean, scored)])
     names = [(f"{item}:mean", f"{item}:sd") for item in tensor.ids.items]
     columns = ("rater", *(name for pair in names for name in pair), "average")
     rows = []

@@ -34,6 +34,18 @@ from conftest import paper_spec, small_tensor
 estimate_module = importlib.import_module("facetkit.estimate")
 
 
+def rater_groups(seed, linking_rater=False):
+    """20 persons x 2 items on 0-4: r1-r2 score p1-p10 and r3-r4 score
+    p11-p20, so the two groups share items but no rater.  A linking rater,
+    r5, gives everyone 0."""
+    rng = np.random.default_rng(seed)
+    scores = np.full((20, 2, 4 + linking_rater), np.nan)
+    scores[:10, :, :2] = rng.integers(0, 5, size=(10, 2, 2))
+    scores[10:, :, 2:4] = rng.integers(0, 5, size=(10, 2, 2))
+    scores[:, :, 4:] = 0
+    return small_tensor(scores, scale=(0, 4))
+
+
 class TestPreconditions:
     def test_disconnected_design_rejected(self):
         text = "person_id,item_id,rater_id,score\n" + "\n".join(
@@ -44,20 +56,64 @@ class TestPreconditions:
             estimate(tensor)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_groups_linked_only_by_an_extreme_rater_rejected(self, seed):
-        # r1-r2 score p1-p10 and r3-r4 score p11-p20 on both items; r5 gives
-        # everyone 0.  Without r5 the two groups share items but no rater, so
-        # each could shift with its raters and no fit could fix the offset
-        # between them
+    def test_rater_groups_that_share_only_items_rejected(self, seed):
+        # each group of persons could shift with its raters and leave every
+        # location as it was, so the offset between the groups is arbitrary
+        tensor = rater_groups(seed)
+        assert not tensor.connected
+        with pytest.raises(EstimationError, match="^disconnected design: "
+                           "persons 'p1' and 'p11' share no raters$"):
+            estimate(tensor)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_raters_nested_in_items_rejected(self, seed):
+        # rater rk scores only item ik, so each rater could shift against
+        # its item, though the persons are linked through both facets
         rng = np.random.default_rng(seed)
-        scores = np.full((20, 2, 5), np.nan)
-        scores[:10, :, :2] = rng.integers(0, 5, size=(10, 2, 2))
-        scores[10:, :, 2:4] = rng.integers(0, 5, size=(10, 2, 2))
-        scores[:, :, 4] = 0
+        scores = np.full((20, 3, 3), np.nan)
+        for k in range(3):
+            scores[:, k, k] = rng.integers(0, 5, size=20)
         tensor = small_tensor(scores, scale=(0, 4))
+        assert not tensor.connected
+        with pytest.raises(EstimationError, match="^disconnected design: "
+                           "raters 'r1' and 'r2' share no items$"):
+            estimate(tensor)
+
+    def test_person_with_no_cells_rejected(self, paper_tensor):
+        values = np.array(paper_tensor.values)
+        values[4] = np.nan
+        tensor = type(paper_tensor)(paper_tensor.scale, paper_tensor.ids, values)
+        with pytest.raises(EstimationError, match="^disconnected design: "
+                           "persons 'P01' and 'P05' share no raters$"):
+            estimate(tensor)
+
+    def test_design_without_cells_rejected(self):
+        tensor = small_tensor([[[None]]], scale=(0, 4))
+        assert not tensor.connected
+        with pytest.raises(EstimationError, match="^disconnected design: "
+                           "person 'p1' and rater 'r1' share no items$"):
+            estimate(tensor)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_groups_linked_only_by_an_extreme_rater_rejected(self, seed):
+        # r5 gives everyone 0; without it the two groups share items but no
+        # rater, so each could shift with its raters and no fit could fix
+        # the offset between them
+        tensor = rater_groups(seed, linking_rater=True)
         assert tensor.connected
         with pytest.raises(EstimationError, match="once extreme strings are removed: "
                            "persons 'p1' and 'p11' share no raters"):
+            estimate(tensor)
+
+    def test_rater_of_extreme_persons_only_rejected(self):
+        # r3 scores only p1 (all 0) and p2 (all 4): r3 is not extreme, but
+        # once p1 and p2 are dropped it has no cell left
+        scores = np.random.default_rng(1).integers(0, 5, size=(10, 2, 3)).astype(float)
+        scores[:, :, 2] = np.nan
+        scores[0], scores[1] = 0.0, 4.0
+        tensor = small_tensor(scores, scale=(0, 4))
+        with pytest.raises(EstimationError, match="once extreme strings are removed: "
+                           "raters 'r1' and 'r3' share no persons"):
             estimate(tensor)
 
     def test_items_split_once_an_extreme_item_is_dropped(self):

@@ -121,6 +121,27 @@ class TestIngest:
         assert t.n_cells == 1440
 
 
+@st.composite
+def presence_cubes(draw):
+    """Which cells of a 1-8 person x 1-4 item x 1-5 rater design are scored:
+    1, 2 or 3 cells in 4.  Sometimes the elements of each facet fall into
+    two blocks and a cell is kept only where the blocks of some of its
+    facets agree (persons and raters: rater groups that share only items;
+    items and raters: raters nested in items; all three: two designs), and
+    sometimes one person has no cells."""
+    P, I, R = (draw(st.integers(1, n)) for n in (8, 4, 5))
+    fill = draw(st.integers(1, 3))  # keep 1, 2 or 3 cells in 4
+    draws = st.lists(st.integers(0, 3), min_size=P * I * R, max_size=P * I * R)
+    present = np.array(draw(draws)).reshape(P, I, R) < fill
+    blocks = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(shape)
+              for n, shape in ((P, (P, 1, 1)), (I, (1, I, 1)), (R, (1, 1, R)))]
+    for f, g in draw(st.sets(st.sampled_from([(0, 1), (0, 2), (1, 2)]))):
+        present &= blocks[f] == blocks[g]
+    if draw(st.booleans()):
+        present[draw(st.integers(0, P - 1))] = False  # an isolated person
+    return present
+
+
 class TestTensorInvariants:
     def test_scores_validated_against_scale(self):
         ids = FacetIds(("p1",), ("i1",), ("r1",))
@@ -151,39 +172,63 @@ class TestTensorInvariants:
         assert not t.connected
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_connected_matches_breadth_first_search(self, data):
-        P, I, R = (data.draw(st.integers(1, n)) for n in (8, 4, 5))
-        fill = data.draw(st.integers(1, 3))  # keep 1, 2 or 3 cells in 4
-        draws = st.lists(st.integers(0, 3), min_size=P * I * R, max_size=P * I * R)
-        present = np.array(data.draw(draws)).reshape(P, I, R) < fill
-        if data.draw(st.booleans()):
-            # two blocks: a cell is kept only if its person, item and rater agree
-            bp, bi, br = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-                          for n in (P, I, R))
-            present &= (bp[:, None, None] == bi[None, :, None]) & (bi[None, :, None] == br)
-        if data.draw(st.booleans()):
-            present[data.draw(st.integers(0, P - 1))] = False  # an isolated person
-        values = np.where(present, 1.0, np.nan)
-        ids = FacetIds(*(tuple(f"{c}{k}" for k in range(n)) for c, n in zip("pir", (P, I, R))))
-        tensor = RatingsTensor(ScaleSpec(0, 2), ids, values)
-        assert tensor.connected == breadth_first_connected(present)
+    @given(presence_cubes())
+    def test_connected_matches_breadth_first_search(self, present):
+        assert tensor_of(present).connected == breadth_first_connected(present)
+
+    @settings(max_examples=300, deadline=None)
+    @given(presence_cubes())
+    def test_disconnected_only_when_the_design_is_rank_short(self, present):
+        # a cell's location is ability - severity - difficulty: persons
+        # shifted with raters, or with items, leave every location as it
+        # was, so identified measures need the cells' +-1 incidence matrix
+        # (persons +1, items and raters -1) to have rank P + I + R - 2
+        P, I, R = present.shape
+        p, i, r = np.nonzero(present)
+        design = np.zeros((p.size, P + I + R))
+        for codes, sign in ((p, 1.0), (P + i, -1.0), (P + I + r, -1.0)):
+            design[np.arange(p.size), codes] = sign
+        # the check is exact for each pair of facets: their graph is one
+        # component when their columns have rank one below their count
+        columns = np.split(np.arange(P + I + R), [P, P + I])
+        pairs_linked = all(
+            np.linalg.matrix_rank(design[:, np.r_[columns[f], columns[g]]])
+            == columns[f].size + columns[g].size - 1
+            for f, g in ((0, 2), (0, 1), (2, 1)))
+        assert tensor_of(present).connected == pairs_linked
+        # and necessary for the three facets at once, not sufficient: a few
+        # small designs pass it and are still rank-short
+        if not pairs_linked:
+            assert np.linalg.matrix_rank(design) < P + I + R - 2
+
+
+def tensor_of(present):
+    values = np.where(present, 1.0, np.nan)
+    ids = FacetIds(*(tuple(f"{c}{k}" for k in range(n)) for c, n in zip("pir", present.shape)))
+    return RatingsTensor(ScaleSpec(0, 2), ids, values)
 
 
 def breadth_first_connected(present):
-    """Reference check: one BFS over the person-item and person-rater edges."""
+    """Reference check: one breadth-first search over each graph of two
+    facets (persons and raters, persons and items, raters and items), with
+    an edge wherever a cell holds both; each must reach every element of
+    its two facets."""
     P, I, R = present.shape
-    neighbours = [set() for _ in range(P + I + R)]
-    for p, i, r in zip(*np.nonzero(present)):
-        for other in (P + i, P + I + r):
-            neighbours[p].add(other)
-            neighbours[other].add(p)
-    seen, frontier = {0}, [0]
-    while frontier:
-        for node in neighbours[frontier.pop()] - seen:
-            seen.add(node)
-            frontier.append(node)
-    return len(seen) == P + I + R
+    cells = np.argwhere(present)
+    for (f, nf), (g, ng) in (((0, P), (2, R)), ((0, P), (1, I)), ((2, R), (1, I))):
+        neighbours = [set() for _ in range(nf + ng)]
+        for cell in cells:
+            a, b = cell[f], nf + cell[g]
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        seen, frontier = {0}, [0]
+        while frontier:
+            for node in neighbours[frontier.pop()] - seen:
+                seen.add(node)
+                frontier.append(node)
+        if len(seen) < nf + ng:
+            return False
+    return True
 
 
 class TestSlice:

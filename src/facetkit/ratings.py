@@ -1,10 +1,10 @@
 """Rating data model: score scale, facet identifiers, and the ratings tensor.
 
-A tensor stores its scored cells as flat (person, item, rater, score)
-arrays in person-major order, plus the positions of the cells declared
-missing, so its memory scales with the cells, not with persons x items x
-raters.  Every statistic in the toolkit reads from this one store; the
-dense cube is built only on request.
+A tensor stores its listed cells, scored and declared missing, as two flat
+arrays in person-major order: each cell's position in the flattened cube
+and its score.  So its memory scales with the cells, not with persons x
+items x raters.  Every statistic in the toolkit reads views derived from
+this one store; the dense cube is built only on request.
 """
 
 from __future__ import annotations
@@ -118,13 +118,14 @@ class FacetIds:
 class CellIndex:
     """The scored cells of a tensor as flat arrays, in person-major order.
 
-    This is the tensor's store.  ``pidx``, ``iidx`` and ``ridx`` locate each
-    scored cell (also keyed by facet name in ``index``), ``score`` holds its
-    score and ``x`` its 0-based category, ``score - min_score``.  Every
-    consumer of per-cell quantities (estimation, fit statistics, the
-    log-likelihood, agreement, the link check :meth:`unlinked`) reads it through
-    :attr:`RatingsTensor.cell_index`; a selection that is read many times,
-    such as the cells of a fit, is a :meth:`subset` of it.
+    A tensor derives it from its store on first read.  ``pidx``, ``iidx``
+    and ``ridx`` locate each scored cell (also keyed by facet name in
+    ``index``), ``score`` holds its score and ``x`` its 0-based category,
+    ``score - min_score``.  Every consumer of per-cell quantities
+    (estimation, fit statistics, the log-likelihood, agreement, the link
+    check :meth:`unlinked`) reads it through :attr:`RatingsTensor.cell_index`;
+    a selection that is read many times, such as the cells of a fit, is a
+    :meth:`subset` of it.
     """
 
     def __init__(self, pidx, iidx, ridx, score, shape, min_score=0):
@@ -141,10 +142,6 @@ class CellIndex:
         """The selected cells, in the same order, as a cell list of their own."""
         return CellIndex(self.pidx[sel], self.iidx[sel], self.ridx[sel], self.score[sel],
                          self.shape, self.min_score)
-
-    def flat(self):
-        """Each cell's position ``(p*I + i)*R + r`` in the flattened cube."""
-        return _flat_codes(self.shape, self.pidx, self.iidx, self.ridx)
 
     def slabs(self, raters):
         """The scores of each rater code in ``raters`` as a (persons, items)
@@ -218,55 +215,40 @@ class CellIndex:
 class RatingsTensor:
     """Immutable scores indexed by (person, item, rater), stored as cells.
 
-    The store is :attr:`cell_index`, the scored cells in person-major
-    order, plus ``missing_codes``, the sorted flat positions ``(p*I + i)*R + r``
-    of the cells explicitly listed as blank (as opposed to simply absent
-    from the input).  Memory scales with the cells, not with P x I x R.
+    The store is the listed cells, scored and declared missing (listed
+    blank, as opposed to simply absent from the input), in two read-only
+    arrays: ``listed_codes``, the sorted flat positions
+    ``(p*I + i)*R + r``, and ``listed_scores``, their scores, NaN for a
+    declared-missing cell.  Memory scales with the cells, not with P x I x R.
 
-    ``values`` (float scores, NaN where unscored), ``present_mask`` and
-    ``declared_missing`` are read-only P x I x R cubes built on first read;
-    a tensor built from a ``values`` cube keeps that cube.
+    Everything else is derived on first read: :attr:`cell_index`, the
+    scored cells, and the read-only P x I x R cubes ``values`` (float
+    scores, NaN where unscored), ``present_mask`` and ``declared_missing``.
+    The constructor takes a ``values`` cube and converts it to the store.
     """
 
     def __init__(self, scale, ids, values, declared_missing=None, integer_scores=True):
         shape = (len(ids.persons), len(ids.items), len(ids.raters))
-        values = np.asarray(values, dtype=float)
-        if values.shape != shape:
-            raise ValueError(f"values shape {values.shape} != {shape}")
-        present = ~np.isnan(values)
-        missing = np.empty(0, dtype=np.intp)
-        if declared_missing is not None:
-            declared = np.asarray(declared_missing, dtype=bool)
-            if declared.shape != shape:
-                raise ValueError("declared_missing shape mismatch")
-            if np.any(declared & present):
-                raise ValueError("a cell cannot be both scored and declared missing")
-            declared.setflags(write=False)
-            missing = np.flatnonzero(declared)
-            self.__dict__["declared_missing"] = declared
-        _check_scores(scale, values[present], integer_scores)
-        values.setflags(write=False)
-        missing.setflags(write=False)
-        self.__dict__.update(scale=scale, ids=ids, values=values, missing_codes=missing,
-                             integer_scores=integer_scores)
+        self._fill(scale, ids, *_cube_cells(shape, values, declared_missing), integer_scores)
 
     @classmethod
     def _of_codes(cls, scale, ids, flat, scores, integer_scores=True, order=slice(None)):
         """The tensor of the listed cells at the distinct flat codes ``flat``,
         taken in the person-major ``order``; a NaN score declares its cell
-        missing."""
-        flat, scores = flat[order], scores[order]
-        scored = ~np.isnan(scores)
-        score = scores[scored]
-        _check_scores(scale, score, integer_scores)
-        shape = (len(ids.persons), len(ids.items), len(ids.raters))
-        cells = CellIndex(*np.unravel_index(flat[scored], shape), score, shape, scale.min_score)
-        missing = flat[~scored]
-        missing.setflags(write=False)
+        missing.  Every constructor but ``__init__`` builds through it."""
         tensor = cls.__new__(cls)
-        tensor.__dict__.update(scale=scale, ids=ids, cell_index=cells, missing_codes=missing,
-                               integer_scores=integer_scores)
+        tensor._fill(scale, ids, flat, scores, integer_scores, order)
         return tensor
+
+    def _fill(self, scale, ids, flat, scores, integer_scores, order=slice(None)):
+        """Fill the store, the one write a tensor takes: the arguments are
+        those of :meth:`_of_codes`."""
+        codes, scores = flat[order], scores[order]
+        _check_scores(scale, scores[~np.isnan(scores)], integer_scores)
+        codes.setflags(write=False)
+        scores.setflags(write=False)
+        self.__dict__.update(scale=scale, ids=ids, listed_codes=codes, listed_scores=scores,
+                             integer_scores=integer_scores)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable tensor")
@@ -275,24 +257,22 @@ class RatingsTensor:
 
     @cached_property
     def cell_index(self) -> CellIndex:
-        """The store's scored cells.  A tensor built from a cube finds them
-        in its cube on first read; every other tensor is built with them."""
-        present = ~np.isnan(self.values)
-        return CellIndex(*np.nonzero(present), self.values[present], self.shape,
-                         self.scale.min_score)
+        """The scored cells of the store."""
+        scored = ~np.isnan(self.listed_scores)
+        return CellIndex(*np.unravel_index(self.listed_codes[scored], self.shape),
+                         self.listed_scores[scored], self.shape, self.scale.min_score)
 
     @cached_property
     def values(self) -> np.ndarray:
-        cells = self.cell_index
-        return _cube(self.shape, cells.flat(), cells.score, np.nan)
+        return _cube(self.shape, self.listed_codes, self.listed_scores, np.nan)
 
     @cached_property
     def present_mask(self) -> np.ndarray:
-        return _cube(self.shape, self.cell_index.flat(), True, False)
+        return _cube(self.shape, self.listed_codes, ~np.isnan(self.listed_scores), False)
 
     @cached_property
     def declared_missing(self) -> np.ndarray:
-        return _cube(self.shape, self.missing_codes, True, False)
+        return _cube(self.shape, self.listed_codes, np.isnan(self.listed_scores), False)
 
     @property
     def n_cells(self) -> int:
@@ -303,11 +283,11 @@ class RatingsTensor:
         return len(self.ids.persons), len(self.ids.items), len(self.ids.raters)
 
     def score(self, person, item, rater) -> float:
-        cells = self.cell_index
-        hit = ((cells.pidx == self.ids.person_index[person])
-               & (cells.iidx == self.ids.item_index[item])
-               & (cells.ridx == self.ids.rater_index[rater]))
-        return float(cells.score[hit][0]) if hit.any() else np.nan
+        code = _flat_codes(self.shape, self.ids.person_index[person],
+                           self.ids.item_index[item], self.ids.rater_index[rater])
+        k = np.searchsorted(self.listed_codes, code)
+        listed = k < self.listed_codes.size and self.listed_codes[k] == code
+        return float(self.listed_scores[k]) if listed else np.nan
 
     @cached_property
     def derived(self) -> dict:
@@ -319,17 +299,6 @@ class RatingsTensor:
     def connected(self) -> bool:
         """True when :meth:`CellIndex.unlinked` finds no pair in all cells."""
         return self.cell_index.unlinked() is None
-
-    def _listed(self):
-        """Facet codes and scores of the listed cells, scored and declared
-        missing (NaN), in person-major order."""
-        cells, missing = self.cell_index, self.missing_codes
-        if not missing.size:
-            return cells.pidx, cells.iidx, cells.ridx, cells.score
-        flat = np.concatenate([cells.flat(), missing])
-        order = np.argsort(flat, kind="stable")
-        scores = np.concatenate([cells.score, np.full(missing.size, np.nan)])[order]
-        return (*np.unravel_index(flat[order], self.shape), scores)
 
     # -- slicing ------------------------------------------------------------
 
@@ -356,14 +325,14 @@ class RatingsTensor:
             tuple(self.ids.items[i] for i in ii),
             tuple(self.ids.raters[i] for i in ri),
         )
-        *codes, scores = self._listed()
+        codes = list(np.unravel_index(self.listed_codes, self.shape))
         for k, (kept, n) in enumerate(zip((pi, ii, ri), self.shape)):
             new_code = np.full(n, -1)
             new_code[kept] = np.arange(len(kept))
             codes[k] = new_code[codes[k]]
         sel = (codes[0] >= 0) & (codes[1] >= 0) & (codes[2] >= 0)
         flat = _flat_codes((len(pi), len(ii), len(ri)), *(c[sel] for c in codes))
-        return RatingsTensor._of_codes(self.scale, sub_ids, flat, scores[sel],
+        return RatingsTensor._of_codes(self.scale, sub_ids, flat, self.listed_scores[sel],
                                        self.integer_scores)
 
     def with_rater(self, rater_id, scores, declared_missing=None,
@@ -377,16 +346,14 @@ class RatingsTensor:
             raise ValueError(f"scores shape {scores.shape} != ({P}, {I})")
         if integer_scores is None:
             integer_scores = self.integer_scores
-        if declared_missing is not None:
-            declared_missing = np.asarray(declared_missing, dtype=bool)[:, :, None]
-        rater = RatingsTensor(self.scale, FacetIds(self.ids.persons, self.ids.items, (rater_id,)),
-                              scores[:, :, None], declared_missing, integer_scores)
-        (pidx, iidx, ridx, old), (new_p, new_i, _, new) = self._listed(), rater._listed()
-        shape = (P, I, R + 1)
-        flat = np.concatenate([_flat_codes(shape, pidx, iidx, ridx),
-                               _flat_codes(shape, new_p, new_i, R)])
+        new_flat, new = _cube_cells((P, I), scores, declared_missing)
+        # a cell of person p and item i moves from (p*I + i)*R + r to
+        # (p*I + i)*(R + 1) + r; the new rater's cells take r = R
+        pi, r = np.divmod(self.listed_codes, R)
+        flat = np.concatenate([pi * (R + 1) + r, new_flat * (R + 1) + R])
         ids = FacetIds(self.ids.persons, self.ids.items, self.ids.raters + (rater_id,))
-        return RatingsTensor._of_codes(self.scale, ids, flat, np.concatenate([old, new]),
+        return RatingsTensor._of_codes(self.scale, ids, flat,
+                                       np.concatenate([self.listed_scores, new]),
                                        integer_scores, np.argsort(flat, kind="stable"))
 
     # -- long-format views --------------------------------------------------
@@ -397,8 +364,8 @@ class RatingsTensor:
         Covers present cells and declared-missing cells only.
         """
         persons, items, raters = self.ids.persons, self.ids.items, self.ids.raters
-        pidx, iidx, ridx, scores = self._listed()
-        scores = map(_score_value, scores.tolist())
+        pidx, iidx, ridx = np.unravel_index(self.listed_codes, self.shape)
+        scores = map(_score_value, self.listed_scores.tolist())
         for p, i, r, s in zip(pidx.tolist(), iidx.tolist(), ridx.tolist(), scores):
             yield persons[p], items[i], raters[r], s
 
@@ -433,8 +400,8 @@ class RatingsTensor:
         The cells block is joined from strings: each id and each distinct
         score is encoded once, and rows are laid out as ``indent=2`` would.
         """
-        pidx, iidx, ridx, listed = self._listed()
-        scores, score_code = np.unique(listed, return_inverse=True)
+        pidx, iidx, ridx = np.unravel_index(self.listed_codes, self.shape)
+        scores, score_code = np.unique(self.listed_scores, return_inverse=True)
         # a row reads ',\n    [\n      P,\n      I,\n      R,\n      S\n    ]'
         # (the first without its comma); each token carries the layout around it
         sep = ",\n      "
@@ -512,11 +479,10 @@ class RatingsTensor:
     def __eq__(self, other):
         if not isinstance(other, RatingsTensor):
             return NotImplemented
-        stores = [(t.cell_index.pidx, t.cell_index.iidx, t.cell_index.ridx, t.cell_index.score,
-                   t.missing_codes) for t in (self, other)]
         return ((self.scale, self.ids, self.integer_scores)
                 == (other.scale, other.ids, other.integer_scores)
-                and all(map(np.array_equal, *stores)))
+                and np.array_equal(self.listed_codes, other.listed_codes)
+                and np.array_equal(self.listed_scores, other.listed_scores, equal_nan=True))
 
     __hash__ = None
 
@@ -567,9 +533,28 @@ def _cube(shape, flat, entries, empty):
     """A read-only cube holding ``entries`` at the ``flat`` codes and
     ``empty`` elsewhere."""
     cube = np.full(shape, empty)
-    np.put(cube, flat, entries)
+    cube.ravel()[flat] = entries
     cube.setflags(write=False)
     return cube
+
+
+def _cube_cells(shape, values, declared_missing):
+    """The flat codes and scores of the cells a ``values`` cube of ``shape``
+    lists, in flat order: its scores, and NaN where the optional
+    ``declared_missing`` mask declares a cell missing."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"values shape {values.shape} != {shape}")
+    listed = ~np.isnan(values)
+    if declared_missing is not None:
+        declared = np.asarray(declared_missing, dtype=bool)
+        if declared.shape != shape:
+            raise ValueError("declared_missing shape mismatch")
+        if np.any(declared & listed):
+            raise ValueError("a cell cannot be both scored and declared missing")
+        listed |= declared
+    flat = np.flatnonzero(listed)
+    return flat, values.ravel()[flat]
 
 
 def _first_appearance_codes(column):

@@ -216,6 +216,7 @@ def simulate(spec: SimSpec):
         spec.item_ids if spec.item_ids is not None else _default_ids("I", spec.n_items),
         spec.rater_ids if spec.rater_ids is not None else _default_ids("R", spec.n_raters),
     )
-    tensor = RatingsTensor(spec.scale, ids, cats + spec.scale.min_score)
+    tensor = RatingsTensor._of_codes(spec.scale, ids, np.arange(cats.size),
+                                     cats.ravel() + spec.scale.min_score)
     truth = ModelParams(ability, severity, difficulty, thresholds)
     return tensor, truth

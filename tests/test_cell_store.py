@@ -3,9 +3,11 @@
 ``CubeTensor`` keeps the cube-based tensor as the reference: the checks a
 tensor ran on its cube, ``CellIndex.of`` by ``np.nonzero``, ``slice``,
 ``with_rater``, ``long_rows``, ``from_cells`` and ``==``, plus the ensemble
-mean over a block of the cube.  Tensors built from cells (ingest,
-``from_cells``, ``slice``, ``with_rater``, ``build_ensemble``) must give the
-same cubes, cell arrays, rows, bytes, equality and errors.
+mean over a block of the cube.  Tensors from every constructor (the cube
+constructor, ingest, ``from_cells``, ``slice``, ``with_rater``,
+``build_ensemble``, ``simulate``) must give the same cubes, cell arrays,
+rows, bytes, equality and errors, from a store of strictly increasing,
+read-only listed codes.
 """
 
 import json
@@ -27,11 +29,13 @@ from facetkit import (
     IngestError,
     RatingsTensor,
     ScaleSpec,
+    SimSpec,
     StudyConfig,
     build_ensemble,
     estimate,
     ingest_csv_text,
     run_study,
+    simulate,
 )
 from facetkit.ratings import _flat_codes, _score_value, canonical_json
 from facetkit.rounding import ROUNDING_MODES
@@ -210,12 +214,21 @@ def assert_same(tensor, ref):
     assert (tensor.scale, tensor.ids, tensor.integer_scores) == (
         ref.scale, ref.ids, ref.integer_scores)
     assert tensor.shape == ref.values.shape
+    codes, scores = tensor.listed_codes, tensor.listed_scores
+    assert codes.dtype == np.intp and scores.dtype == float and codes.shape == scores.shape
+    assert np.all(np.diff(codes) > 0)
+    for store in (codes, scores):
+        assert not store.flags.writeable
     assert tensor.n_cells == ref.n_cells
     assert np.array_equal(tensor.values, ref.values, equal_nan=True)
     assert np.array_equal(tensor.present_mask, ref.present_mask)
     assert np.array_equal(tensor.declared_missing, ref.declared_missing)
     for view in (tensor.values, tensor.present_mask, tensor.declared_missing):
         assert not view.flags.writeable
+    ids = tensor.ids
+    read = [[[tensor.score(p, i, r) for r in ids.raters] for i in ids.items]
+            for p in ids.persons]
+    assert np.array_equal(read, ref.values, equal_nan=True)
     cells = tensor.cell_index
     for got, want in zip((cells.pidx, cells.iidx, cells.ridx, cells.x), ref.cell_arrays()):
         assert got.dtype == want.dtype
@@ -425,9 +438,17 @@ def test_tensor_is_immutable():
     tensor = RatingsTensor.from_cells(ScaleSpec(0, 3), IDS, BAD_CELLS["good"])
     with pytest.raises(AttributeError):
         tensor.scale = ScaleSpec(0, 4)
-    for arr in (tensor.cell_index.score, tensor.cell_index.x, tensor.missing_codes):
+    for arr in (tensor.listed_codes, tensor.listed_scores, tensor.cell_index.score,
+                tensor.cell_index.x):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+def test_simulate_fills_the_store_of_its_cube():
+    spec = SimSpec(n_persons=7, n_items=3, n_raters=4, scale=ScaleSpec(1, 5), seed=2)
+    tensor, _ = simulate(spec)
+    assert np.array_equal(tensor.listed_codes, np.arange(7 * 3 * 4))
+    assert_same(tensor, CubeTensor(tensor.scale, tensor.ids, np.array(tensor.values)))
 
 
 # -- memory: cells, not the cube -----------------------------------------------

@@ -15,6 +15,7 @@ from facetkit import (
     EstimationError,
     FacetEstimates,
     FacetIds,
+    RatingsTensor,
     ScaleSpec,
     SimSpec,
     StudyConfig,
@@ -139,6 +140,36 @@ class TestPreconditions:
             EstimationConfig(logit_clamp=2)
 
 
+@st.composite
+def sparse_designs(draw):
+    """3-10 persons x 1-3 items x 2-4 raters on a 0-K scale (K = 1..4), about
+    a quarter of the cells missing, one rater and one item scored at one end
+    of the scale throughout, so extremes and cascades are common."""
+    P, I, R = (draw(st.integers(lo, hi)) for lo, hi in ((3, 10), (1, 3), (2, 4)))
+    K = draw(st.integers(1, 4))
+    size = P * I * R
+    scores = np.array(draw(st.lists(st.integers(0, K), min_size=size,
+                                    max_size=size)), float).reshape(P, I, R)
+    keep = np.array(draw(st.lists(st.integers(0, 3), min_size=size,
+                                  max_size=size))).reshape(P, I, R) > 0
+    scores[:, :, draw(st.integers(0, R - 1))] = draw(st.sampled_from([0, K]))
+    scores[:, draw(st.integers(0, I - 1))] = draw(st.sampled_from([0, K]))
+    scores[~keep] = np.nan
+    return small_tensor(scores, scale=(0, K))
+
+
+def fit_or_error(tensor):
+    """The fit of ``tensor`` and whether it warned of a threshold at the
+    logit clamp, or the :class:`EstimationError` it raised."""
+    try:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            est = estimate(tensor)
+    except EstimationError as e:
+        return e
+    return est, any("logit clamp" in str(w.message) for w in record)
+
+
 class TestSymmetry:
     def test_indistinguishable_raters_get_zero_severity(self):
         rng = np.random.default_rng(8)
@@ -148,24 +179,49 @@ class TestSymmetry:
         est = estimate(t)
         np.testing.assert_allclose(est.params.severity, 0.0, atol=1e-9)
 
-    def test_relabeling_equivariance(self, paper_tensor):
-        est = estimate(paper_tensor)
-        perm = [7, 2, 9, 0, 11, 4, 6, 1, 8, 3, 10, 5]
-        permuted_ids = FacetIds(
-            paper_tensor.ids.persons,
-            paper_tensor.ids.items,
-            tuple(paper_tensor.ids.raters[i] for i in perm),
-        )
-        permuted = type(paper_tensor)(
-            paper_tensor.scale,
-            permuted_ids,
-            paper_tensor.values[:, :, perm].copy(),
-            paper_tensor.declared_missing[:, :, perm].copy(),
-        )
-        est2 = estimate(permuted)
-        np.testing.assert_allclose(
-            est2.params.severity, est.params.severity[perm], atol=1e-9
-        )
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_designs(), st.data())
+    def test_relabeling_equivariance(self, tensor, data):
+        # persons, items and raters reordered, and the tensor rebuilt from
+        # its cells, so the store sorts them anew: the fit permutes with them
+        perms = [np.array(data.draw(st.permutations(range(n)))) for n in tensor.shape]
+        ids = FacetIds(*(tuple(order[k] for k in perm) for order, perm in zip(
+            (tensor.ids.persons, tensor.ids.items, tensor.ids.raters), perms)))
+        relabeled = RatingsTensor.from_cells(tensor.scale, ids, tensor.long_rows())
+        fits = [fit_or_error(t) for t in (tensor, relabeled)]
+        if any(isinstance(fit, EstimationError) for fit in fits):
+            assert all(isinstance(fit, EstimationError) for fit in fits)
+            return
+        (est, clamped), (est2, clamped2) = fits
+        for which, perm in zip(("persons", "items", "raters"), perms):
+            flags = getattr(est, "extreme_" + which)
+            assert getattr(est2, "extreme_" + which) == tuple(flags[k] for k in perm)
+        if clamped or clamped2:
+            return  # see test_relabeling_moves_a_threshold_at_the_clamp
+        assert (est2.iterations_used, est2.converged) == (est.iterations_used, est.converged)
+        for name, perm in (("ability", perms[0]), ("difficulty", perms[1]),
+                           ("severity", perms[2]), ("thresholds", slice(None))):
+            for got, want in ((getattr(est2.params, name), getattr(est.params, name)),
+                              (getattr(est2, "se_" + name), getattr(est, "se_" + name))):
+                np.testing.assert_allclose(got, want[perm], rtol=0, atol=1e-7)
+
+    @pytest.mark.xfail(strict=True, reason="a threshold at the clamp moves with the "
+                       "order of persons and items")
+    def test_relabeling_moves_a_threshold_at_the_clamp(self):
+        cells = [("p0", "i0", "r0", 0), ("p0", "i1", "r0", 3), ("p0", "i1", "r1", 3),
+                 ("p0", "i2", "r0", 0), ("p0", "i2", "r1", 3), ("p1", "i0", "r0", 2),
+                 ("p1", "i0", "r1", 3), ("p1", "i1", "r0", 3), ("p1", "i2", "r0", 0),
+                 ("p2", "i0", "r0", 1), ("p2", "i0", "r1", 3), ("p2", "i1", "r0", 3),
+                 ("p2", "i2", "r0", 0), ("p2", "i2", "r1", 3)]
+        fits = [fit_or_error(RatingsTensor.from_cells(ScaleSpec(0, 3), FacetIds(
+            persons, items, ("r0", "r1")), cells)) for persons, items in (
+                (("p0", "p1", "p2"), ("i0", "i1", "i2")),
+                (("p2", "p0", "p1"), ("i0", "i2", "i1")))]
+        (est, clamped), (est2, clamped2) = fits
+        assert clamped and clamped2 and est.converged and est2.converged
+        # today [-10.178, 0.178, 10.000] against [-10.000, -0.178, 10.178]
+        np.testing.assert_allclose(est2.params.thresholds, est.params.thresholds,
+                                   rtol=0, atol=1e-6)
 
 
 class TestRecovery:
@@ -443,24 +499,6 @@ def cascade_tensor():
     scores[:5] = 0.0
     scores[5:, :, 2] = 3.0
     return small_tensor(scores, scale=(0, 3), raters=("A", "B", "C"))
-
-
-@st.composite
-def sparse_designs(draw):
-    """3-10 persons x 1-3 items x 2-4 raters on a 0-K scale (K = 1..4), about
-    a quarter of the cells missing, one rater and one item scored at one end
-    of the scale throughout, so extremes and cascades are common."""
-    P, I, R = (draw(st.integers(lo, hi)) for lo, hi in ((3, 10), (1, 3), (2, 4)))
-    K = draw(st.integers(1, 4))
-    size = P * I * R
-    scores = np.array(draw(st.lists(st.integers(0, K), min_size=size,
-                                    max_size=size)), float).reshape(P, I, R)
-    keep = np.array(draw(st.lists(st.integers(0, 3), min_size=size,
-                                  max_size=size))).reshape(P, I, R) > 0
-    scores[:, :, draw(st.integers(0, R - 1))] = draw(st.sampled_from([0, K]))
-    scores[:, draw(st.integers(0, I - 1))] = draw(st.sampled_from([0, K]))
-    scores[~keep] = np.nan
-    return small_tensor(scores, scale=(0, K))
 
 
 def estimate_or_skip(tensor):

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
-from .ratings import RatingsTensor
+from .ratings import RatingsTensor, ScaleSpec
 
 
 class DegenerateMarginalsError(ValueError):
@@ -106,6 +106,23 @@ def _kappas(counts, n, weights):
         return kappa, obs2 / (2 * n), exp2 / (2 * n**2), exp2 == 0.0
 
 
+def _tally(a, b, table, size, K):
+    """Pairs of 0-based categories ``a``, ``b`` counted into ``size`` K x K
+    tables, pair j into table ``table[j]``.
+
+    Returns the (size, K, K) counts and, per table, the number of pairs,
+    of fractional pairs and of pairs outside 0..K-1; only whole pairs
+    inside the scale are counted into the tables.
+    """
+    frac = (a != np.round(a)) | (b != np.round(b))
+    out = (a < 0) | (a > K - 1) | (b < 0) | (b > K - 1)
+    ok = ~(frac | out)
+    codes = (table[ok] * K + a[ok].astype(np.intp)) * K + b[ok].astype(np.intp)
+    counts = np.bincount(codes, minlength=size * K * K).reshape(size, K, K)
+    return (counts, *(np.bincount(table[sel], minlength=size)
+                      for sel in (slice(None), frac, out)))
+
+
 def qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
     """Quadratic weighted kappa for two paired integer score vectors.
 
@@ -117,45 +134,31 @@ def qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired score vectors must be 1-d and equal length")
-    non_integer = not (np.all(a == np.round(a)) and np.all(b == np.round(b)))
-    n_cat = max_score - min_score + 1
-    a, b = a - min_score, b - min_score
-    outside = np.any((a < 0) | (a >= n_cat) | (b < 0) | (b >= n_cat))
-    fault = _pair_fault(a.size, non_integer, outside)
+    scale = ScaleSpec(min_score, max_score)
+    K = scale.num_categories
+    counts, n, non_integer, outside = _tally(a - min_score, b - min_score,
+                                             np.zeros(a.size, np.intp), 1, K)
+    fault = _pair_fault(n[0], non_integer[0], outside[0])
     if fault:
         raise ValueError(fault)
-    codes = (a * n_cat + b).astype(np.intp)
-    counts = np.bincount(codes, minlength=n_cat * n_cat).reshape(1, n_cat, n_cat)
-    weights = _weight_matrix(n_cat, max_score - min_score, weighting)
     kappa, observed, expected, degenerate = _kappas(
-        counts.astype(float), np.array([a.size]), weights)
+        counts.astype(float), n, _weight_matrix(K, scale.span, weighting))
     if degenerate[0]:
         raise DegenerateMarginalsError(_DEGENERATE)
     return float(kappa[0]), float(observed[0]), float(expected[0])
-
-
-def _memberships(codes, groups, size):
-    """Every (entry, group) pair where ``codes[entry]`` is listed in
-    ``groups[group]``, once per listing; codes lie in ``range(size)``."""
-    members = np.fromiter(chain.from_iterable(groups), np.intp)
-    owner = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    order = np.argsort(members, kind="stable")
-    count = np.bincount(members, minlength=size)
-    first = np.cumsum(count) - count          # where a code's listings start in order
-    n = count[codes]
-    entry = np.repeat(np.arange(codes.size), n)
-    k = np.arange(entry.size) - np.repeat(np.cumsum(n) - n, n)
-    return entry, owner[order[first[codes[entry]] + k]]
 
 
 def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"):
     """A :class:`QwkResult` per (candidate, benchmark, item group), in that
     nested order, with degenerate tables flagged.
 
-    Every candidate cell is paired with the benchmark's score at the same
-    (person, item) and counted into the K x K table of its (candidate,
-    group): one ``bincount`` builds all tables of a benchmark.  The first
-    faulty table in row order raises, with the error :func:`qwk` gives it.
+    For each benchmark, every cell of a listed candidate rater is paired
+    with the benchmark's score at the same (person, item), and one
+    :func:`_tally` counts the pairs into a K x K table per (rater, item).
+    A group's table is the sum of its listed items' tables, an item listed
+    twice counting twice, and a candidate row reads its rater's tables.
+    The first faulty table in row order raises, with the error :func:`qwk`
+    gives it.
     """
     ids, scale = tensor.ids, tensor.scale
     candidates, benchmarks = list(candidates), list(benchmarks)
@@ -163,42 +166,38 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
     C, B, G, K = len(candidates), len(benchmarks), len(groups), scale.num_categories
     if not C * B * G:
         return []
+    I = len(ids.items)
     cand = np.array([ids.rater_index.get(r, -1) for r in candidates], dtype=np.intp)
     bench = [ids.rater_index.get(r, -1) for r in benchmarks]
     items = [[ids.item_index.get(i, -1) for i in g] for g in groups]
+    # (group, item): how many times the group lists the item
+    listing = np.array([np.bincount([i for i in g if i >= 0], minlength=I) for g in items])
 
+    # the tables of each listed rater code, by slot; an unknown candidate's
+    # code -1 reads slot -1, one more, empty one
+    raters = np.flatnonzero(np.bincount(cand[cand >= 0], minlength=len(ids.raters)))
+    slot = np.full(len(ids.raters) + 1, -1, dtype=np.intp)
+    slot[raters] = np.arange(raters.size)
+    S = raters.size + 1
     cells = tensor.cell_index
-    known = np.flatnonzero(cand >= 0)
-    sel, slot = _memberships(cells.ridx, [[c] for c in cand[known]], len(ids.raters))
-    entry, group = _memberships(cells.iidx[sel], [[i for i in g if i >= 0] for g in items],
-                                len(ids.items))
-    sel, table = sel[entry], known[slot[entry]] * G + group
+    sel = np.flatnonzero(slot[cells.ridx] >= 0)
     pidx, iidx, a = cells.pidx[sel], cells.iidx[sel], cells.x[sel]
-    n = np.zeros((B, C * G), dtype=np.intp)
-    non_integer = np.zeros((B, C * G), dtype=bool)
-    outside = np.zeros((B, C * G), dtype=bool)
-    counts = [None] * B
-    for k, code in enumerate(bench):
-        if code < 0:
-            continue
+    table = slot[cells.ridx[sel]] * I + iidx
+    tallies = []     # per benchmark: counts, pairs, fractional, outside by (slot, group)
+    for code in bench:      # an unknown benchmark's code -1 scored no cell
         b = cells.slabs([code])[0, pidx, iidx] - scale.min_score
         paired = ~np.isnan(b)
-        t, ta, tb = table[paired], a[paired], b[paired]
-        frac = (ta != np.round(ta)) | (tb != np.round(tb))
-        out = (ta < 0) | (ta > scale.span) | (tb < 0) | (tb > scale.span)
-        n[k] = np.bincount(t, minlength=C * G)
-        non_integer[k] = np.bincount(t[frac], minlength=C * G) > 0
-        outside[k] = np.bincount(t[out], minlength=C * G) > 0
-        ok = ~(frac | out)
-        codes = (t[ok] * K + ta[ok].astype(np.intp)) * K + tb[ok].astype(np.intp)
-        counts[k] = np.bincount(codes, minlength=C * G * K * K)
+        per_item = _tally(a[paired], b[paired], table[paired], S * I, K)
+        tallies.append([(listing @ t.reshape(S, I, -1)).reshape(S, G, *t.shape[1:])
+                        for t in per_item])
+    counts, n, non_integer, outside = (np.stack(t) for t in zip(*tallies))
 
-    def by_row(arr):  # (benchmark, candidate * group) -> row order
-        return arr.reshape(B, C, G).transpose(1, 0, 2).ravel()
+    def by_row(arr):  # (benchmark, rater slot, group) -> row order
+        return arr[:, slot[cand]].transpose(1, 0, 2).ravel()
 
     unknown = ((cand < 0)[:, None, None] | (np.array(bench) < 0)[None, :, None]
                | np.array([min(g, default=0) < 0 for g in items])[None, None, :]).ravel()
-    faults = (unknown, by_row(n) < 2, by_row(non_integer), by_row(outside))
+    faults = (unknown, by_row(n) < 2, by_row(non_integer) > 0, by_row(outside) > 0)
     bad = np.flatnonzero(np.logical_or.reduce(faults))
     if bad.size:
         first = bad[0]
@@ -211,21 +210,14 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
             raise KeyError(f"unknown item identifier {item!r}")
         raise ValueError(_pair_fault(by_row(n)[first], *(f[first] for f in faults[2:])))
 
-    weights = _weight_matrix(K, scale.span, weighting)
-    kappa, observed, expected = (np.empty((B, C * G)) for _ in range(3))
-    degenerate = np.empty((B, C * G), dtype=bool)
-    for k, tables in enumerate(counts):
-        kappa[k], observed[k], expected[k], degenerate[k] = _kappas(
-            tables.reshape(C * G, K, K).astype(float), n[k], weights)
-    rows = []
-    for key, n_pairs, kap, obs, exp, degen in zip(
-            product(candidates, benchmarks, groups),
-            *(by_row(arr).tolist() for arr in (n, kappa, observed, expected, degenerate))):
-        if degen:
-            rows.append(QwkResult(*key, n_pairs, math.nan, math.nan, 0.0, degenerate=True))
-        else:
-            rows.append(QwkResult(*key, n_pairs, kap, obs, exp))
-    return rows
+    kappa, observed, expected, degenerate = (
+        arr.reshape(B, S, G) for arr in _kappas(
+            counts.reshape(-1, K, K).astype(float), n.ravel(),
+            _weight_matrix(K, scale.span, weighting)))
+    kappa[degenerate] = observed[degenerate] = math.nan    # expected is 0.0 there
+    return [QwkResult(*key, *fields) for key, fields in zip(
+        product(candidates, benchmarks, groups),
+        zip(*(by_row(arr).tolist() for arr in (n, kappa, observed, expected, degenerate))))]
 
 
 def qwk(tensor: RatingsTensor, rater_a, rater_b, items=None,

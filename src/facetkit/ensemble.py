@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agreement import DegenerateMarginalsError, qwk_vectors
+from .agreement import _kappas, _tally, _weight_matrix
 from .ratings import RatingsTensor
 from .rounding import ROUNDING_MODES
 
@@ -117,34 +117,34 @@ class PruneTrace:
         return rows
 
 
-def _ensemble_qwks(tensor, slab, members, benchmarks, items, rounding):
-    """Mean QWK of the member-average rater against each benchmark x item,
-    from the raters' score slabs in ``slab``.
+def _ensemble_qwks(tensor, slab, trials, benchmarks, items, rounding):
+    """Mean QWK of each trial's member-average rater against every
+    benchmark x item, and its (benchmark, item, kappa) cells, from the
+    raters' score slabs in ``slab``.
 
-    Returns (mean, cells); any degenerate or under-populated cell pushes
-    the mean to -inf so the candidate can never win a pruning step.
+    One :func:`_tally` counts every trial's pairs into a table per (trial,
+    benchmark, item).  A degenerate or faulty table reads NaN and pushes
+    its trial's mean to -inf, so the trial can never win a pruning step.
     """
-    scores, _ = _member_mean(np.stack([slab[m] for m in members]), tensor.scale, rounding)
-    cells = []
-    kappas = []
-    poisoned = False
-    for bench in benchmarks:
-        for item in items:
-            icol = tensor.ids.item_index[item]
-            a = scores[:, icol]
-            b = slab[bench][:, icol]
-            both = ~np.isnan(a) & ~np.isnan(b)
-            try:
-                kappa, _, _ = qwk_vectors(
-                    a[both], b[both], tensor.scale.min_score, tensor.scale.max_score
-                )
-            except (DegenerateMarginalsError, ValueError):
-                kappa = math.nan
-                poisoned = True
-            cells.append((bench, item, kappa))
-            kappas.append(kappa)
-    mean = -math.inf if poisoned else float(np.mean(kappas))
-    return mean, tuple(cells)
+    scale, K = tensor.scale, tensor.scale.num_categories
+    icol = [tensor.ids.item_index[item] for item in items]
+    T, B, L = len(trials), len(benchmarks), len(icol)
+    means = [_member_mean(np.stack([slab[m] for m in t]), scale, rounding)[0] for t in trials]
+    # (trial, benchmark, person, item), one table per (trial, benchmark, item)
+    a, b, table = np.broadcast_arrays(np.stack(means)[:, None][..., icol],
+                                      np.stack([slab[r] for r in benchmarks])[..., icol],
+                                      np.arange(T * B * L).reshape(T, B, 1, L))
+    both = ~np.isnan(a) & ~np.isnan(b)
+    counts, n, non_integer, outside = _tally(a[both] - scale.min_score,
+                                             b[both] - scale.min_score, table[both],
+                                             T * B * L, K)
+    kappa, _, _, degenerate = _kappas(counts.astype(float), n,
+                                      _weight_matrix(K, scale.span, "quadratic"))
+    kappa[(n < 2) | (non_integer > 0) | (outside > 0) | degenerate] = math.nan
+    keys = [(bench, item) for bench in benchmarks for item in items]
+    return [(-math.inf if np.isnan(row).any() else float(np.mean(row)),
+             tuple((*key, k) for key, k in zip(keys, row.tolist())))
+            for row in kappa.reshape(T, B * L)]
 
 
 def removal_chain(members, removals, names) -> tuple:
@@ -176,15 +176,19 @@ def greedy_prune(tensor: RatingsTensor, members, benchmarks, items=None,
     """Drop, one at a time, the member whose removal most improves QWK.
 
     At each step every remaining member is tentatively removed, the
-    reduced ensemble's mean QWK over (benchmarks x items) recomputed, and
-    the best removal kept.  Ties break toward the earlier rater in tensor
-    order.  The returned trace starts with the full ensemble.
+    reduced ensembles' mean QWKs over (benchmarks x items) scored in one
+    pass, and the best removal kept.  Ties break toward the earlier rater
+    in tensor order.  The returned trace starts with the full ensemble.
     """
     members = list(members)
     benchmarks = list(benchmarks)
     if items is None:
         items = list(tensor.ids.items)
     items = list(items)
+    if len(set(members)) != len(members):
+        raise ValueError("duplicate ensemble member")
+    if not benchmarks or not items:
+        raise ValueError("need at least one benchmark and one item")
     if set(members) & set(benchmarks):
         raise ValueError("benchmarks must be disjoint from ensemble members")
     if steps < 0:
@@ -199,15 +203,13 @@ def greedy_prune(tensor: RatingsTensor, members, benchmarks, items=None,
     current = sorted(members, key=tensor.ids.rater_index.__getitem__)
     slab = dict(zip(current + benchmarks, _member_slabs(tensor, current + benchmarks)))
 
-    mean, cells = _ensemble_qwks(tensor, slab, current, benchmarks, items, rounding)
+    [(mean, cells)] = _ensemble_qwks(tensor, slab, [current], benchmarks, items, rounding)
     trace = [PruneStep(None, tuple(current), mean, cells)]
     for _ in range(steps):
-        best = None
-        for m in current:
-            reduced = [r for r in current if r != m]
-            mean, cells = _ensemble_qwks(tensor, slab, reduced, benchmarks, items, rounding)
-            if best is None or mean > best[0]:
-                best = (mean, m, reduced, cells)
-        mean, removed, current, cells = best
-        trace.append(PruneStep(removed, tuple(current), mean, cells))
+        trials = [[r for r in current if r != m] for m in current]
+        scored = _ensemble_qwks(tensor, slab, trials, benchmarks, items, rounding)
+        # max keeps the first of equal means: the earlier rater in tensor order
+        best = max(range(len(current)), key=lambda t: scored[t][0])
+        removed, current = current[best], trials[best]
+        trace.append(PruneStep(removed, tuple(current), *scored[best]))
     return PruneTrace(tuple(trace))

@@ -168,15 +168,22 @@ def _bucket_of(measure, hi, bucket, n_rows):
     return min(max(b, 0), n_rows - 1)
 
 
+def _person_rows(persons, lo, hi, bucket):
+    """Persons on each map row, one row per ``bucket`` from ``hi`` down to ``lo``."""
+    n_rows = int(round((hi - lo) / bucket)) + 1
+    person_rows = [0] * n_rows
+    for _, m in persons:
+        person_rows[_bucket_of(m, hi, bucket, n_rows)] += 1
+    return person_rows
+
+
 def _wright_ascii(estimates, bucket=0.25, max_bar=40):
     persons, raters, items, thresholds = _wright_elements(estimates)
     lo, hi = _axis_range([persons, raters, items, thresholds], bucket=bucket)
-    n_rows = int(round((hi - lo) / bucket)) + 1
+    person_rows = _person_rows(persons, lo, hi, bucket)
+    n_rows = len(person_rows)
 
-    person_rows = [0] * n_rows
     label_rows = {"raters": {}, "items": {}, "thresholds": {}}
-    for _, m in persons:
-        person_rows[_bucket_of(m, hi, bucket, n_rows)] += 1
     for key, group in (("raters", raters), ("items", items), ("thresholds", thresholds)):
         for label, m in sorted(group, key=lambda t: (t[1], str(t[0]))):
             label_rows[key].setdefault(_bucket_of(m, hi, bucket, n_rows), []).append(label)
@@ -247,10 +254,7 @@ def _wright_svg(estimates, bucket=0.25):
         tick += 0.5
 
     # person distribution as horizontal bars per bucket
-    n_rows = int(round((hi - lo) / bucket)) + 1
-    person_rows = [0] * n_rows
-    for _, m in persons:
-        person_rows[_bucket_of(m, hi, bucket, n_rows)] += 1
+    person_rows = _person_rows(persons, lo, hi, bucket)
     peak = max(person_rows) if person_rows else 1
     bar_scale = 190.0 / max(peak, 1)
     for b, count in enumerate(person_rows):

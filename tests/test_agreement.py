@@ -73,6 +73,13 @@ class TestQwkAnchors:
         with pytest.raises(ValueError, match="integer"):
             qwk_vectors([3.5, 4], [3, 4], 0, 6)
 
+    def test_scale_without_two_categories_rejected(self):
+        for lo, hi in ((3, 3), (6, 0)):
+            with pytest.raises(ValueError, match=f"max_score \\({hi}\\) must exceed"):
+                qwk_vectors([3, 3], [3, 3], lo, hi)
+        with pytest.raises(ValueError, match="equal length"):  # the shape is checked first
+            qwk_vectors([3, 3], [3], 3, 3)
+
 
 class TestQwkOracle:
     def test_matches_brute_force_on_random_vectors(self):

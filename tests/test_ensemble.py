@@ -187,6 +187,17 @@ class TestGreedyPrune:
         with pytest.raises(KeyError, match="ghost"):
             greedy_prune(paper_tensor, ["A1", "A2"], ["ghost"], steps=1)
 
+    def test_rejects_empty_benchmarks_or_items(self, paper_tensor):
+        members = [f"A{i}" for i in range(1, 11)]
+        with pytest.raises(ValueError, match="at least one benchmark and one item"):
+            greedy_prune(paper_tensor, members, [], steps=2)
+        with pytest.raises(ValueError, match="at least one benchmark and one item"):
+            greedy_prune(paper_tensor, members, ["R1", "R2"], items=[], steps=2)
+
+    def test_rejects_repeated_members(self, paper_tensor):
+        with pytest.raises(ValueError, match="duplicate ensemble member"):
+            greedy_prune(paper_tensor, ["A1", "A1", "A2", "A3"], ["R1"], steps=1)
+
     def test_trace_records(self, paper_tensor):
         trace = greedy_prune(paper_tensor, ["A1", "A2", "A3"], ["R1"], steps=1)
         records = trace.to_records()

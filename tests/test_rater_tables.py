@@ -1,14 +1,16 @@
-"""The per-rater tables against the loops they replaced.
+"""The per-rater tables and greedy pruning against the loops they replaced.
 
 ``reference_qwk_matrix``, ``reference_alpha_table`` and
 ``reference_descriptive_table`` are the per-pair, per-rater and
 per-(rater, item) loops that ``qwk_matrix``, ``alpha_table`` and
-``descriptive_table`` replaced with grouped passes over the cells.  They
-stay here as the reference for results, errors and CSV text, and the
-grouped code must match them bit for bit: each group is reduced by the
-numpy call the reference makes, on an array of the same shape and layout,
-so a figure that differs in its last bit can print differently at a
-rounding tie.
+``descriptive_table`` replaced with grouped passes over the cells.
+``reference_greedy_prune`` is the pruning loop that scored each
+leave-one-out trial one (benchmark, item) vector pair at a time, where
+``greedy_prune`` scores all trials of a step in one tally.  They stay here
+as the reference for results, errors and CSV text, and the grouped code
+must match them bit for bit: each group is reduced by the numpy call the
+reference makes, on an array of the same shape and layout, so a figure
+that differs in its last bit can print differently at a rounding tie.
 """
 
 import math
@@ -25,12 +27,15 @@ from facetkit import (
     build_ensemble,
     cronbach_alpha,
     descriptive_table,
+    greedy_prune,
     qwk,
     qwk_matrix,
     qwk_vectors,
 )
 from facetkit.agreement import AgreementTable, AlphaResult, QwkResult
+from facetkit.ensemble import PruneStep, PruneTrace, _member_mean
 from facetkit.report import Table
+from facetkit.rounding import ROUNDING_MODES
 from facetkit.study import alpha_table
 from conftest import small_tensor
 
@@ -190,6 +195,63 @@ def reference_descriptive_table(tensor):
     return Table(tuple(columns), tuple(rows))
 
 
+def reference_ensemble_qwks(tensor, slab, members, benchmarks, items, rounding):
+    scores, _ = _member_mean(np.stack([slab[m] for m in members]), tensor.scale, rounding)
+    cells = []
+    kappas = []
+    poisoned = False
+    for bench in benchmarks:
+        for item in items:
+            icol = tensor.ids.item_index[item]
+            a = scores[:, icol]
+            b = slab[bench][:, icol]
+            both = ~np.isnan(a) & ~np.isnan(b)
+            try:
+                kappa, _, _ = reference_qwk_vectors(
+                    a[both], b[both], tensor.scale.min_score, tensor.scale.max_score
+                )
+            except (DegenerateMarginalsError, ValueError):
+                kappa = math.nan
+                poisoned = True
+            cells.append((bench, item, kappa))
+            kappas.append(kappa)
+    mean = -math.inf if poisoned else float(np.mean(kappas))
+    return mean, tuple(cells)
+
+
+def reference_greedy_prune(tensor, members, benchmarks, items=None, steps=1,
+                           rounding="half-away-from-zero"):
+    members = list(members)
+    benchmarks = list(benchmarks)
+    if items is None:
+        items = list(tensor.ids.items)
+    items = list(items)
+    if set(members) & set(benchmarks):
+        raise ValueError("benchmarks must be disjoint from ensemble members")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if len(members) <= steps:
+        raise ValueError(f"cannot remove {steps} of {len(members)} members")
+    for r in benchmarks:
+        if r not in tensor.ids.rater_index:
+            raise KeyError(f"unknown rater identifier {r!r}")
+    current = sorted(members, key=tensor.ids.rater_index.__getitem__)
+    slab = {r: tensor.values[:, :, tensor.ids.rater_index[r]] for r in current + benchmarks}
+    mean, cells = reference_ensemble_qwks(tensor, slab, current, benchmarks, items, rounding)
+    trace = [PruneStep(None, tuple(current), mean, cells)]
+    for _ in range(steps):
+        best = None
+        for m in current:
+            reduced = [r for r in current if r != m]
+            mean, cells = reference_ensemble_qwks(tensor, slab, reduced, benchmarks, items,
+                                                  rounding)
+            if best is None or mean > best[0]:
+                best = (mean, m, reduced, cells)
+        mean, removed, current, cells = best
+        trace.append(PruneStep(removed, tuple(current), mean, cells))
+    return PruneTrace(tuple(trace))
+
+
 # -- comparison helpers ------------------------------------------------------
 
 
@@ -294,6 +356,53 @@ def rater_tables_cases(draw):
     return tensor, benchmarks, candidates, groups, alpha_groups, alpha_raters
 
 
+@st.composite
+def prune_cases(draw):
+    """A small tensor with the arguments of one ``greedy_prune`` call.
+
+    2-11 persons x 1-4 items x 3-8 raters on a K-category scale starting at
+    -1, 0 or 1; up to half the cells missing, some of them declared; any of
+    the three rounding modes.  1-2 benchmarks and at least 2 members, in
+    any order; items listed by default or drawn with repeats; one case in
+    eight names an unknown member, benchmark or item, and one in eight asks
+    for as many steps as there are members.
+    """
+    P, I, R = (draw(st.integers(lo, hi)) for lo, hi in ((2, 11), (1, 4), (3, 8)))
+    K = draw(st.integers(1, 4))
+    lo = draw(st.sampled_from([0, 0, -1, 1]))
+    size = P * I * R
+    scores = np.array(draw(st.lists(st.integers(lo, lo + K), min_size=size,
+                                    max_size=size)), float).reshape(P, I, R)
+    quarters_missing = draw(st.integers(0, 2))
+    keep = np.array(draw(st.lists(st.integers(0, 3), min_size=size,
+                                  max_size=size))).reshape(P, I, R) >= quarters_missing
+    scores[~keep] = np.nan
+    tensor = small_tensor(scores, scale=(lo, lo + K))
+    declared = (~keep) & (np.array(draw(st.lists(st.booleans(), min_size=size,
+                                                 max_size=size))).reshape(P, I, R))
+    tensor = type(tensor)(tensor.scale, tensor.ids, tensor.values, declared)
+    raters = list(draw(st.permutations(tensor.ids.raters)))
+    n_bench = draw(st.integers(1, min(2, R - 2)))
+    benchmarks = raters[:n_bench]
+    members = raters[n_bench:n_bench + draw(st.integers(2, R - n_bench))]
+    items = draw(st.one_of(st.none(), st.lists(st.sampled_from(tensor.ids.items),
+                                               min_size=1, max_size=5)))
+    steps = draw(st.integers(0, len(members) - 1))
+    odd = draw(st.integers(0, 7))
+    if odd == 0:
+        target = draw(st.sampled_from(["members", "benchmarks", "items"]))
+        if target == "members":
+            members.append("ghost")
+        elif target == "benchmarks":
+            benchmarks.append("ghost")
+        else:
+            items = list(tensor.ids.items if items is None else items) + ["nowhere"]
+    elif odd == 1:
+        steps = len(members)
+    rounding = draw(st.sampled_from(sorted(ROUNDING_MODES)))
+    return tensor, members, benchmarks, items, steps, rounding
+
+
 class TestMatchesReference:
     @settings(max_examples=500, deadline=None)
     @given(rater_tables_cases())
@@ -322,6 +431,21 @@ class TestMatchesReference:
             a[0] += 0.5
         got = outcome(qwk_vectors, a, b, 0, 6, weighting)
         assert repr(got) == repr(outcome(reference_qwk_vectors, a, b, 0, 6, weighting))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(prune_cases())
+    def test_random_pruning(self, case):
+        tensor, members, benchmarks, items, steps, rounding = case
+        got = outcome(greedy_prune, tensor, members, benchmarks, items, steps, rounding)
+        want = outcome(reference_greedy_prune, tensor, members, benchmarks, items, steps,
+                       rounding)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got.steps) == len(want.steps)
+        for g, w in zip(got.steps, want.steps):
+            assert repr(g) == repr(w)
 
 
 class TestSinglePairCalls:

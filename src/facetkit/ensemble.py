@@ -195,9 +195,12 @@ def greedy_prune(tensor: RatingsTensor, members, benchmarks, items=None,
         raise ValueError("steps must be >= 0")
     if len(members) <= steps:
         raise ValueError(f"cannot remove {steps} of {len(members)} members")
-    for r in benchmarks:
+    for r in benchmarks + members:
         if r not in tensor.ids.rater_index:
             raise KeyError(f"unknown rater identifier {r!r}")
+    for item in items:
+        if item not in tensor.ids.item_index:
+            raise KeyError(f"unknown item identifier {item!r}")
 
     # canonical member order: the tensor's rater order
     current = sorted(members, key=tensor.ids.rater_index.__getitem__)

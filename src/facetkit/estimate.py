@@ -11,6 +11,12 @@ iteration.  Extreme response strings (all-minimum or all-maximum) are
 excluded from the fit.  The same iterations then measure all of them at
 once, with every fitted measure held, each against its adjusted raw score.
 
+Persons scored on the same cells with the same raw total have the same
+likelihood equations (Wright & Panchapakesan 1969).  Where that at least
+halves the cells, both phases iterate on one person per such score group,
+each cell weighted by the group's size; targets, start values, standard
+errors and the final log-likelihood come from all the cells.
+
 Identification: person abilities are free; severities, difficulties, and
 thresholds sum to zero over non-extreme elements.  Re-centering shifts are
 folded back into the abilities, so the likelihood is invariant under them.
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, cell_moments, observed_log_likelihood
-from .ratings import FacetIds, RatingsTensor, ScaleSpec, canonical_json
+from .ratings import CellIndex, FacetIds, RatingsTensor, ScaleSpec, canonical_json
 
 EXTREME_NONE = "none"
 EXTREME_MIN = "min-extreme"
@@ -72,11 +78,14 @@ class EstimationConfig:
 class FacetEstimates:
     """Fitted measures, standard errors, and convergence report.
 
-    ``sweep_log_likelihoods`` holds the active-cell log-likelihood at the
-    start and after each joint iteration; ``iterations_used`` counts those
-    iterations.  The log-likelihoods live in memory only: the JSON form does
-    not carry them, so an instance read back from JSON has an empty tuple
-    there.
+    ``sweep_log_likelihoods`` holds the log-likelihood of the fit's cells
+    (those of no extreme element) at the start and after each joint
+    iteration; ``iterations_used`` counts those iterations.  With score
+    groups it is summed over one person per group, weighted by the group's
+    size, plus the fixed offset of the rater, item and category totals:
+    the same sum, up to rounding.  The log-likelihoods live in memory only:
+    the JSON form does not carry them, so an instance read back from JSON
+    has an empty tuple there.
     """
 
     params: ModelParams
@@ -187,7 +196,8 @@ def _initial_values(cells, K, free, totals):
     ability, severity, difficulty = (logodds(which, raw, sign) for which, raw, sign
                                      in zip(_FACETS, totals, (1.0, -1.0, -1.0)))
 
-    counts = np.maximum(np.bincount(cells.x.astype(int), minlength=K + 1), 0.5)
+    # each category's count, from the counts of scores >= 1..K
+    counts = np.maximum(-np.diff(np.concatenate([[cells.n], totals[3], [0]])), 0.5)
     thresholds = np.log(counts[:-1] / counts[1:])
 
     severity[free[1]] -= severity[free[1]].mean()
@@ -233,8 +243,8 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
 
     targets = _totals(fit_cells, K)
     params = _initial_values(fit_cells, K, free, targets)
-    iterations, converged, sweep_lls, max_change, max_resid = _newton(
-        fit_cells, targets, free, True, params, config,
+    iterations, converged, sweep_lls, max_change, max_resid = _newton_in_groups(
+        fit_cells, free[0], targets, free, True, params, config,
         config.max_iterations, config.convergence_tol, config.residual_tol)
     if not converged:
         failed = "; ".join(
@@ -286,9 +296,72 @@ def _require_linked(cells, ids, keep=None, when=""):
 
 def _totals(cells, K):
     """Each person's, rater's and item's raw total over ``cells``, and the
-    count of scores at or above each category 1..K."""
-    n_ge = np.cumsum(np.bincount(cells.x.astype(int), minlength=K + 1)[::-1])[::-1][1:]
+    count of scores at or above each category 1..K, weighted by the cells'
+    multiplicities."""
+    n_ge = np.cumsum(np.bincount(cells.x.astype(int), cells.mult,
+                                 K + 1)[::-1])[::-1][1:]
     return tuple(cells.sums(which, cells.x) for which in _FACETS) + (n_ge,)
+
+
+def _score_groups(cells, movable):
+    """Persons of ``cells`` whose likelihood equations are the same, fitted
+    once (Wright & Panchapakesan 1969, the score-group form of UCON).
+
+    The ``movable`` persons fall into groups by their cell count, their
+    exact (item, rater) cells (in order, as cells are person-major) and
+    their raw total; every other person is a group of its own.  Returns the
+    cell list of each group's first member, the groups numbered in person
+    order and weighted by their sizes, then those first members and each
+    person's group (-1 for a person without cells).  Where that would not
+    at least halve the cells, the cells themselves come back, every person
+    its own group.
+    """
+    P, I, R = cells.shape
+    counts = np.bincount(cells.pidx, minlength=P)
+    starts = np.cumsum(counts) - counts
+    # small unsigned codes, which numpy's stable sort orders by radix
+    codes = (cells.iidx * R + cells.ridx).astype(np.min_scalar_type(I * R))
+    totals = cells.sums("person", cells.x)
+    first = np.arange(P)  # the first member of each person's group
+    movers = np.flatnonzero(movable & (counts > 0))
+    for n in np.flatnonzero(np.bincount(counts[movers])):
+        same = movers[counts[movers] == n]
+        row, total = codes[starts[same, None] + np.arange(n)], totals[same]
+        # stable, so each run of equal rows keeps its members in person order
+        order = np.lexsort((*row.T, total))
+        same, row, total = same[order], row[order], total[order]
+        new = np.concatenate([[True], (total[1:] != total[:-1])
+                              | np.any(row[1:] != row[:-1], axis=1)])
+        first[same] = same[new][np.cumsum(new) - 1]
+    persons = np.flatnonzero(counts)
+    reps = persons[first[persons] == persons]
+    if 2 * counts[reps].sum() > cells.n:
+        return cells, np.arange(P), np.arange(P)
+    group_of = np.full(P, -1)
+    group_of[reps] = np.arange(reps.size)
+    group_of[persons] = group_of[first[persons]]
+    sel = first[cells.pidx] == cells.pidx
+    grouped = CellIndex(group_of[cells.pidx[sel]], cells.iidx[sel], cells.ridx[sel],
+                        cells.score[sel], (reps.size, I, R), cells.min_score,
+                        np.bincount(group_of[persons], minlength=reps.size))
+    return grouped, reps, group_of
+
+
+def _newton_in_groups(cells, movable, targets, free, gauge, params, *args):
+    """:func:`_newton` on the score groups of the ``movable`` persons
+    (:func:`_score_groups`): each group's first member stands for all of
+    them, and each member then takes its ability.  A group's person target
+    is its first member's times the group's size; the other targets are
+    the totals over ``cells``, so the objective is the likelihood over all
+    of them."""
+    grouped, reps, group_of = _score_groups(cells, movable)
+    size = 1 if grouped.group_size is None else grouped.group_size
+    ability = params[0][reps]
+    result = _newton(grouped, [targets[0][reps] * size, *targets[1:]],
+                     [free[0][reps], *free[1:]], gauge, [ability, *params[1:]], *args)
+    has_group = group_of >= 0
+    params[0][has_group] = ability[group_of[has_group]]
+    return result
 
 
 def _held(vec, grad, clamp):
@@ -313,6 +386,10 @@ def _newton(cells, targets, free, gauge, params, config, max_iterations, change_
     their targets (without the gauge, those held at the clamp aside).
     Returns the iterations, whether it stopped so, the objective at the
     start and after each iteration, and the last change and residual.
+
+    Every sum over the cells weights each by its multiplicity, so a grouped
+    person's target is its group's total; its residual in the stopping test
+    is one member's, and so is its step.
     """
     ability, severity, difficulty, thresholds = params
     clamp, damp = config.logit_clamp, config.newton_damping
@@ -360,7 +437,9 @@ def _newton(cells, targets, free, gauge, params, config, max_iterations, change_
         resid = [cells.sums(which, diff) + off for which, off in zip(_FACETS, offsets)]
         counted = free if gauge else [f & ~_held(v, s * g, clamp)
                                       for f, v, s, g in zip(free, params, signs, resid)]
-        max_resid = max(np.max(np.abs(g[m]), initial=0.0) for g, m in zip(resid, counted))
+        shown = resid if cells.group_size is None else [resid[0] / cells.group_size,
+                                                        *resid[1:]]
+        max_resid = max(np.max(np.abs(g[m]), initial=0.0) for g, m in zip(shown, counted))
         if change <= change_tol and max_resid <= resid_tol:
             return iterations, True, objectives, change, max_resid
         if iterations == max_iterations:
@@ -395,7 +474,7 @@ def _newton(cells, targets, free, gauge, params, config, max_iterations, change_
         change = max(np.max(np.abs(vec - old)) for vec, old in zip(params, prev))
 
 
-def _threshold_information(probs):
+def _threshold_information(probs, weighted=None):
     """Sums over cells of P(X >= k), k = 1..K, and the K x K threshold information.
 
     The information is the sum over cells of Cov([X >= k], [X >= l]), which
@@ -403,11 +482,14 @@ def _threshold_information(probs):
     sums of the column totals of ``probs`` and of ``probs.T @ probs``, so no
     per-cell array of K columns is formed and every term is a sum of
     positive products, precise even where one category is nearly certain.
+    ``weighted``, each row of ``probs`` times its cell's multiplicity,
+    weights both sums.
     """
     K = probs.shape[1] - 1
-    sums_ge = np.cumsum((np.ones(len(probs)) @ probs)[::-1])[::-1][1:]
+    weighted = probs if weighted is None else weighted
+    sums_ge = np.cumsum((np.ones(len(probs)) @ weighted)[::-1])[::-1][1:]
     # tail_head[l, m] = sum over cells of P(X >= l) P(X <= m)
-    tail_head = np.cumsum(np.cumsum((probs.T @ probs)[::-1], axis=0)[::-1], axis=1)
+    tail_head = np.cumsum(np.cumsum((weighted.T @ probs)[::-1], axis=0)[::-1], axis=1)
     k = np.arange(1, K + 1)
     return sums_ge, tail_head[np.maximum.outer(k, k), np.minimum.outer(k, k) - 1]
 
@@ -435,11 +517,19 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     further out is held; only in this sum-zero form does holding it keep it
     in place, since with one element pinned the rest of its group could
     move against it.
+
+    Every sum over the cells weights each by its multiplicity: a grouped
+    person's information and gradient are its group's, so its step is one
+    member's, and its group adds its size times one member's term to the
+    Schur complement.
     """
     K = probs.shape[1] - 1
     P, R, I = cells.size["person"], cells.size["rater"], cells.size["item"]
     RI, M = R + I, R + I + K
     pidx, ridx, iidx = cells.pidx, cells.ridx, cells.iidx
+    weighted = probs
+    if cells.mult is not None:
+        w, weighted = w * cells.mult, probs * cells.mult[:, None]
     g_p, g_r, g_i = resid_sums
     free_p = free[0] & ~_held(params[0], g_p, clamp)
     inv_d = np.where(free_p, 1.0 / np.maximum(np.bincount(pidx, w, P), 1e-12), 0.0)
@@ -448,7 +538,7 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
         d_p = inv_d * g_p
         return (d_p, np.zeros(R), np.zeros(I), np.zeros(K)), d_p @ g_p, False
 
-    sums_ge, info_t = _threshold_information(probs)
+    sums_ge, info_t = _threshold_information(probs, weighted)
     g_o = np.concatenate([g_r, g_i, n_ge - sums_ge])
 
     info = np.zeros((M, M))
@@ -456,7 +546,7 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     cov_p = np.empty((P, K))
     tail = np.zeros(cells.n)
     for k in range(K, 0, -1):
-        tail += (k - e) * probs[:, k]  # Cov(X, [X >= k]) of each cell
+        tail += (k - e) * weighted[:, k]  # Cov(X, [X >= k]) of each cell
         cov_p[:, k - 1] = np.bincount(pidx, tail, P)
         info[:R, RI + k - 1] = np.bincount(ridx, tail, R)
         info[R:RI, RI + k - 1] = np.bincount(iidx, tail, I)
@@ -514,12 +604,13 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
 
 def _solve_extremes(cells, K, free, params, config):
     """Measure the elements not ``free`` in the fit on ``cells``, those
-    that touch them, all at once: :func:`_newton` without the gauge, the
-    fitted measures and thresholds held, so extremes that share cells meet
-    their targets together, to 1e-10 in change and target (or held at the
-    clamp).  A target is the raw total clipped to ``[extreme_adjust,
-    K*n - extreme_adjust]``, so an element flagged only once others were
-    dropped keeps its own.  Each starts at the log-odds of its target's
+    that touch them, all at once: :func:`_newton` without the gauge, on
+    the score groups of the extreme persons, the fitted measures and
+    thresholds held, so extremes that share cells meet their targets
+    together, to 1e-10 in change and target (or held at the clamp).  A
+    target is the raw total clipped to ``[extreme_adjust, K*n -
+    extreme_adjust]``, so an element flagged only once others were dropped
+    keeps its own.  Each starts at the log-odds of its target's
     mean score about the mean location of its cells.
     """
     adjust, clamp = config.extreme_adjust, config.logit_clamp
@@ -533,7 +624,8 @@ def _solve_extremes(cells, K, free, params, config):
         mean_loc = K * cells.sums(which, loc)[x] / top
         params[j][x] = np.clip(sign * (np.log(target / (top - target)) - mean_loc),
                                -clamp, clamp)
-    _newton(cells, targets, extreme, False, params, config, 200, 1e-10, 1e-10)
+    _newton_in_groups(cells, extreme[0], targets, extreme, False, params, config,
+                      200, 1e-10, 1e-10)
 
 
 def severity_classification(estimates: FacetEstimates, cut: float = 0.3,

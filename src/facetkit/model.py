@@ -123,9 +123,13 @@ def cell_moments(location, thresholds):
     return probs, e, w
 
 
-def observed_log_likelihood(probs, index) -> float:
-    """Sum of the log probabilities at ``index``, a :meth:`CellIndex.observed`."""
-    return float(np.sum(np.log(probs[index])))
+def observed_log_likelihood(probs, observed) -> float:
+    """Sum of the log probabilities at the rows and categories of
+    ``observed``, a :meth:`CellIndex.observed`, each weighted by its
+    multiplicity."""
+    rows, categories, mult = observed
+    logs = np.log(probs[rows, categories])
+    return float(np.sum(logs) if mult is None else logs @ mult)
 
 
 def expected_score(location, thresholds):

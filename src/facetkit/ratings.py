@@ -126,14 +126,24 @@ class CellIndex:
     check :meth:`unlinked`) reads it through :attr:`RatingsTensor.cell_index`;
     a selection that is read many times, such as the cells of a fit, is a
     :meth:`subset` of it.
+
+    A cell list may stand for more persons than it lists: ``group_size``,
+    None for a tensor's own cells, gives how many persons each person code
+    stands for, each scored on that code's cells with its scores.  Then
+    ``mult`` holds each cell's multiplicity, its person's group size, and
+    :meth:`sums` and :meth:`observed` weight every cell by it.
     """
 
-    def __init__(self, pidx, iidx, ridx, score, shape, min_score=0):
+    def __init__(self, pidx, iidx, ridx, score, shape, min_score=0, group_size=None):
         self.pidx, self.iidx, self.ridx, self.score = pidx, iidx, ridx, score
         self.x = score - min_score
         self.n = self.pidx.size
-        for arr in (self.pidx, self.iidx, self.ridx, self.score, self.x):
-            arr.setflags(write=False)
+        self.group_size = group_size
+        self.mult = None if group_size is None else group_size[pidx].astype(float)
+        for arr in (self.pidx, self.iidx, self.ridx, self.score, self.x, group_size,
+                    self.mult):
+            if arr is not None:
+                arr.setflags(write=False)
         self.index = {"person": self.pidx, "item": self.iidx, "rater": self.ridx}
         self.shape, self.min_score = shape, min_score
         self.size = dict(zip(("person", "item", "rater"), shape))
@@ -141,7 +151,7 @@ class CellIndex:
     def subset(self, sel) -> "CellIndex":
         """The selected cells, in the same order, as a cell list of their own."""
         return CellIndex(self.pidx[sel], self.iidx[sel], self.ridx[sel], self.score[sel],
-                         self.shape, self.min_score)
+                         self.shape, self.min_score, self.group_size)
 
     def slabs(self, raters):
         """The scores of each rater code in ``raters`` as a (persons, items)
@@ -162,17 +172,21 @@ class CellIndex:
         )
 
     def sums(self, facet, weights=None, sel=slice(None)):
-        """Per-element sums of ``weights`` over the selected cells.
+        """Per-element sums of ``weights`` over the selected cells, each
+        cell counted ``mult`` times if the list has multiplicities.
 
         Without weights this counts the selected cells of each element.
         """
+        if self.mult is not None:
+            weights = self.mult[sel] if weights is None else weights * self.mult[sel]
         return np.bincount(self.index[facet][sel], weights=weights,
                            minlength=self.size[facet])
 
     def observed(self):
-        """Each cell's row and observed 0-based category: the index of its
-        observed probability in the cells' (cells, K+1) probabilities."""
-        return np.arange(self.n), self.x.astype(int)
+        """Each cell's row and observed 0-based category, the index of its
+        observed probability in the cells' (cells, K+1) probabilities, and
+        the cells' multiplicities (None if the list has none)."""
+        return np.arange(self.n), self.x.astype(int), self.mult
 
     def unlinked(self, keep=None):
         """The first two elements these cells leave unlinked, as ``(facet,

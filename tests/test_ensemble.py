@@ -186,6 +186,10 @@ class TestGreedyPrune:
             greedy_prune(paper_tensor, ["A1", "A2"], ["R1"], steps=2)
         with pytest.raises(KeyError, match="ghost"):
             greedy_prune(paper_tensor, ["A1", "A2"], ["ghost"], steps=1)
+        with pytest.raises(KeyError, match="unknown rater identifier 'ghost'"):
+            greedy_prune(paper_tensor, ["A1", "ghost"], ["R1"])
+        with pytest.raises(KeyError, match="unknown item identifier 'nowhere'"):
+            greedy_prune(paper_tensor, ["A1", "A2"], ["R1"], items=["nowhere"])
 
     def test_rejects_empty_benchmarks_or_items(self, paper_tensor):
         members = [f"A{i}" for i in range(1, 11)]

@@ -143,17 +143,26 @@ class TestPreconditions:
 @st.composite
 def sparse_designs(draw):
     """3-10 persons x 1-3 items x 2-4 raters on a 0-K scale (K = 1..4), about
-    a quarter of the cells missing, one rater and one item scored at one end
-    of the scale throughout, so extremes and cascades are common."""
+    a quarter of the cells missing, one rater and (given two or more items)
+    one item scored at one end of the scale throughout, so extremes and
+    cascades are common.  The other cells take the categories 0..K in turn,
+    in drawn order, so that most designs observe every category."""
     P, I, R = (draw(st.integers(lo, hi)) for lo, hi in ((3, 10), (1, 3), (2, 4)))
     K = draw(st.integers(1, 4))
     size = P * I * R
-    scores = np.array(draw(st.lists(st.integers(0, K), min_size=size,
-                                    max_size=size)), float).reshape(P, I, R)
     keep = np.array(draw(st.lists(st.integers(0, 3), min_size=size,
                                   max_size=size))).reshape(P, I, R) > 0
-    scores[:, :, draw(st.integers(0, R - 1))] = draw(st.sampled_from([0, K]))
-    scores[:, draw(st.integers(0, I - 1))] = draw(st.sampled_from([0, K]))
+    rater = draw(st.integers(0, R - 1))
+    item = draw(st.integers(0, I - 1)) if I > 1 else None
+    free = np.ones((P, I, R), dtype=bool)
+    free[:, :, rater] = False
+    if item is not None:
+        free[:, item] = False
+    scores = np.empty((P, I, R))
+    scores[free] = draw(st.permutations(np.arange(free.sum()) % (K + 1)))
+    scores[:, :, rater] = draw(st.sampled_from([0, K]))
+    if item is not None:
+        scores[:, item] = draw(st.sampled_from([0, K]))
     scores[~keep] = np.nan
     return small_tensor(scores, scale=(0, K))
 
@@ -825,6 +834,128 @@ class TestJointNewton:
             for which in FACETS:
                 sums = cells.sums(which, resid, keep)[flags[which] == "none"]
                 assert np.max(np.abs(sums)) <= est.config.residual_tol + 1e-9
+
+
+@st.composite
+def copied_designs(draw):
+    """:func:`sparse_designs` with each person there 2-5 times, each copy's
+    scores permuted among the person's cells: the copies share cells and raw
+    total, so one score group fits them, but their rater and item totals
+    differ."""
+    tensor = draw(sparse_designs())
+    rows = []
+    for row in np.asarray(tensor.values):
+        scored = ~np.isnan(row)
+        for _ in range(draw(st.integers(2, 5))):
+            copy = row.copy()
+            copy[scored] = draw(st.permutations(row[scored]))
+            rows.append(copy)
+    return small_tensor(rows, scale=(tensor.scale.min_score, tensor.scale.max_score))
+
+
+def fit_without_groups(tensor):
+    """:func:`fit_or_error` with every person its own score group."""
+    def one_per_person(cells, movable):
+        every = np.arange(cells.size["person"])
+        return cells, every, every
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimate_module, "_score_groups", one_per_person)
+        return fit_or_error(tensor)
+
+
+def numbers(est):
+    """Every number of ``estimates.json``, keyed by its path."""
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield from walk(value, path + (key,))
+        elif isinstance(node, list):
+            for k, value in enumerate(node):
+                yield from walk(value, path + (k,))
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path, node
+
+    return dict(walk(est.to_json_dict(), ()))
+
+
+def near_the_clamp(est):
+    """Whether a measure or threshold fitted by the joint iterations lies
+    within one logit of the clamp, where it heads when the likelihood has no
+    finite maximum."""
+    p, flags = est.params, extreme_flags(est)
+    fitted = [flags[which] == "none" for which in FACETS] + [True]
+    return any(np.any((np.abs(vec) > est.config.logit_clamp - 1) & ok) for vec, ok in zip(
+        (p.ability, p.severity, p.difficulty, p.thresholds), fitted))
+
+
+class TestScoreGroups:
+    @settings(max_examples=100, deadline=None)
+    @given(copied_designs())
+    def test_grouped_fit_matches_ungrouped(self, tensor):
+        P = tensor.shape[0]
+        grouped = estimate_module._score_groups(tensor.cell_index, np.ones(P, dtype=bool))[0]
+        assert 2 * grouped.n <= tensor.n_cells
+        fits = [fit_or_error(tensor), fit_without_groups(tensor)]
+        if any(isinstance(fit, EstimationError) for fit in fits):
+            assert all(isinstance(fit, EstimationError) for fit in fits)
+            assert str(fits[0]) == str(fits[1])
+            return
+        (est, clamped), (want, clamped_want) = fits
+        assert est.to_json_dict()["extreme_flags"] == want.to_json_dict()["extreme_flags"]
+        if clamped or clamped_want or near_the_clamp(est) or near_the_clamp(want):
+            # no finite maximum: where the iterations stop depends on rounding
+            # (see test_relabeling_moves_a_threshold_at_the_clamp)
+            return
+        assert (est.iterations_used, est.converged) == (want.iterations_used, want.converged)
+        got, expected = numbers(est), numbers(want)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert abs(got[key] - value) <= 1e-10, key
+
+    def test_bundled_fit_is_bit_identical(self):
+        # 28 score groups of 30 persons: grouping would not halve the cells
+        tensor = bundled_tensor()
+        (est, _), (want, _) = fit_or_error(tensor), fit_without_groups(tensor)
+        assert est.to_json_text() == want.to_json_text()
+        assert est.sweep_log_likelihoods == want.sweep_log_likelihoods
+
+    def test_extreme_screen_meets_the_extreme_targets(self, monkeypatch):
+        tensor, _ = simulate(SimSpec(
+            n_persons=4000, n_items=2, n_raters=2, scale=ScaleSpec(0, 3), seed=1,
+            ability_sd=4.0, severity=np.array([0.25, -0.25]),
+            difficulty=np.array([0.2, -0.2])))
+        runs = []
+
+        def recording_newton(cells, *args):
+            runs.append((cells.n, cells.group_size))
+            return newton(cells, *args)
+
+        newton = estimate_module._newton
+        monkeypatch.setattr(estimate_module, "_newton", recording_newton)
+        est = estimate(tensor)
+        flags = extreme_flags(est)["person"]
+        extreme = flags != "none"
+        assert extreme.sum() > 2000
+        # the fit: one group per non-extreme raw total, 1..11 of 4 cells each;
+        # the extreme phase: all-minimum and all-maximum persons
+        (fit_n, fit_sizes), (extreme_n, extreme_sizes) = runs
+        assert (fit_n, fit_sizes.sum()) == (44, (~extreme).sum())
+        assert (extreme_n, sorted(extreme_sizes)) == (8, sorted(
+            [(flags == "min-extreme").sum(), (flags == "max-extreme").sum()]))
+        cells, config = tensor.cell_index, est.config
+        loc = cells.locations(est.params.ability, est.params.severity,
+                              est.params.difficulty)
+        expected = cells.sums("person", cell_moments(loc, est.params.thresholds)[1])
+        target = np.clip(cells.sums("person", cells.x), config.extreme_adjust,
+                         3 * cells.sums("person") - config.extreme_adjust)
+        assert np.max(np.abs(expected - target)[extreme]) <= 1e-10
+        monkeypatch.undo()
+        want, _ = fit_without_groups(tensor)
+        assert (est.iterations_used, est.converged) == (want.iterations_used, want.converged)
+        got = numbers(est)
+        for key, value in numbers(want).items():
+            assert abs(got[key] - value) <= 1e-10, key
 
 
 class TestNonConvergence:

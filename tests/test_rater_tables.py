@@ -232,9 +232,12 @@ def reference_greedy_prune(tensor, members, benchmarks, items=None, steps=1,
         raise ValueError("steps must be >= 0")
     if len(members) <= steps:
         raise ValueError(f"cannot remove {steps} of {len(members)} members")
-    for r in benchmarks:
+    for r in benchmarks + members:
         if r not in tensor.ids.rater_index:
             raise KeyError(f"unknown rater identifier {r!r}")
+    for it in items:
+        if it not in tensor.ids.item_index:
+            raise KeyError(f"unknown item identifier {it!r}")
     current = sorted(members, key=tensor.ids.rater_index.__getitem__)
     slab = {r: tensor.values[:, :, tensor.ids.rater_index[r]] for r in current + benchmarks}
     mean, cells = reference_ensemble_qwks(tensor, slab, current, benchmarks, items, rounding)

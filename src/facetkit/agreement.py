@@ -152,13 +152,12 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
     """A :class:`QwkResult` per (candidate, benchmark, item group), in that
     nested order, with degenerate tables flagged.
 
-    For each benchmark, every cell of a listed candidate rater is paired
-    with the benchmark's score at the same (person, item), and one
-    :func:`_tally` counts the pairs into a K x K table per (rater, item).
-    A group's table is the sum of its listed items' tables, an item listed
-    twice counting twice, and a candidate row reads its rater's tables.
-    The first faulty table in row order raises, with the error :func:`qwk`
-    gives it.
+    Every cell of a listed candidate rater is paired with each benchmark's
+    score at the same (person, item), and one :func:`_tally` counts all the
+    pairs into a K x K table per (benchmark, rater, item).  A group's table
+    is the sum of its listed items' tables, an item listed twice counting
+    twice, and a candidate row reads its rater's tables.  The first faulty
+    table in row order raises, with the error :func:`qwk` gives it.
     """
     ids, scale = tensor.ids, tensor.scale
     candidates, benchmarks = list(candidates), list(benchmarks)
@@ -173,27 +172,22 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
     # (group, item): how many times the group lists the item
     listing = np.array([np.bincount([i for i in g if i >= 0], minlength=I) for g in items])
 
-    # the tables of each listed rater code, by slot; an unknown candidate's
-    # code -1 reads slot -1, one more, empty one
-    raters = np.flatnonzero(np.bincount(cand[cand >= 0], minlength=len(ids.raters)))
-    slot = np.full(len(ids.raters) + 1, -1, dtype=np.intp)
-    slot[raters] = np.arange(raters.size)
-    S = raters.size + 1
+    # each benchmark's score at every scored cell of a listed candidate; an
+    # unknown benchmark's code -1 scored no cell, and an unknown candidate's
+    # code -1 reads table row -1, one more, empty one
     cells = tensor.cell_index
-    sel = np.flatnonzero(slot[cells.ridx] >= 0)
-    pidx, iidx, a = cells.pidx[sel], cells.iidx[sel], cells.x[sel]
-    table = slot[cells.ridx[sel]] * I + iidx
-    tallies = []     # per benchmark: counts, pairs, fractional, outside by (slot, group)
-    for code in bench:      # an unknown benchmark's code -1 scored no cell
-        b = cells.slabs([code])[0, pidx, iidx] - scale.min_score
-        paired = ~np.isnan(b)
-        per_item = _tally(a[paired], b[paired], table[paired], S * I, K)
-        tallies.append([(listing @ t.reshape(S, I, -1)).reshape(S, G, *t.shape[1:])
-                        for t in per_item])
-    counts, n, non_integer, outside = (np.stack(t) for t in zip(*tallies))
+    R = len(ids.raters) + 1
+    sel = np.flatnonzero(np.isin(cells.ridx, cand))
+    iidx = cells.iidx[sel]
+    b = cells.slabs(bench)[:, cells.pidx[sel], iidx] - scale.min_score
+    k, j = np.nonzero(~np.isnan(b))
+    table = (k * R + cells.ridx[sel][j]) * I + iidx[j]
+    counts, n, non_integer, outside = (
+        (listing @ t.reshape(B * R, I, -1)).reshape(B, R, G, *t.shape[1:])
+        for t in _tally(cells.x[sel][j], b[k, j], table, B * R * I, K))
 
-    def by_row(arr):  # (benchmark, rater slot, group) -> row order
-        return arr[:, slot[cand]].transpose(1, 0, 2).ravel()
+    def by_row(arr):  # (benchmark, rater code, group) -> row order
+        return arr[:, cand].transpose(1, 0, 2).ravel()
 
     unknown = ((cand < 0)[:, None, None] | (np.array(bench) < 0)[None, :, None]
                | np.array([min(g, default=0) < 0 for g in items])[None, None, :]).ravel()
@@ -211,7 +205,7 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
         raise ValueError(_pair_fault(by_row(n)[first], *(f[first] for f in faults[2:])))
 
     kappa, observed, expected, degenerate = (
-        arr.reshape(B, S, G) for arr in _kappas(
+        arr.reshape(B, R, G) for arr in _kappas(
             counts.reshape(-1, K, K).astype(float), n.ravel(),
             _weight_matrix(K, scale.span, weighting)))
     kappa[degenerate] = observed[degenerate] = math.nan    # expected is 0.0 there

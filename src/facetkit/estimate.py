@@ -261,7 +261,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     # standard errors from observed Fisher information at the final estimates
     probs_all, _, w_all = cell_moments(cells.locations(*params[:3]), params[3])
     information = [cells.sums(which, w_all) for which in _FACETS]
-    information.append(np.diag(_threshold_information(probs_all)[1]))
+    information.append(np.diag(_threshold_information(probs_all, probs_all)[1]))
     se = [1.0 / np.sqrt(np.maximum(info, 1e-12)) for info in information]
     return FacetEstimates(
         params=ModelParams(*params),
@@ -474,7 +474,7 @@ def _newton(cells, targets, free, gauge, params, config, max_iterations, change_
         change = max(np.max(np.abs(vec - old)) for vec, old in zip(params, prev))
 
 
-def _threshold_information(probs, weighted=None):
+def _threshold_information(probs, weighted):
     """Sums over cells of P(X >= k), k = 1..K, and the K x K threshold information.
 
     The information is the sum over cells of Cov([X >= k], [X >= l]), which
@@ -483,10 +483,12 @@ def _threshold_information(probs, weighted=None):
     per-cell array of K columns is formed and every term is a sum of
     positive products, precise even where one category is nearly certain.
     ``weighted``, each row of ``probs`` times its cell's multiplicity,
-    weights both sums.
+    weights both sums.  Cells without multiplicities must pass ``probs``
+    itself: then ``weighted.T @ probs`` is numpy's symmetric ``a.T @ a``
+    product, whose rounding differs from the general product's that an
+    equal copy gets, and the bytes of every ungrouped fit rest on it.
     """
     K = probs.shape[1] - 1
-    weighted = probs if weighted is None else weighted
     sums_ge = np.cumsum((np.ones(len(probs)) @ weighted)[::-1])[::-1][1:]
     # tail_head[l, m] = sum over cells of P(X >= l) P(X <= m)
     tail_head = np.cumsum(np.cumsum((weighted.T @ probs)[::-1], axis=0)[::-1], axis=1)
@@ -527,7 +529,7 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     P, R, I = cells.size["person"], cells.size["rater"], cells.size["item"]
     RI, M = R + I, R + I + K
     pidx, ridx, iidx = cells.pidx, cells.ridx, cells.iidx
-    weighted = probs
+    weighted = probs    # not a copy: see _threshold_information
     if cells.mult is not None:
         w, weighted = w * cells.mult, probs * cells.mult[:, None]
     g_p, g_r, g_i = resid_sums

@@ -14,9 +14,23 @@ import pytest
 import facetkit
 from facetkit import STRINGENT_CUTS, EstimationConfig, FacetEstimates, RatingsTensor
 from facetkit.cli import build_parser, main
+from facetkit.study import StudyConfig, run_study
 
 BUNDLED_STUDY = Path(str(files("facetkit") / "data" / "study.json"))
 BUNDLED_CSV = Path(str(files("facetkit") / "data" / "paper_shaped.csv"))
+GOLDEN_ESTIMATES = Path(__file__).parent / "data" / "bundled_estimates.json"
+
+# the bundled run's artifacts whose numbers come from no BLAS call, so
+# their bytes are the same on every machine
+BUNDLED_SHA256 = {
+    "tensor.json": "090f76d88d13aa65740df42ac20a3846473b8a9970794757fff27bccb298ae0a",
+    "agreement.csv": "fbdd5204ce4a6bb433340907e9864996f9d496cfe68535590626bdc087c0fa52",
+    "agreement.json": "bcdedaf04c3a66e653f085cac9764a8d4e3968c372e3fd4569b6995b95dd8945",
+    "alpha.csv": "a481a647eacd5100d0331fa64922650b5ae063f74948462be948de8e700461fa",
+    "descriptives.csv": "adaf0c8eb5a4f20c1524a96ef69ad80a93781b0bd53d986730f63a320e6f160b",
+    "ensemble_agreement.csv":
+        "619664630a2543b346bf6ca03d1ebcda1fe06333ad28c7495dc3491413d00305",
+}
 
 
 def run_cli(*argv):
@@ -208,6 +222,32 @@ class TestRun:
         # tensor.json holds no estimate, so its bytes are pinned exactly
         digest = hashlib.sha256((out / "tensor.json").read_bytes()).hexdigest()
         assert digest == "090f76d88d13aa65740df42ac20a3846473b8a9970794757fff27bccb298ae0a"
+
+    def test_bundled_run_is_a_fixed_point(self, tmp_path):
+        _, out = run_study(StudyConfig.from_json_file(BUNDLED_STUDY), output_dir=tmp_path)
+        for name, digest in BUNDLED_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        # the fit's sums go through BLAS, whose rounding may differ by machine
+        got = json.loads((out / "estimates.json").read_text())
+        want = json.loads(GOLDEN_ESTIMATES.read_text())
+        assert (got["iterations_used"], got["converged"]) == (
+            want["iterations_used"], want["converged"])
+
+        def assert_close(got, want, path):
+            if isinstance(want, dict):
+                assert got.keys() == want.keys(), path
+                for key in want:
+                    assert_close(got[key], want[key], f"{path}.{key}")
+            elif isinstance(want, list):
+                assert len(got) == len(want), path
+                for k, (g, w) in enumerate(zip(got, want)):
+                    assert_close(g, w, f"{path}[{k}]")
+            elif isinstance(want, float):
+                assert abs(got - want) <= 1e-9, path
+            else:
+                assert got == want, path
+
+        assert_close(got, want, "estimates")
 
     def test_rerun_is_hash_identical(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -920,6 +920,21 @@ class TestScoreGroups:
         assert est.to_json_text() == want.to_json_text()
         assert est.sweep_log_likelihoods == want.sweep_log_likelihoods
 
+    def test_ungrouped_fit_hands_probs_itself_as_weights(self, monkeypatch):
+        # an equal copy would take numpy's general product in place of the
+        # symmetric a.T @ a one and change the bundled estimates' bytes
+        calls = []
+
+        def recording(probs, weighted):
+            calls.append(weighted is probs)
+            return threshold_information(probs, weighted)
+
+        threshold_information = estimate_module._threshold_information
+        monkeypatch.setattr(estimate_module, "_threshold_information", recording)
+        est = estimate(bundled_tensor())
+        assert len(calls) == est.iterations_used + 1    # each step and the SEs
+        assert all(calls)
+
     def test_extreme_screen_meets_the_extreme_targets(self, monkeypatch):
         tensor, _ = simulate(SimSpec(
             n_persons=4000, n_items=2, n_raters=2, scale=ScaleSpec(0, 3), seed=1,

@@ -238,20 +238,22 @@ def qwk_matrix(tensor, benchmark_raters, candidate_raters, item_groups) -> Agree
 def grouped_moments(keys, x, size):
     """Count, mean and sample (n - 1) variance of the rows of ``x`` in each
     of ``size`` groups, NaN where undefined; a 2-d ``x`` gives them per
-    column, shape (size, columns).  Each group's rows, in the order given,
-    are one slice of ``x`` reduced along axis 0 by the steps of numpy's
-    ``mean`` and ``var``, so a figure has the bits of those calls on it."""
+    column, shape (size, columns).  The groups of one size n are reduced
+    together, as a (groups, n, ...) array along axis 1; each group's rows,
+    in the order given, reduce by the steps of numpy's ``mean`` and ``var``
+    along axis 0, so a figure has the bits of those calls on it."""
     count = np.bincount(keys, minlength=size)
     # keys as the smallest unsigned type let the stable sort use radix sort
     x = x[np.argsort(keys.astype(np.min_scalar_type(size)), kind="stable")]
     mean, var = (np.full((size, *x.shape[1:]), np.nan) for _ in range(2))
-    for g, (n, end) in enumerate(zip(count.tolist(), np.cumsum(count).tolist())):
-        rows = x[end - n:end]
-        if n:
-            mean[g] = rows.sum(axis=0) / n
+    start = np.cumsum(count) - count
+    for n in set(count.tolist()) - {0}:
+        groups = np.flatnonzero(count == n)
+        rows = x[start[groups, None] + np.arange(n)]
+        mean[groups] = rows.sum(axis=1) / n
         if n > 1:
-            dev = rows - mean[g]
-            var[g] = (dev * dev).sum(axis=0) / (n - 1)
+            dev = rows - mean[groups, None]
+            var[groups] = (dev * dev).sum(axis=1) / (n - 1)
     return count, mean, var
 
 

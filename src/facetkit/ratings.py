@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import marshal
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, islice
 
 import numpy as np
 
@@ -509,7 +509,11 @@ def ingest_csv(path, scale_min=None, scale_max=None) -> RatingsTensor:
     observed min/max unless ``scale_min``/``scale_max`` are given.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
-        return _ingest_rows(csv.reader(f), scale_min, scale_max, str(path))
+        try:
+            return _ingest_rows(csv.reader(f), scale_min, scale_max, str(path))
+        except UnicodeDecodeError:
+            # the file is decoded in chunks, so no line can be named
+            raise IngestError(f"{path}: not UTF-8 text") from None
 
 
 def ingest_csv_text(text, scale_min=None, scale_max=None) -> RatingsTensor:
@@ -571,16 +575,66 @@ def _cube_cells(shape, values, declared_missing):
     return flat, values.ravel()[flat]
 
 
-def _first_appearance_codes(column):
-    """The distinct entries of ``column`` in first-appearance order, and the
-    code (position among them) of every entry."""
-    index = {}
-    codes = [index.setdefault(x, len(index)) for x in column]
-    return tuple(index), np.array(codes, dtype=np.intp)
+# records coded at a time: only one block of them is ever held as strings
+_BLOCK = 1 << 13
+
+
+class _Coder(dict):
+    """Codes one column's raw field texts.  A text's code is the position
+    of its stripped text among the distinct stripped texts, in order of
+    first appearance, which ``ids`` lists.  Each distinct raw text is
+    stripped once."""
+
+    def __init__(self):
+        super().__init__()
+        self.ids = {}
+
+    def __missing__(self, raw):
+        code = self[raw] = self.ids.setdefault(raw.strip(), len(self.ids))
+        return code
+
+
+def _read_blocks(reader, coders):
+    """Code the records after the header, :data:`_BLOCK` at a time.
+
+    Returns each column's codes as a list of per-block arrays, the ordinals
+    of the blank records skipped, and ``(line, 0, message)`` for a record
+    with the wrong field count or one the csv module cannot read, else
+    None.  No later line can hold an earlier fault, so such a record ends
+    the read.  No record outlives its block.
+    """
+    parts, skipped, read = [[np.zeros(0, np.intp)] for _ in coders], [], 0
+    while True:
+        block, stop = [], None
+        try:
+            block.extend(islice(reader, _BLOCK))  # keeps the records before a failing one
+        except csv.Error as e:
+            line = read + len(block) + 2
+            stop = (line, 0, f"unreadable record at line {line} ({e})")
+        size = len(block)
+        lengths = np.fromiter(map(len, block), np.intp, size)
+        blank = np.zeros(size, dtype=bool)
+        blank[[k for k in np.flatnonzero(lengths <= 1) if not "".join(block[k]).strip()]] = True
+        malformed = np.flatnonzero(~blank & (lengths != 4))
+        if malformed.size:
+            end = malformed[0]
+            line = read + end + 2
+            stop = (line, 0, f"malformed row at line {line} (expected 4 fields)")
+            block, blank = block[:end], blank[:end]
+        skipped.append(np.flatnonzero(blank) + read)
+        rows = list(compress(block, (~blank).tolist()))
+        for part, coder, column in zip(parts, coders, zip(*rows)):
+            part.append(np.fromiter(map(coder.__getitem__, column), np.intp, len(column)))
+        read += size
+        if stop is not None or size < _BLOCK:
+            return parts, np.concatenate(skipped), stop
 
 
 def _ingest_rows(reader, scale_min, scale_max, source):
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as e:
+        raise IngestError(f"{source}: unreadable record at line 1 ({e})") from None
     if header is None:
         raise IngestError(f"{source}: empty file")
     header = [h.strip().lower() for h in header]
@@ -589,55 +643,54 @@ def _ingest_rows(reader, scale_min, scale_max, source):
             f"{source}: expected header person_id,item_id,rater_id,score, got {','.join(header)}"
         )
 
-    # a line number is the CSV record ordinal + 1; blank records are skipped
-    records = list(reader)
-    lengths = np.fromiter(map(len, records), np.intp, len(records))
-    blank = [k for k in np.flatnonzero(lengths <= 1) if not "".join(records[k]).strip()]
-    keep = np.ones(len(records), dtype=bool)
-    keep[blank] = False
-    rows = list(compress(records, keep))
-    lines = np.flatnonzero(keep) + 2
+    coders = [_Coder() for _ in range(4)]
+    parts, skipped, stop = _read_blocks(reader, coders)
+    pidx, iidx, ridx, score_code = map(np.concatenate, parts)
+    del parts
+    # a line number is the CSV record ordinal + 1, and blank records count:
+    # row k follows the blank records with fewer than k + 1 rows before them
+    rows_before = skipped - np.arange(skipped.size)
 
-    # Each line check runs over whole columns and records its first faulty
-    # row as (row, check, message).  The earliest row wins; on one row the
-    # checks rank as listed: field count, blank identifier, score text,
-    # duplicate.
-    faults = []
-    malformed = np.flatnonzero(lengths[keep] != 4)
-    end = malformed[0] if malformed.size else len(rows)
-    if malformed.size:
-        faults.append((end, 0, f"malformed row at line {lines[end]} (expected 4 fields)"))
-    columns = [list(map(str.strip, map(itemgetter(k), rows[:end]))) for k in range(4)]
-    blank_ids = [column.index("") for column in columns[:3] if "" in column]
-    if blank_ids:
-        k = min(blank_ids)
-        faults.append((k, 1, f"malformed row at line {lines[k]} (blank identifier)"))
+    def line(k):
+        return int(k + 2 + np.searchsorted(rows_before, k, side="right"))
+
+    # Each line check records its first faulty row as (line, check,
+    # message).  The earliest line wins; on one line the checks rank as
+    # listed: field count (or an unreadable record), blank identifier,
+    # score text, duplicate.
+    faults = [] if stop is None else [stop]
+    for coder, codes in zip(coders[:3], (pidx, iidx, ridx)):
+        if "" in coder.ids:
+            at = line(np.argmax(codes == coder.ids[""]))
+            faults.append((at, 1, f"malformed row at line {at} (blank identifier)"))
 
     # score texts are parsed by int() once each, in first-appearance order,
     # so the first text that fails also appears first
-    texts, score_code = _first_appearance_codes(columns[3])
     distinct = []
-    for text in texts:
+    for text in coders[3].ids:
         try:
             distinct.append(None if text == "" else int(text))
         except ValueError:
-            k = columns[3].index(text)
-            faults.append((k, 2, f"non-integer score {text!r} at line {lines[k]}"))
+            at = line(np.argmax(score_code == len(distinct)))
+            faults.append((at, 2, f"non-integer score {text!r} at line {at}"))
             break
 
-    (persons, pidx), (items, iidx), (raters, ridx) = map(_first_appearance_codes, columns[:3])
+    # fresh copies of the ids, made side by side: the originals lie scattered
+    # through the freed blocks' memory and would keep it from being reused
+    persons, items, raters = (marshal.loads(marshal.dumps(tuple(coder.ids)))
+                              for coder in coders[:3])
     shape = (len(persons), len(items), len(raters))
     flat = _flat_codes(shape, pidx, iidx, ridx)
     order, repeat = _person_major(flat)
     if repeat is not None:
         k, j = repeat
-        person, item, rater = (column[k] for column in columns[:3])
-        faults.append((k, 3, f"duplicate ({person},{item},{rater}) at line {lines[k]} "
-                             f"(first seen at line {lines[j]})"))
+        cell = f"{persons[pidx[k]]},{items[iidx[k]]},{raters[ridx[k]]}"
+        faults.append((line(k), 3, f"duplicate ({cell}) at line {line(k)} "
+                                   f"(first seen at line {line(j)})"))
     if faults:
         raise IngestError(f"{source}: {min(faults)[2]}")
 
-    if not rows:
+    if not flat.size:
         raise IngestError(f"{source}: no data rows")
 
     observed = [s for s in distinct if s is not None]
@@ -656,7 +709,7 @@ def _ingest_rows(reader, scale_min, scale_max, source):
     outside = [s is not None and not scale.min_score <= s <= scale.max_score for s in distinct]
     out_rows = np.flatnonzero(np.array(outside)[score_code])
     if out_rows.size:
-        raise IngestError(f"{source}: score out of range at line {lines[out_rows[0]]}")
+        raise IngestError(f"{source}: score out of range at line {line(out_rows[0])}")
     scores = np.array(distinct, dtype=float)[score_code]
     if min(observed) > lo or max(observed) < hi:
         warnings.warn(

@@ -69,6 +69,19 @@ class TestIngest:
         assert run_cli("ingest", bad, "--scale-min", 0, "--scale-max", 6) == 1
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        ("person_id,item_id,rater_id,score\np1,i1,r1,3\n"
+         f"p1,{'i' * 131073},r1,3\n".encode(),
+         "unreadable record at line 3 (field larger than field limit (131072))"),
+        ("person_id,item_id,rater_id,score\nJosé,i1,r1,3\n".encode("latin-1"),
+         "not UTF-8 text"),
+    ])
+    def test_unreadable_file_is_reported(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        assert run_cli("ingest", bad) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": f"{bad}: {message}"}
+
 
 class TestAgree:
     def test_per_item_table(self, tensor_json, tmp_path):

@@ -1,8 +1,8 @@
 """Tests for the tensor.json encoder and the CSV ingest against references.
 
-``reference_ingest_rows`` is the row-by-row ingest the vectorized
-``ratings._ingest_rows`` replaced, kept as the reference for its results,
-error messages, line numbers and warnings.  The encoder is checked against
+``reference_ingest_rows`` is a row-by-row ingest, kept as the reference
+for the block-wise ``ratings._ingest_rows``: its results, error messages,
+line numbers and warnings.  The encoder is checked against
 ``canonical_json(tensor.to_json_dict())``, the generic encoding of the same
 document.
 """
@@ -10,7 +10,9 @@ document.
 import csv
 import io
 import json
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,13 +26,33 @@ from facetkit import (
     RatingsTensor,
     ScaleSpec,
     build_ensemble,
+    ingest_csv,
     ingest_csv_text,
 )
+from facetkit import ratings
 from facetkit.ratings import _ingest_rows, canonical_json
 
 
+def reference_records(reader, source):
+    """(line, record) for each record after the header; a record the csv
+    module cannot read raises at its line."""
+    lineno = 2
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise IngestError(f"{source}: unreadable record at line {lineno} ({e})") from None
+        yield lineno, row
+        lineno += 1
+
+
 def reference_ingest_rows(reader, scale_min, scale_max, source):
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as e:
+        raise IngestError(f"{source}: unreadable record at line 1 ({e})") from None
     if header is None:
         raise IngestError(f"{source}: empty file")
     header = [h.strip().lower() for h in header]
@@ -43,7 +65,7 @@ def reference_ingest_rows(reader, scale_min, scale_max, source):
     pseen, iseen, rseen = set(), set(), set()
     rows = []
     seen = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reference_records(reader, source):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 4:
@@ -116,8 +138,9 @@ def reference_ingest_rows(reader, scale_min, scale_max, source):
 # -- differential ingest ---------------------------------------------------
 
 # raw ids: " pad " strips to "pad", so those two collide after stripping;
-# "n\nl" spans two physical lines inside one quoted CSV record
-IDS = ["p1", "p2", "é", "日本", "a,b", 'q"t', "x\\y", " pad ", "pad", "n\nl"]
+# "n\nl" spans two physical lines inside one quoted CSV record; a str may
+# hold a lone surrogate, which has no UTF-8 encoding
+IDS = ["p1", "p2", "é", "日本", "a,b", 'q"t', "x\\y", " pad ", "pad", "n\nl", "s\ud800"]
 GOOD_SCORES = ["0", "1", "2", "3", "0", "1", "2", "3", "", " ", " 4 ", "+3", "٣", "1_0", "-1"]
 BAD_SCORES = ["3.0", "x", "1e3", "--1", "3 4"]
 SCALES = [(None, None), (None, None), (0, 4), (-1, 10), (1, 3)]
@@ -140,7 +163,8 @@ def ingest_inputs(draw):
     lines = [csv_line([*cell, draw(st.sampled_from(GOOD_SCORES))]) for cell in cells]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
         kind = draw(st.sampled_from(
-            ["short", "long", "blank_id", "bad_score", "duplicate", "blank_line"]))
+            ["short", "long", "blank_id", "bad_score", "duplicate", "blank_line",
+             "unreadable"]))
         at = draw(st.integers(0, len(lines)))
         cell = list(draw(st.sampled_from(grid)))
         if kind == "short":
@@ -154,6 +178,9 @@ def ingest_inputs(draw):
             line = csv_line([*cell, draw(st.sampled_from(BAD_SCORES))])
         elif kind == "duplicate":
             line = lines[draw(st.integers(0, len(lines) - 1))]
+        elif kind == "unreadable":
+            # csv.reader raises on a carriage return inside an unquoted field
+            line = "p\rq,i1,r1,1\n"
         else:
             line = draw(st.sampled_from(["\n", "   \n", ",,,\n", '""\n']))
         lines.insert(at, line)
@@ -188,6 +215,15 @@ class TestIngestMatchesReference:
     def test_random_files(self, case):
         assert_same_outcome(*case)
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(ingest_inputs())
+    def test_random_files_across_blocks(self, block, case):
+        # blocks of a few rows put every kind of fault on both sides of a
+        # block boundary
+        with mock.patch.object(ratings, "_BLOCK", block):
+            assert_same_outcome(*case)
+
     @pytest.mark.parametrize("rows, message", [
         # the earliest faulty line wins, whatever the fault
         (["p1,i1,r1,3", "p1,i1,r2,2", "p1,i1,r1,4", "p2,i1,r1,x"],
@@ -220,6 +256,27 @@ class TestIngestMatchesReference:
         assert kind is IngestError
         assert got == f"<text>: {message}"
 
+    @pytest.mark.parametrize("rows, message", [
+        # an unreadable record ranks as a wrong field count on its line
+        (["p1,i1,r1,3", "p1,i1", "p\rq,i1,r1,3"],
+         "malformed row at line 3 (expected 4 fields)"),
+        (["p1,i1,r1,3", "p\rq,i1,r1,3", "p1,i1"], "unreadable record at line 3 ("),
+        (["p1,i1,r1,x", "p\rq,i1,r1,3"], "non-integer score 'x' at line 2"),
+        (["p1,i1,r1,3", "p1,i1,r1,3", "p\rq,i1,r1,3"],
+         "duplicate (p1,i1,r1) at line 3 (first seen at line 2)"),
+        (["p1,i1,r1,3", "", "p\rq,i1,r1,3"], "unreadable record at line 4 ("),
+    ])
+    def test_unreadable_record(self, rows, message):
+        text = "person_id,item_id,rater_id,score\n" + "\n".join(rows) + "\n"
+        (kind, got), _ = assert_same_outcome(text, (0, 6))
+        assert kind is IngestError
+        assert got.startswith(f"<text>: {message}")
+
+    def test_unreadable_header(self):
+        (kind, got), _ = assert_same_outcome("person_id,item\r_id,rater_id,score\n", (0, 6))
+        assert kind is IngestError
+        assert got.startswith("<text>: unreadable record at line 1 (")
+
     def test_score_text_is_parsed_by_int(self):
         text = "person_id,item_id,rater_id,score\np1,i1,r1,+3\np1,i1,r2, 4 \np2,i1,r1,1_0\n"
         (tensor, *_), warned = assert_same_outcome(text, (None, None))
@@ -227,6 +284,41 @@ class TestIngestMatchesReference:
                               equal_nan=True)
         assert tensor.scale == ScaleSpec(3, 10)
         assert warned == []
+
+
+class TestIngestFile:
+    def test_field_over_the_csv_limit(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("person_id,item_id,rater_id,score\np1,i1,r1,3\n"
+                        f"p{'x' * csv.field_size_limit()},i1,r1,3\n", encoding="utf-8")
+        with pytest.raises(IngestError) as e:
+            ingest_csv(path)
+        assert str(e.value) == (f"{path}: unreadable record at line 3 (field larger "
+                                f"than field limit ({csv.field_size_limit()}))")
+
+    def test_latin1_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("person_id,item_id,rater_id,score\nJosé,i1,r1,3\n".encode("latin-1"))
+        with pytest.raises(IngestError) as e:
+            ingest_csv(path)
+        assert str(e.value) == f"{path}: not UTF-8 text"
+
+    def test_memory_per_row(self, tmp_path):
+        """A 100 000-row crossed file (2500 x 4 x 10): ingest holds one block
+        of records as strings at a time, and keeps integer codes."""
+        path = tmp_path / "crossed.csv"
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write("person_id,item_id,rater_id,score\n")
+            f.writelines(f"p{p},i{i},r{r},{(p + i + r) % 7}\n"
+                         for p in range(2500) for i in range(4) for r in range(10))
+        tracemalloc.start()
+        try:
+            tensor = ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensor.n_cells == 100_000
+        assert peak < 200 * tensor.n_cells
 
 
 # -- the tensor.json encoder -----------------------------------------------

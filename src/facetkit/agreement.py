@@ -197,11 +197,8 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
         first = bad[0]
         c, k, g = np.unravel_index(first, (C, B, G))
         if unknown[first]:
-            for rater in (candidates[c], benchmarks[k]):
-                if rater not in ids.rater_index:
-                    raise KeyError(f"unknown rater identifier {rater!r}")
-            item = next(i for i in groups[g] if i not in ids.item_index)
-            raise KeyError(f"unknown item identifier {item!r}")
+            ids.codes("rater", (candidates[c], benchmarks[k]))
+            ids.codes("item", groups[g])
         raise ValueError(_pair_fault(by_row(n)[first], *(f[first] for f in faults[2:])))
 
     kappa, observed, expected, degenerate = (
@@ -316,14 +313,11 @@ def alpha_results(tensor, raters, item_groups):
                 rows = _rater_rows(tensor)
             memo[codes] = _group_alpha(*rows, len(ids.raters), codes)
         for rater in raters:
-            if rater not in ids.rater_index:
-                raise KeyError(f"unknown rater identifier {rater!r}")
+            (code,) = ids.codes("rater", [rater])
             if k < 2:
                 raise ValueError(f"need at least 2 items for alpha, got {k}")
-            for item, code in zip(items, codes):
-                if code < 0:
-                    raise KeyError(f"unknown item identifier {item!r}")
-            n, alpha, total_var = (stat[ids.rater_index[rater]] for stat in memo[codes])
+            ids.codes("item", items)
+            n, alpha, total_var = (stat[code] for stat in memo[codes])
             if n < 2:
                 raise ValueError(f"need at least 2 persons after listwise deletion, got {n}")
             if total_var == 0.0:

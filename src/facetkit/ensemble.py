@@ -41,10 +41,7 @@ class EnsembleSpec:
 def _member_slabs(tensor, members):
     """The members' (persons, items) score slabs, one per member, filled
     from their cells."""
-    for m in members:
-        if m not in tensor.ids.rater_index:
-            raise KeyError(f"unknown rater identifier {m!r}")
-    return tensor.cell_index.slabs([tensor.ids.rater_index[m] for m in members])
+    return tensor.cell_index.slabs(tensor.ids.codes("rater", members))
 
 
 def _member_mean(slabs, scale, rounding):
@@ -127,7 +124,7 @@ def _ensemble_qwks(tensor, slab, trials, benchmarks, items, rounding):
     its trial's mean to -inf, so the trial can never win a pruning step.
     """
     scale, K = tensor.scale, tensor.scale.num_categories
-    icol = [tensor.ids.item_index[item] for item in items]
+    icol = tensor.ids.codes("item", items)
     T, B, L = len(trials), len(benchmarks), len(icol)
     means = [_member_mean(np.stack([slab[m] for m in t]), scale, rounding)[0] for t in trials]
     # (trial, benchmark, person, item), one table per (trial, benchmark, item)
@@ -195,12 +192,8 @@ def greedy_prune(tensor: RatingsTensor, members, benchmarks, items=None,
         raise ValueError("steps must be >= 0")
     if len(members) <= steps:
         raise ValueError(f"cannot remove {steps} of {len(members)} members")
-    for r in benchmarks + members:
-        if r not in tensor.ids.rater_index:
-            raise KeyError(f"unknown rater identifier {r!r}")
-    for item in items:
-        if item not in tensor.ids.item_index:
-            raise KeyError(f"unknown item identifier {item!r}")
+    tensor.ids.codes("rater", benchmarks + members)
+    tensor.ids.codes("item", items)
 
     # canonical member order: the tensor's rater order
     current = sorted(members, key=tensor.ids.rater_index.__getitem__)

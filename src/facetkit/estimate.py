@@ -106,7 +106,7 @@ class FacetEstimates:
     scale: ScaleSpec
 
     def severity_of(self, rater) -> float:
-        return float(self.params.severity[self.ids.rater_index[rater]])
+        return float(self.params.severity[self.ids.codes("rater", [rater])[0]])
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,10 +126,6 @@ class FacetEstimates:
 
     def to_json_text(self) -> str:
         return canonical_json(self.to_json_dict())
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json_text())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FacetEstimates":

@@ -15,13 +15,11 @@ import numpy as np
 
 from .estimate import FacetEstimates
 from .model import cell_moments
-from .ratings import RatingsTensor
+from .ratings import FACETS, RatingsTensor
 
 FLAG_CENTRAL = "central_tendency"
 FLAG_MISFIT = "misfit"
 FLAG_NONE = "none"
-
-FACET_AXES = {"person": 0, "item": 1, "rater": 2}
 
 
 @dataclass(frozen=True)
@@ -66,15 +64,6 @@ class FitReport:
         if not (np.all(np.isfinite(self.infit_ms)) and np.all(np.isfinite(self.outfit_ms))):
             raise ValueError("mean squares must be finite")
 
-    def element(self, element_id) -> dict:
-        i = self.element_ids.index(element_id)
-        return {
-            "infit_ms": float(self.infit_ms[i]),
-            "outfit_ms": float(self.outfit_ms[i]),
-            "n_obs": int(self.n_obs[i]),
-            "flag": None if self.flags is None else self.flags[i],
-        }
-
 
 def fit_statistics(tensor: RatingsTensor, estimates: FacetEstimates,
                    facet: str) -> FitReport:
@@ -85,8 +74,8 @@ def fit_statistics(tensor: RatingsTensor, estimates: FacetEstimates,
     element's cells; infit is the information-weighted
     ``sum(r^2) / sum(W)``.
     """
-    if facet not in FACET_AXES:
-        raise ValueError(f"facet must be one of {sorted(FACET_AXES)}, got {facet!r}")
+    if facet not in FACETS:
+        raise ValueError(f"facet must be one of {sorted(FACETS)}, got {facet!r}")
     if estimates.ids != tensor.ids or estimates.scale != tensor.scale:
         raise ValueError("estimates were fitted to a different tensor (misaligned inputs)")
 

@@ -27,6 +27,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+#: The facets of a tensor, in the order of its axes.
+FACETS = ("person", "item", "rater")
+
+
 class IngestError(ValueError):
     """Raised for malformed, duplicated, or out-of-range input rows."""
 
@@ -107,6 +111,16 @@ class FacetIds:
     def rater_index(self) -> dict:
         return {p: i for i, p in enumerate(self.raters)}
 
+    def codes(self, facet, names) -> list:
+        """The codes of ``names`` among the identifiers of ``facet``, one of
+        :data:`FACETS`.  The first name not among them raises ``KeyError``:
+        the one unknown-identifier check of every lookup by id."""
+        index = getattr(self, facet + "_index")
+        try:
+            return [index[x] for x in names]
+        except KeyError as e:
+            raise KeyError(f"unknown {facet} identifier {e.args[0]!r}") from None
+
     def to_dict(self) -> dict:
         return {
             "persons": list(self.persons),
@@ -144,9 +158,9 @@ class CellIndex:
                     self.mult):
             if arr is not None:
                 arr.setflags(write=False)
-        self.index = {"person": self.pidx, "item": self.iidx, "rater": self.ridx}
+        self.index = dict(zip(FACETS, (self.pidx, self.iidx, self.ridx)))
         self.shape, self.min_score = shape, min_score
-        self.size = dict(zip(("person", "item", "rater"), shape))
+        self.size = dict(zip(FACETS, shape))
 
     def subset(self, sel) -> "CellIndex":
         """The selected cells, in the same order, as a cell list of their own."""
@@ -297,8 +311,8 @@ class RatingsTensor:
         return len(self.ids.persons), len(self.ids.items), len(self.ids.raters)
 
     def score(self, person, item, rater) -> float:
-        code = _flat_codes(self.shape, self.ids.person_index[person],
-                           self.ids.item_index[item], self.ids.rater_index[rater])
+        code = _flat_codes(self.shape, *(self.ids.codes(facet, [x])[0] for facet, x
+                                         in zip(FACETS, (person, item, rater))))
         k = np.searchsorted(self.listed_codes, code)
         listed = k < self.listed_codes.size and self.listed_codes[k] == code
         return float(self.listed_scores[k]) if listed else np.nan
@@ -319,21 +333,15 @@ class RatingsTensor:
     def slice(self, persons=None, items=None, raters=None) -> "RatingsTensor":
         """Sub-tensor restricted to the given id subsets (tensor order kept)."""
 
-        def pick(subset, all_ids, index, name):
+        def pick(subset, facet, n):
             if subset is None:
-                return list(range(len(all_ids)))
+                return list(range(n))
             subset = list(subset)
             if not subset:
-                raise ValueError(f"empty facet: no {name}s requested")
-            for x in subset:
-                if x not in index:
-                    raise KeyError(f"unknown {name} identifier {x!r}")
-            keep = set(subset)
-            return [i for i, x in enumerate(all_ids) if x in keep]
+                raise ValueError(f"empty facet: no {facet}s requested")
+            return sorted(set(self.ids.codes(facet, subset)))
 
-        pi = pick(persons, self.ids.persons, self.ids.person_index, "person")
-        ii = pick(items, self.ids.items, self.ids.item_index, "item")
-        ri = pick(raters, self.ids.raters, self.ids.rater_index, "rater")
+        pi, ii, ri = map(pick, (persons, items, raters), FACETS, self.shape)
         sub_ids = FacetIds(
             tuple(self.ids.persons[i] for i in pi),
             tuple(self.ids.items[i] for i in ii),
@@ -438,10 +446,6 @@ class RatingsTensor:
             pieces = ['{\n  "cells": [],\n', head]
         return "".join(pieces)
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json_text())
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "RatingsTensor":
         scale = ScaleSpec.from_dict(d["scale"])
@@ -518,7 +522,10 @@ def ingest_csv(path, scale_min=None, scale_max=None) -> RatingsTensor:
 
 def ingest_csv_text(text, scale_min=None, scale_max=None) -> RatingsTensor:
     """Same as :func:`ingest_csv` but from an in-memory string."""
-    return _ingest_rows(csv.reader(io.StringIO(text)), scale_min, scale_max, "<text>")
+    # newline="" as for a file: the csv module splits lines itself, and a
+    # quoted line break stays inside its field
+    return _ingest_rows(csv.reader(io.StringIO(text, newline="")), scale_min, scale_max,
+                        "<text>")
 
 
 def _flat_codes(shape, pidx, iidx, ridx):

@@ -1077,7 +1077,7 @@ class TestSeverityClassification:
 class TestSerialization:
     def test_estimates_json_roundtrip(self, paper_estimates, tmp_path):
         path = tmp_path / "est.json"
-        paper_estimates.write_json(path)
+        path.write_text(paper_estimates.to_json_text(), encoding="utf-8")
         again = FacetEstimates.read_json(path)
         np.testing.assert_allclose(
             again.params.severity, paper_estimates.params.severity, atol=1e-15

@@ -14,9 +14,14 @@ from facetkit import (
     RatingsTensor,
     ScaleSpec,
     build_ensemble,
+    cronbach_alpha,
+    greedy_prune,
     ingest_csv,
     ingest_csv_text,
+    qwk,
+    qwk_matrix,
 )
+from facetkit.study import alpha_table
 
 HEADER = "person_id,item_id,rater_id,score\n"
 
@@ -56,6 +61,57 @@ class TestFacetIds:
     def test_first_appearance_order_preserved(self):
         t = ingest_csv_text(csv_text(["b,i1,r1,3", "a,i1,r1,4", "c,i1,r1,5"]))
         assert t.ids.persons == ("b", "a", "c")
+
+
+class TestUnknownIds:
+    """Every public entry point that takes ids names an unknown one, and
+    its facet, in the same words."""
+
+    ITEMS = ("SN1", "ER1", "SN2", "ER2")
+    CALLS = {
+        "qwk_candidate": ("rater", lambda t, e: qwk(t, "ghost", "R1")),
+        "qwk_benchmark": ("rater", lambda t, e: qwk(t, "A1", "ghost")),
+        "qwk_item": ("item", lambda t, e: qwk(t, "A1", "R1", ["SN1", "ghost"])),
+        "qwk_matrix_benchmark": ("rater", lambda t, e: qwk_matrix(t, ["ghost"], ["A1"],
+                                                                  [TestUnknownIds.ITEMS])),
+        "qwk_matrix_item": ("item", lambda t, e: qwk_matrix(t, ["R1"], ["A1"], [["ghost"]])),
+        "cronbach_alpha_rater": ("rater", lambda t, e: cronbach_alpha(t, "ghost",
+                                                                      TestUnknownIds.ITEMS)),
+        "cronbach_alpha_item": ("item", lambda t, e: cronbach_alpha(t, "A1", ["SN1", "ghost"])),
+        "alpha_table_rater": ("rater", lambda t, e: alpha_table(
+            t, [("all", TestUnknownIds.ITEMS)], ["ghost"])),
+        "alpha_table_item": ("item", lambda t, e: alpha_table(t, [("g", ("SN1", "ghost"))],
+                                                              ["A1"])),
+        "build_ensemble": ("rater", lambda t, e: build_ensemble(
+            t, EnsembleSpec("E", ("A1", "ghost")))),
+        "greedy_prune_member": ("rater", lambda t, e: greedy_prune(t, ["A1", "ghost"], ["R1"])),
+        "greedy_prune_benchmark": ("rater", lambda t, e: greedy_prune(t, ["A1", "A2"],
+                                                                      ["ghost"])),
+        "greedy_prune_item": ("item", lambda t, e: greedy_prune(t, ["A1", "A2"], ["R1"],
+                                                                ["ghost"])),
+        "slice_person": ("person", lambda t, e: t.slice(persons=["ghost"])),
+        "slice_item": ("item", lambda t, e: t.slice(items=["SN1", "ghost"])),
+        "slice_rater": ("rater", lambda t, e: t.slice(raters=["ghost"])),
+        "score_person": ("person", lambda t, e: t.score("ghost", "SN1", "R1")),
+        "score_item": ("item", lambda t, e: t.score(t.ids.persons[0], "ghost", "R1")),
+        "score_rater": ("rater", lambda t, e: t.score(t.ids.persons[0], "SN1", "ghost")),
+        "severity_of": ("rater", lambda t, e: e.severity_of("ghost")),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_unknown_id_is_named(self, call, paper_tensor, paper_estimates):
+        facet, fn = self.CALLS[call]
+        with pytest.raises(KeyError) as e:
+            fn(paper_tensor, paper_estimates)
+        assert e.value.args == (f"unknown {facet} identifier 'ghost'",)
+
+    def test_codes_of_known_ids(self):
+        ids = FacetIds(("p1", "p2"), ("i1",), ("r1", "r2", "r3"))
+        assert ids.codes("rater", ["r3", "r1", "r3"]) == [2, 0, 2]
+        assert ids.codes("person", []) == []
+        with pytest.raises(KeyError) as e:
+            ids.codes("item", ["i1", "r1", "x"])
+        assert e.value.args == ("unknown item identifier 'r1'",)
 
 
 class TestIngest:
@@ -326,5 +382,5 @@ class TestRoundTrip:
     def test_json_file_roundtrip(self, tmp_path):
         t1 = ingest_csv_text(paper_shaped_csv())
         path = tmp_path / "tensor.json"
-        t1.write_json(path)
+        path.write_text(t1.to_json_text(), encoding="utf-8")
         assert RatingsTensor.read_json(path) == t1

@@ -296,6 +296,18 @@ class TestIngestFile:
         assert str(e.value) == (f"{path}: unreadable record at line 3 (field larger "
                                 f"than field limit ({csv.field_size_limit()}))")
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_line_ends_read_alike_from_file_and_text(self, tmp_path, newline):
+        rows = ["person_id,item_id,rater_id,score", '"p\rq",i1,r1,3', "p2,i1,r1,1",
+                "p2,i1,r2,"]
+        text = newline.join(rows) + newline
+        path = tmp_path / "line_ends.csv"
+        path.write_bytes(text.encode("utf-8"))
+        from_text = ingest_csv_text(text)
+        assert ingest_csv(path) == from_text == ingest_csv_text("\n".join(rows) + "\n")
+        assert from_text.ids.persons == ("p\rq", "p2")
+        assert from_text.score("p\rq", "i1", "r1") == 3.0
+
     def test_latin1_file(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("person_id,item_id,rater_id,score\nJosé,i1,r1,3\n".encode("latin-1"))

@@ -53,6 +53,25 @@ def small_tensor(scores, scale=(0, 6), persons=None, items=None, raters=None):
     return RatingsTensor(ScaleSpec(*scale), ids, arr)
 
 
+def pool_csv(n_persons, n_pool, seed, benchmark=False):
+    """A rater-pool design: each person scored on 4 items by pool raters
+    ``j % n_pool`` and ``(j + 1 + j // n_pool) % n_pool`` (and by one
+    benchmark rater ``H1`` when asked), from a rating-scale-like draw."""
+    rng = np.random.default_rng(seed)
+    ability = rng.normal(size=n_persons)
+    severity = np.linspace(-1.0, 1.0, n_pool)
+    rows = ["person_id,item_id,rater_id,score"]
+    for p in range(n_persons):
+        raters = sorted({p % n_pool, (p + 1 + p // n_pool) % n_pool})
+        for i in range(4):
+            if benchmark:
+                rows.append(f"P{p},I{i},H1,{int(np.clip(np.rint(3 + 1.5 * ability[p]), 0, 6))}")
+            for r in raters:
+                logit = 3 + 1.5 * (ability[p] - severity[r]) + rng.normal()
+                rows.append(f"P{p},I{i},M{r:03d},{int(np.clip(np.rint(logit), 0, 6))}")
+    return "\n".join(rows) + "\n"
+
+
 @pytest.fixture(scope="session")
 def paper_tensor():
     tensor, _ = simulate(paper_spec())

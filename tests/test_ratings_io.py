@@ -144,6 +144,11 @@ IDS = ["p1", "p2", "é", "日本", "a,b", 'q"t', "x\\y", " pad ", "pad", "n\nl",
 GOOD_SCORES = ["0", "1", "2", "3", "0", "1", "2", "3", "", " ", " 4 ", "+3", "٣", "1_0", "-1"]
 BAD_SCORES = ["3.0", "x", "1e3", "--1", "3 4"]
 SCALES = [(None, None), (None, None), (0, 4), (-1, 10), (1, 3)]
+# no field of the drawn inputs is longer than FIELD_LIMIT characters; while
+# ingest_outcome lowers the csv module's limit to it, csv.reader raises on
+# the longer field of UNREADABLE, as it does at any limit on a longer one
+FIELD_LIMIT = 16
+UNREADABLE = "p" + "x" * FIELD_LIMIT
 
 
 def csv_line(fields):
@@ -179,8 +184,7 @@ def ingest_inputs(draw):
         elif kind == "duplicate":
             line = lines[draw(st.integers(0, len(lines) - 1))]
         elif kind == "unreadable":
-            # csv.reader raises on a carriage return inside an unquoted field
-            line = "p\rq,i1,r1,1\n"
+            line = f"{UNREADABLE},i1,r1,1\n"
         else:
             line = draw(st.sampled_from(["\n", "   \n", ",,,\n", '""\n']))
         lines.insert(at, line)
@@ -190,16 +194,22 @@ def ingest_inputs(draw):
 
 
 def ingest_outcome(ingest, text, scale):
-    """The tensor, or the exception type and message, plus the warnings."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            tensor = ingest(csv.reader(io.StringIO(text)), *scale, "<text>")
-        except Exception as e:  # the exception itself is the outcome compared
-            result = (type(e), str(e))
-        else:
-            result = (tensor, tensor.to_json_text(),
-                      type(tensor.scale.min_score), type(tensor.scale.max_score))
+    """The tensor, or the exception type and message, plus the warnings.
+    The text is read as :func:`ingest_csv_text` reads it, with
+    ``newline=""``, and the csv module's field limit at FIELD_LIMIT."""
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                tensor = ingest(csv.reader(io.StringIO(text, newline="")), *scale, "<text>")
+            except Exception as e:  # the exception itself is the outcome compared
+                result = (type(e), str(e))
+            else:
+                result = (tensor, tensor.to_json_text(),
+                          type(tensor.scale.min_score), type(tensor.scale.max_score))
+    finally:
+        csv.field_size_limit(limit)
     return result, [(w.category, str(w.message)) for w in caught]
 
 
@@ -258,13 +268,13 @@ class TestIngestMatchesReference:
 
     @pytest.mark.parametrize("rows, message", [
         # an unreadable record ranks as a wrong field count on its line
-        (["p1,i1,r1,3", "p1,i1", "p\rq,i1,r1,3"],
+        (["p1,i1,r1,3", "p1,i1", f"{UNREADABLE},i1,r1,3"],
          "malformed row at line 3 (expected 4 fields)"),
-        (["p1,i1,r1,3", "p\rq,i1,r1,3", "p1,i1"], "unreadable record at line 3 ("),
-        (["p1,i1,r1,x", "p\rq,i1,r1,3"], "non-integer score 'x' at line 2"),
-        (["p1,i1,r1,3", "p1,i1,r1,3", "p\rq,i1,r1,3"],
+        (["p1,i1,r1,3", f"{UNREADABLE},i1,r1,3", "p1,i1"], "unreadable record at line 3 ("),
+        (["p1,i1,r1,x", f"{UNREADABLE},i1,r1,3"], "non-integer score 'x' at line 2"),
+        (["p1,i1,r1,3", "p1,i1,r1,3", f"{UNREADABLE},i1,r1,3"],
          "duplicate (p1,i1,r1) at line 3 (first seen at line 2)"),
-        (["p1,i1,r1,3", "", "p\rq,i1,r1,3"], "unreadable record at line 4 ("),
+        (["p1,i1,r1,3", "", f"{UNREADABLE},i1,r1,3"], "unreadable record at line 4 ("),
     ])
     def test_unreadable_record(self, rows, message):
         text = "person_id,item_id,rater_id,score\n" + "\n".join(rows) + "\n"
@@ -273,7 +283,8 @@ class TestIngestMatchesReference:
         assert got.startswith(f"<text>: {message}")
 
     def test_unreadable_header(self):
-        (kind, got), _ = assert_same_outcome("person_id,item\r_id,rater_id,score\n", (0, 6))
+        (kind, got), _ = assert_same_outcome(f"person_id,{UNREADABLE},rater_id,score\n",
+                                             (0, 6))
         assert kind is IngestError
         assert got.startswith("<text>: unreadable record at line 1 (")
 

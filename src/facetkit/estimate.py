@@ -12,10 +12,12 @@ excluded from the fit.  The same iterations then measure all of them at
 once, with every fitted measure held, each against its adjusted raw score.
 
 Persons scored on the same cells with the same raw total have the same
-likelihood equations (Wright & Panchapakesan 1969).  Where that at least
-halves the cells, both phases iterate on one person per such score group,
-each cell weighted by the group's size; targets, start values, standard
-errors and the final log-likelihood come from all the cells.
+likelihood equations (Wright & Panchapakesan 1969).  Such score groups are
+formed once, over all cells, and every later pass reads their cells, each
+weighted by its group's size and keeping its members' scores: the link
+check and the extreme marking always, each phase of the fit and the
+standard errors and final log-likelihood where that at least halves their
+cells.  Elsewhere those read the persons' own cells.
 
 Identification: person abilities are free; severities, difficulties, and
 thresholds sum to zero over non-extreme elements.  Re-centering shifts are
@@ -85,7 +87,12 @@ class FacetEstimates:
     size, plus the fixed offset of the rater, item and category totals:
     the same sum, up to rounding.  The log-likelihoods live in memory only:
     the JSON form does not carry them, so an instance read back from JSON
-    has an empty tuple there.
+    has an empty tuple there.  ``log_likelihood_final`` sums every scored
+    cell, extreme ones included, at the final measures; with score groups
+    it reads each group cell's probabilities at every member's score, in
+    the persons' order, which gives the bits of the sum over the persons'
+    own cells.  The standard errors come from the groups' cells too, where
+    they at least halve the cells.
     """
 
     params: ModelParams
@@ -156,6 +163,11 @@ def _mark_extremes(cells, K):
     extreme element of it at once: a cell belongs to one element of a
     facet, so removing one element's cells leaves the others' tallies as
     they were.  An element with active cells has not been flagged yet.
+
+    On score groups (:func:`_score_groups`) the flags of a group are each
+    member's, and no group needs splitting as cells drop: a dropped cell
+    scored its rater's or item's extreme value for every member, so the
+    members' remaining totals stay equal.
     """
     flags = {which: np.array([EXTREME_NONE] * cells.size[which], dtype=object)
              for which in _FACETS}
@@ -164,7 +176,7 @@ def _mark_extremes(cells, K):
         changed = False
         for which in _FACETS:
             counts = cells.sums(which, None, active)
-            raw = cells.sums(which, cells.x[active], active)
+            raw = cells.totals(which, active)
             is_min = (counts > 0) & (raw == 0)
             is_max = (counts > 0) & (raw == K * counts)
             hit = is_min | is_max
@@ -179,7 +191,7 @@ def _mark_extremes(cells, K):
 
 def _initial_values(cells, K, free, totals):
     """PROX-style log-odds starting values from the raw ``totals`` over the
-    cells of the fit."""
+    cells of the fit: a score group's are each member's."""
 
     def logodds(which, raw, sign):
         top = K * cells.sums(which)
@@ -193,7 +205,7 @@ def _initial_values(cells, K, free, totals):
                                      in zip(_FACETS, totals, (1.0, -1.0, -1.0)))
 
     # each category's count, from the counts of scores >= 1..K
-    counts = np.maximum(-np.diff(np.concatenate([[cells.n], totals[3], [0]])), 0.5)
+    counts = np.maximum(-np.diff(np.concatenate([[cells.n_scored], totals[3], [0]])), 0.5)
     thresholds = np.log(counts[:-1] / counts[1:])
 
     severity[free[1]] -= severity[free[1]].mean()
@@ -223,25 +235,34 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             "at or above an all-maximum one"
         )
     cells = tensor.cell_index
-    _require_linked(cells, tensor.ids)
+    P, I, R = cells.shape
+    # members of a group share their cells, so the groups link as the persons
+    # do, and the first member names its group
+    grouping = groups, reps, group_of = _score_groups(cells)
+    _require_linked(groups, tensor.ids, reps)
     if cells.x.min() == cells.x.max():
         raise EstimationError("need at least 2 observed score categories")
 
-    flags, active = _mark_extremes(cells, K)
+    flags, active = _mark_extremes(groups, K)
     if not active.any():
         raise EstimationError("every response string is extreme; nothing to estimate")
-    fit_cells = cells.subset(active)
     free = [flags[which] == EXTREME_NONE for which in _FACETS] + [np.ones(K, dtype=bool)]
     if not active.all():
         # dropping the extreme strings can split a linked design
-        _require_linked(fit_cells, tensor.ids, dict(zip(_FACETS, free)),
+        _require_linked(groups.subset(active), tensor.ids, reps, dict(zip(_FACETS, free)),
                         " once extreme strings are removed")
+    flags["person"], free[0] = flags["person"][group_of], free[0][group_of]
 
-    targets = _totals(fit_cells, K)
-    params = _initial_values(fit_cells, K, free, targets)
-    iterations, converged, sweep_lls, max_change, max_resid = _newton_in_groups(
-        fit_cells, free[0], targets, free, True, params, config,
-        config.max_iterations, config.convergence_tol, config.residual_tol)
+    def fit(fit_cells, free, params):
+        targets = _totals(fit_cells, K)
+        for vec, start in zip(params, _initial_values(fit_cells, K, free, targets)):
+            vec[:] = start
+        return _newton(fit_cells, targets, free, True, params, config,
+                       config.max_iterations, config.convergence_tol, config.residual_tol)
+
+    params = [np.zeros(P), np.zeros(R), np.zeros(I), np.zeros(K)]
+    iterations, converged, sweep_lls, max_change, max_resid = _in_phase(
+        cells, grouping, active, free, free[0], params, fit)
     if not converged:
         failed = "; ".join(
             f"last {name} {value:.3g} above tolerance {tol:g}"
@@ -252,12 +273,23 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         warnings.warn(
             f"estimation did not converge in {config.max_iterations} iterations ({failed})")
     if not active.all():
-        _solve_extremes(cells.subset(~active), K, free, params, config)
+        _in_phase(cells, grouping, ~active, free, ~free[0], params,
+                  lambda phase, free, params: _solve_extremes(phase, K, free, params, config))
 
-    # standard errors from observed Fisher information at the final estimates
-    probs_all, _, w_all = cell_moments(cells.locations(*params[:3]), params[3])
-    information = [cells.sums(which, w_all) for which in _FACETS]
-    information.append(np.diag(_threshold_information(probs_all, probs_all)[1]))
+    # standard errors from observed Fisher information at the final estimates,
+    # and the log-likelihood: on the groups where that halves the cells and
+    # every member has its group's ability (no phase ran on the persons' own
+    # cells), each person's information one member's and each cell's
+    # probabilities read at every member's score, in the persons' order
+    out, ability, person, rows = cells, params[0], slice(None), None
+    if (groups.group_size is not None and 2 * groups.n <= groups.n_scored
+            and np.array_equal(params[0][reps][group_of], params[0])):
+        out, ability, person, rows = groups, params[0][reps], group_of, groups.rows
+    probs, _, w = cell_moments(out.locations(ability, *params[1:3]), params[3])
+    information = [np.bincount(out.pidx, w, out.size["person"])[person]]
+    information += [out.sums(which, w) for which in ("rater", "item")]
+    weighted = probs if out.mult is None else probs * out.mult[:, None]
+    information.append(np.diag(_threshold_information(probs, weighted)[1]))
     se = [1.0 / np.sqrt(np.maximum(info, 1e-12)) for info in information]
     return FacetEstimates(
         params=ModelParams(*params),
@@ -270,7 +302,8 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         extreme_items=tuple(flags["item"]),
         iterations_used=iterations,
         converged=converged,
-        log_likelihood_final=observed_log_likelihood(probs_all, cells.observed()),
+        log_likelihood_final=observed_log_likelihood(
+            probs, cells.observed() if rows is None else (rows, cells.x.astype(int), None)),
         sweep_log_likelihoods=tuple(sweep_lls),
         max_score_residual=float(max_resid),
         config=config,
@@ -279,12 +312,14 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     )
 
 
-def _require_linked(cells, ids, keep=None, when=""):
-    """Raise :class:`EstimationError` naming a pair :meth:`CellIndex.unlinked` finds."""
+def _require_linked(cells, ids, reps, keep=None, when=""):
+    """Raise :class:`EstimationError` naming a pair :meth:`CellIndex.unlinked`
+    finds; person code g of ``cells`` is named by person ``reps[g]``."""
     unlinked = cells.unlinked(keep)
     if unlinked:
         facet_a, a, facet_b, b, via = unlinked
-        a, b = (getattr(ids, f + "s")[code] for f, code in ((facet_a, a), (facet_b, b)))
+        a, b = (getattr(ids, f + "s")[reps[code] if f == "person" else code]
+                for f, code in ((facet_a, a), (facet_b, b)))
         pair = (f"{facet_a}s {a!r} and {b!r}" if facet_a == facet_b
                 else f"{facet_a} {a!r} and {facet_b} {b!r}")
         raise EstimationError(f"disconnected design{when}: {pair} share no {via}s")
@@ -292,34 +327,43 @@ def _require_linked(cells, ids, keep=None, when=""):
 
 def _totals(cells, K):
     """Each person's, rater's and item's raw total over ``cells``, and the
-    count of scores at or above each category 1..K, weighted by the cells'
-    multiplicities."""
-    n_ge = np.cumsum(np.bincount(cells.x.astype(int), cells.mult,
-                                 K + 1)[::-1])[::-1][1:]
-    return tuple(cells.sums(which, cells.x) for which in _FACETS) + (n_ge,)
+    count of scores at or above each category 1..K, over every person the
+    cells stand for."""
+    if cells.counts is None:
+        per_category = np.bincount(cells.x.astype(int), None, K + 1)
+    else:
+        per_category = np.zeros(K + 1, dtype=int)
+        per_category[:cells.counts.shape[1]] = cells.counts.sum(axis=0)
+    return tuple(cells.totals(which) for which in _FACETS) + (_at_or_above(per_category),)
 
 
-def _score_groups(cells, movable):
+def _at_or_above(per_category):
+    """The counts of scores at or above each category 1..K, from each
+    category's count."""
+    return np.cumsum(per_category[::-1])[::-1][1:]
+
+
+def _score_groups(cells):
     """Persons of ``cells`` whose likelihood equations are the same, fitted
     once (Wright & Panchapakesan 1969, the score-group form of UCON).
 
-    The ``movable`` persons fall into groups by their cell count, their
-    exact (item, rater) cells (in order, as cells are person-major) and
-    their raw total; every other person is a group of its own.  Returns the
-    cell list of each group's first member, the groups numbered in person
-    order and weighted by their sizes, then those first members and each
-    person's group (-1 for a person without cells).  Where that would not
-    at least halve the cells, the cells themselves come back, every person
-    its own group.
+    Persons fall into groups by their cell count, their exact (item, rater)
+    cells (in order, as cells are person-major) and their raw total; each
+    person without cells is a group of its own.  Returns the cell list of
+    each group's first member, the groups numbered by first member in person
+    order, weighted by their sizes and counting their members' scores
+    (:class:`CellIndex`), then those first members and each person's group.
+    Where no two persons share a group, the cells themselves come back,
+    every person its own group.
     """
     P, I, R = cells.shape
     counts = np.bincount(cells.pidx, minlength=P)
     starts = np.cumsum(counts) - counts
     # small unsigned codes, which numpy's stable sort orders by radix
     codes = (cells.iidx * R + cells.ridx).astype(np.min_scalar_type(I * R))
-    totals = cells.sums("person", cells.x)
+    totals = cells.totals("person")
     first = np.arange(P)  # the first member of each person's group
-    movers = np.flatnonzero(movable & (counts > 0))
+    movers = np.flatnonzero(counts)
     for n in np.flatnonzero(np.bincount(counts[movers])):
         same = movers[counts[movers] == n]
         row, total = codes[starts[same, None] + np.arange(n)], totals[same]
@@ -329,34 +373,51 @@ def _score_groups(cells, movable):
         new = np.concatenate([[True], (total[1:] != total[:-1])
                               | np.any(row[1:] != row[:-1], axis=1)])
         first[same] = same[new][np.cumsum(new) - 1]
-    persons = np.flatnonzero(counts)
-    reps = persons[first[persons] == persons]
-    if 2 * counts[reps].sum() > cells.n:
-        return cells, np.arange(P), np.arange(P)
-    group_of = np.full(P, -1)
+    reps = np.flatnonzero(first == np.arange(P))
+    if reps.size == P:
+        return cells, reps, reps
+    group_of = np.empty(P, dtype=np.intp)
     group_of[reps] = np.arange(reps.size)
-    group_of[persons] = group_of[first[persons]]
+    group_of = group_of[first]
     sel = first[cells.pidx] == cells.pidx
+    # each cell's row among the groups' cells: its first member's cell at
+    # the same place in its list, the groups' cells in order
+    size = counts[reps]
+    shift = (np.cumsum(size) - size)[group_of] - starts
+    row = np.arange(cells.n) + shift[cells.pidx]
+    width = int(cells.x.max()) + 1
+    scored = np.bincount(row * width + cells.x.astype(int), minlength=size.sum() * width)
     grouped = CellIndex(group_of[cells.pidx[sel]], cells.iidx[sel], cells.ridx[sel],
                         cells.score[sel], (reps.size, I, R), cells.min_score,
-                        np.bincount(group_of[persons], minlength=reps.size))
+                        np.bincount(group_of, minlength=reps.size),
+                        scored.reshape(-1, width).astype(np.min_scalar_type(P)),
+                        row.astype(np.min_scalar_type(size.sum())))
     return grouped, reps, group_of
 
 
-def _newton_in_groups(cells, movable, targets, free, gauge, params, *args):
-    """:func:`_newton` on the score groups of the ``movable`` persons
-    (:func:`_score_groups`): each group's first member stands for all of
-    them, and each member then takes its ability.  A group's person target
-    is its first member's times the group's size; the other targets are
-    the totals over ``cells``, so the objective is the likelihood over all
-    of them."""
-    grouped, reps, group_of = _score_groups(cells, movable)
-    size = 1 if grouped.group_size is None else grouped.group_size
-    ability = params[0][reps]
-    result = _newton(grouped, [targets[0][reps] * size, *targets[1:]],
-                     [free[0][reps], *free[1:]], gauge, [ability, *params[1:]], *args)
-    has_group = group_of >= 0
-    params[0][has_group] = ability[group_of[has_group]]
+def _in_phase(cells, grouping, sel, free, moving, params, solve):
+    """``solve(cells, free, params)`` on the cells of one phase of the fit:
+    the cells of the score groups (:func:`_score_groups`) that ``sel``
+    selects, the groups with such cells renumbered in order, where that at
+    least halves the persons' cells they stand for; else those persons' own
+    ``cells``.  ``free``, ``params`` and ``moving``, the persons the phase
+    measures, are per person; each of those takes its group's ability."""
+    groups, reps, group_of = grouping
+    if groups.group_size is not None and 2 * sel.sum() <= groups.mult[sel].sum():
+        kept = np.flatnonzero(np.bincount(groups.pidx[sel], minlength=reps.size))
+        code = np.full(reps.size, -1)
+        code[kept] = np.arange(kept.size)
+        phase = CellIndex(code[groups.pidx[sel]], groups.iidx[sel], groups.ridx[sel],
+                          groups.score[sel], (kept.size, *groups.shape[1:]),
+                          groups.min_score, groups.group_size[kept], groups.counts[sel])
+        rep, of = reps[kept], code[group_of]
+    else:
+        phase = cells.subset(sel if groups.rows is None else sel[groups.rows])
+        rep = of = np.arange(group_of.size)
+    ability = params[0][rep]
+    result = solve(phase, [free[0][rep], *free[1:]], [ability, *params[1:]])
+    moved = np.flatnonzero(moving & (of >= 0))
+    params[0][moved] = ability[of[moved]]
     return result
 
 
@@ -454,9 +515,12 @@ def _newton(cells, targets, free, gauge, params, config, max_iterations, change_
     ability, severity, difficulty, thresholds = params
     clamp, damp = config.logit_clamp, config.newton_damping
     index = cells.observed()
-    # target minus observed total of each free element: zero in the fit itself
-    offsets = [np.where(f, t - o, 0.0)
-               for t, o, f in zip(targets, _totals(cells, thresholds.size), free)]
+    # the log-likelihood sums one member's scores per group cell, times its
+    # multiplicity: target minus that total of each free element, zero on
+    # cells without multiplicities in the fit itself
+    listed = [cells.sums(which, cells.x) for which in _FACETS]
+    listed.append(_at_or_above(np.bincount(index[1], index[2], thresholds.size + 1)))
+    offsets = [np.where(f, t - o, 0.0) for t, o, f in zip(targets, listed, free)]
     signs = (1.0, -1.0, -1.0, -1.0)
     # the cells stay fixed, so the persons' columns do too; not needed when
     # only persons move
@@ -695,14 +759,14 @@ def _eliminate_persons(cells, e, w, weighted, info_t, g_o, inv_d, g_p, columns):
 
 def _solve_extremes(cells, K, free, params, config):
     """Measure the elements not ``free`` in the fit on ``cells``, those
-    that touch them, all at once: :func:`_newton` without the gauge, on
-    the score groups of the extreme persons, the fitted measures and
-    thresholds held, so extremes that share cells meet their targets
-    together, to 1e-10 in change and target (or held at the clamp).  A
-    target is the raw total clipped to ``[extreme_adjust, K*n -
-    extreme_adjust]``, so an element flagged only once others were dropped
-    keeps its own.  Each starts at the log-odds of its target's
-    mean score about the mean location of its cells.
+    that touch them, all at once: :func:`_newton` without the gauge, the
+    fitted measures and thresholds held, so extremes that share cells meet
+    their targets together, to 1e-10 in change and target (or held at the
+    clamp).  A target is the raw total clipped to ``[extreme_adjust, K*n -
+    extreme_adjust]``, each member's for a score group, so an element
+    flagged only once others were dropped keeps its own.  Each starts at the
+    log-odds of its target's mean score about the mean location of its
+    cells.
     """
     adjust, clamp = config.extreme_adjust, config.logit_clamp
     extreme = [~f for f in free]
@@ -710,13 +774,15 @@ def _solve_extremes(cells, K, free, params, config):
     loc = cells.locations(*params[:3])
     for j, (which, sign) in enumerate(zip(_FACETS, (1.0, -1.0, -1.0))):
         x = extreme[j]
-        top = K * cells.sums(which)[x]
-        targets[j][x] = target = np.clip(targets[j][x], adjust, top - adjust)
-        mean_loc = K * cells.sums(which, loc)[x] / top
+        # a score group's sums over its size are each member's
+        m = 1 if j or cells.group_size is None else cells.group_size[x]
+        top = K * cells.sums(which)[x] / m
+        target = np.clip(targets[j][x] / m, adjust, top - adjust)
+        targets[j][x] = target * m
+        mean_loc = K * cells.sums(which, loc)[x] / (top * m)
         params[j][x] = np.clip(sign * (np.log(target / (top - target)) - mean_loc),
                                -clamp, clamp)
-    _newton_in_groups(cells, extreme[0], targets, extreme, False, params, config,
-                      200, 1e-10, 1e-10)
+    _newton(cells, targets, extreme, False, params, config, 200, 1e-10, 1e-10)
 
 
 def severity_classification(estimates: FacetEstimates, cut: float = 0.3,

@@ -143,29 +143,39 @@ class CellIndex:
 
     A cell list may stand for more persons than it lists: ``group_size``,
     None for a tensor's own cells, gives how many persons each person code
-    stands for, each scored on that code's cells with its scores.  Then
-    ``mult`` holds each cell's multiplicity, its person's group size, and
-    :meth:`sums` and :meth:`observed` weight every cell by it.
+    stands for, each scored on that code's cells.  Then ``mult`` holds each
+    cell's multiplicity, its person's group size, and :meth:`sums` and
+    :meth:`observed` weight every cell by it.  Such a list's ``score`` and
+    ``x`` are one person's of each group; ``counts`` holds all of their
+    scores, a (cells, categories) count of the persons scoring each
+    0-based category on each cell, which ``x_total`` and :meth:`totals`
+    read.  A list that stands for all of a tensor's cells gives each of
+    those cells' row in it, in their order, as ``rows``.
     """
 
-    def __init__(self, pidx, iidx, ridx, score, shape, min_score=0, group_size=None):
+    def __init__(self, pidx, iidx, ridx, score, shape, min_score=0, group_size=None,
+                 counts=None, rows=None):
         self.pidx, self.iidx, self.ridx, self.score = pidx, iidx, ridx, score
         self.x = score - min_score
         self.n = self.pidx.size
-        self.group_size = group_size
+        self.group_size, self.counts, self.rows = group_size, counts, rows
         self.mult = None if group_size is None else group_size[pidx].astype(float)
         for arr in (self.pidx, self.iidx, self.ridx, self.score, self.x, group_size,
-                    self.mult):
+                    self.mult, counts, rows):
             if arr is not None:
                 arr.setflags(write=False)
         self.index = dict(zip(FACETS, (self.pidx, self.iidx, self.ridx)))
         self.shape, self.min_score = shape, min_score
         self.size = dict(zip(FACETS, shape))
+        self.x_total = (self.x if counts is None
+                        else counts @ np.arange(counts.shape[1], dtype=float))
+        self.n_scored = self.n if self.mult is None else int(self.mult.sum())
 
     def subset(self, sel) -> "CellIndex":
         """The selected cells, in the same order, as a cell list of their own."""
         return CellIndex(self.pidx[sel], self.iidx[sel], self.ridx[sel], self.score[sel],
-                         self.shape, self.min_score, self.group_size)
+                         self.shape, self.min_score, self.group_size,
+                         None if self.counts is None else self.counts[sel])
 
     def slabs(self, raters):
         """The scores of each rater code in ``raters`` as a (persons, items)
@@ -194,6 +204,12 @@ class CellIndex:
         if self.mult is not None:
             weights = self.mult[sel] if weights is None else weights * self.mult[sel]
         return np.bincount(self.index[facet][sel], weights=weights,
+                           minlength=self.size[facet])
+
+    def totals(self, facet, sel=slice(None)):
+        """Per-element raw totals over the selected cells, of every person
+        the cells stand for (``x_total``)."""
+        return np.bincount(self.index[facet][sel], self.x_total[sel],
                            minlength=self.size[facet])
 
     def observed(self):

@@ -32,6 +32,7 @@ from facetkit.estimate import (
     _joint_step,
     _mark_extremes,
     _person_columns,
+    _require_linked,
     _score_groups,
     _totals,
 )
@@ -782,7 +783,7 @@ class TestJointNewton:
         step_cells = fit_cells
         reps = group_of = np.arange(cells.size["person"])
         if grouped:
-            step_cells, reps, group_of = _score_groups(fit_cells, estimable[0])
+            step_cells, reps, group_of = _score_groups(fit_cells)
             assert step_cells.group_size.max() > 1
         # person residuals of each group, rater and item ones over all cells
         e_all = cell_moments(fit_cells.locations(*params[:3]), params[3])[1]
@@ -982,9 +983,67 @@ def copied_designs(draw):
     return small_tensor(rows, scale=(tensor.scale.min_score, tensor.scale.max_score))
 
 
+@st.composite
+def linking_designs(draw):
+    """Designs that the link checks often reject: 2-6 persons x 1-3 items x
+    2-4 raters on a 0-K scale (K = 1..3), about a third of the cells
+    missing, on a draw the first persons scored only by the first raters
+    and the others only by the others, each person there 1-3 times (a
+    copy's scores permuted among its cells, so copies make score groups),
+    some persons without cells and, on a draw, an extra rater giving
+    everyone one end of the scale, which links what may split once it is
+    dropped as extreme."""
+    P, I, R, K = (draw(st.integers(lo, hi)) for lo, hi in ((2, 6), (1, 3), (2, 4), (1, 3)))
+    size = P * I * R
+    scores = np.array(draw(st.lists(st.integers(0, K), min_size=size, max_size=size)),
+                      float).reshape(P, I, R)
+    missing = np.array(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+    scores[missing.reshape(P, I, R) == 0] = np.nan
+    if draw(st.booleans()):
+        apart = (np.arange(P)[:, None] < P // 2) != (np.arange(R) < R // 2)
+        scores[np.broadcast_to(apart[:, None, :], scores.shape)] = np.nan
+    scores[np.array(draw(st.lists(st.integers(0, 11), min_size=P, max_size=P))) == 0] = np.nan
+    if draw(st.booleans()):
+        scores = np.concatenate([scores, np.full((P, I, 1), draw(st.sampled_from([0, K])))],
+                                axis=2)
+    rows = []
+    for row in scores:
+        scored = ~np.isnan(row)
+        for _ in range(draw(st.integers(1, 3))):
+            copy = row.copy()
+            copy[scored] = draw(st.permutations(row[scored]))
+            rows.append(copy)
+    rows = np.array(rows)
+    assume(not np.isnan(rows).all())
+    return small_tensor(rows, scale=(0, K))
+
+
+def link_error_on_all_cells(tensor):
+    """The text of the :class:`EstimationError` that a check of every cell,
+    person by person, raises before any fit (None if it raises none): the
+    link check on all cells, the two categories, every string extreme, and
+    the link check on the cells of no extreme element."""
+    cells, K = tensor.cell_index, tensor.scale.span
+    every = np.arange(cells.size["person"])
+    try:
+        _require_linked(cells, tensor.ids, every)
+        if cells.x.min() == cells.x.max():
+            return "need at least 2 observed score categories"
+        flags, active = _mark_extremes(cells, K)
+        if not active.any():
+            return "every response string is extreme; nothing to estimate"
+        if not active.all():
+            _require_linked(cells.subset(active), tensor.ids, every,
+                            {which: flags[which] == "none" for which in FACETS},
+                            " once extreme strings are removed")
+    except EstimationError as error:
+        return str(error)
+    return None
+
+
 def fit_without_groups(tensor):
     """:func:`fit_or_error` with every person its own score group."""
-    def one_per_person(cells, movable):
+    def one_per_person(cells):
         every = np.arange(cells.size["person"])
         return cells, every, every
 
@@ -1022,8 +1081,7 @@ class TestScoreGroups:
     @settings(max_examples=100, deadline=None)
     @given(copied_designs())
     def test_grouped_fit_matches_ungrouped(self, tensor):
-        P = tensor.shape[0]
-        grouped = estimate_module._score_groups(tensor.cell_index, np.ones(P, dtype=bool))[0]
+        grouped = estimate_module._score_groups(tensor.cell_index)[0]
         assert 2 * grouped.n <= tensor.n_cells
         fits = [fit_or_error(tensor), fit_without_groups(tensor)]
         if any(isinstance(fit, EstimationError) for fit in fits):
@@ -1041,6 +1099,63 @@ class TestScoreGroups:
         assert got.keys() == expected.keys()
         for key, value in expected.items():
             assert abs(got[key] - value) <= 1e-10, key
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(copied_designs(), sparse_designs()))
+    def test_groups_stay_whole_as_extremes_are_marked(self, tensor):
+        # a dropped cell scored its rater's or item's extreme value for every
+        # member of a group, so no group needs splitting as cells drop
+        cells, K = tensor.cell_index, tensor.scale.span
+        groups, reps, group_of = _score_groups(cells)
+        flags, active = _mark_extremes(groups, K)
+        want_flags, want_active = per_element_mark_extremes(cells, K)
+        for which in FACETS:
+            got = flags[which][group_of] if which == "person" else flags[which]
+            assert got.tolist() == want_flags[which].tolist()
+        rows = np.arange(cells.n) if groups is cells else groups.rows
+        np.testing.assert_array_equal(active[rows], want_active)
+        remaining = [cells.sums("person", None, want_active),
+                     cells.sums("person", cells.x[want_active], want_active)]
+        for per_person in remaining + [want_flags["person"]]:
+            assert per_person.tolist() == per_person[reps][group_of].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(linking_designs())
+    def test_link_errors_match_the_check_on_all_cells(self, tensor):
+        # the checks run on the score groups; they must reject what the
+        # persons' own cells reject, naming the same pair
+        want = link_error_on_all_cells(tensor)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                estimate(tensor)
+        except EstimationError as error:
+            assert str(error) == want
+        else:
+            assert want is None
+
+    @pytest.mark.parametrize("shape", ["crossed", "extreme_screen"])
+    def test_one_grouping_pass_per_fit(self, shape, monkeypatch):
+        # the groups of all cells serve the link check, the marking, both
+        # phases and the standard errors
+        if shape == "crossed":
+            tensor, _ = simulate(paper_spec(seed=1, n_persons=1000))
+        else:
+            tensor, _ = simulate(SimSpec(
+                n_persons=4000, n_items=2, n_raters=2, scale=ScaleSpec(0, 3), seed=1,
+                ability_sd=4.0, severity=np.array([0.25, -0.25]),
+                difficulty=np.array([0.2, -0.2])))
+        calls = []
+
+        def counting(cells):
+            calls.append(cells.n)
+            return score_groups(cells)
+
+        score_groups = estimate_module._score_groups
+        monkeypatch.setattr(estimate_module, "_score_groups", counting)
+        est = estimate(tensor)
+        assert calls == [tensor.n_cells]
+        assert any(flag != "none" for flag in est.extreme_persons) == (shape != "crossed")
 
     def test_bundled_fit_is_bit_identical(self):
         # 28 score groups of 30 persons: grouping would not halve the cells

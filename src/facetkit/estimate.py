@@ -237,9 +237,10 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     cells = tensor.cell_index
     P, I, R = cells.shape
     # members of a group share their cells, so the groups link as the persons
-    # do, and the first member names its group
+    # do; where they do not, the persons' own cells name the pair
     grouping = groups, reps, group_of = _score_groups(cells)
-    _require_linked(groups, tensor.ids, reps)
+    if groups.unlinked():
+        _require_linked(cells, tensor.ids)
     if cells.x.min() == cells.x.max():
         raise EstimationError("need at least 2 observed score categories")
 
@@ -247,9 +248,11 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     if not active.any():
         raise EstimationError("every response string is extreme; nothing to estimate")
     free = [flags[which] == EXTREME_NONE for which in _FACETS] + [np.ones(K, dtype=bool)]
-    if not active.all():
-        # dropping the extreme strings can split a linked design
-        _require_linked(groups.subset(active), tensor.ids, reps, dict(zip(_FACETS, free)),
+    if not active.all() and groups.subset(active).unlinked(dict(zip(_FACETS, free))):
+        # dropping the extreme strings can split a linked design, and a group
+        # left without cells splits from its own members
+        _require_linked(cells.subset(active if groups.rows is None else active[groups.rows]),
+                        tensor.ids, dict(zip(_FACETS, [free[0][group_of], *free[1:]])),
                         " once extreme strings are removed")
     flags["person"], free[0] = flags["person"][group_of], free[0][group_of]
 
@@ -312,14 +315,13 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     )
 
 
-def _require_linked(cells, ids, reps, keep=None, when=""):
+def _require_linked(cells, ids, keep=None, when=""):
     """Raise :class:`EstimationError` naming a pair :meth:`CellIndex.unlinked`
-    finds; person code g of ``cells`` is named by person ``reps[g]``."""
+    finds."""
     unlinked = cells.unlinked(keep)
     if unlinked:
         facet_a, a, facet_b, b, via = unlinked
-        a, b = (getattr(ids, f + "s")[reps[code] if f == "person" else code]
-                for f, code in ((facet_a, a), (facet_b, b)))
+        a, b = (getattr(ids, f + "s")[code] for f, code in ((facet_a, a), (facet_b, b)))
         pair = (f"{facet_a}s {a!r} and {b!r}" if facet_a == facet_b
                 else f"{facet_a} {a!r} and {facet_b} {b!r}")
         raise EstimationError(f"disconnected design{when}: {pair} share no {via}s")
@@ -423,35 +425,35 @@ def _in_phase(cells, grouping, sel, free, moving, params, solve):
 
 def _person_columns(cells, K):
     """Each person's own columns of the system :func:`_joint_step` solves,
-    grouped by pattern, for eliminating the persons of ``cells``.
+    for eliminating the persons of ``cells``.
 
     A person's row of the information over raters and items has nonzero
-    entries only at the raters and items of its cells: the person's
-    entries, one per distinct (person, column), numbered person by person
-    with the columns ascending (raters first, then ``R`` + item).  Persons
-    with the same columns share a pattern, whose columns are those and then
-    the K thresholds'.  Patterns of n own columns and m members are
-    batched, each batch a triple of members (G, m), their entries (G, m, n)
-    and columns (G, n + K), cut so that a step's products take about 2**15
-    numbers.  Returns each cell's rater entry and item entry (one array of
-    2 * cells, in the smallest unsigned type) and the batches.
-
-    Where every person has every cell, as in a crossed design, the one
-    pattern needs no search: that skips the sort, which would cost a small
-    design's fit a few percent.
+    entries only at the raters and items of its cells: its entries, one
+    per distinct (person, column), numbered person by person with the
+    columns ascending (raters, then ``R`` + item).  Persons with n entries
+    form a block, whose shared columns are the raters and items all of them
+    have and the K thresholds.  Returns each cell's rater entry and item
+    entry (2 * cells, in the smallest unsigned type); each block's persons,
+    shared entries (persons x raters and items), shared columns, other
+    entries (entries x persons) and pairs of those, each with a later one;
+    and, in the smallest unsigned type (uint16 at M = 211), the place in
+    an (R + I) x (M + 1) array (M = R + I + K) of each product
+    :func:`_eliminate_persons` sums, in its order: an other entry's column
+    times M + 1 plus that of a pair's later entry, of a shared column or
+    M, the gradient's.  Where every person has every cell, as in a crossed
+    design, the keys number the entries unsorted (a person without cells
+    leaves a gap) and every column is shared.
     """
     P, I, R = cells.shape
-    RI = R + I
+    RI, M = R + I, R + I + K
     # each cell's (person, rater) and (person, item) key
     base = cells.pidx * RI
     keys = np.concatenate([base + cells.ridx, base + R + cells.iidx])
     persons = np.flatnonzero(np.bincount(cells.pidx, minlength=P))
     if cells.n == persons.size * I * R:
-        # every person has every cell: one pattern of all columns, and each
-        # key can number its entry (a person without cells leaves a gap)
-        slots = persons[None, :, None] * RI + np.arange(RI)
         return (keys.astype(np.min_scalar_type(P * RI)),
-                [(persons[None], slots, np.arange(RI + K)[None])])
+                [(persons, persons[:, None] * RI + np.arange(RI), np.arange(M),
+                  np.empty((0, persons.size), dtype=int), None)], np.empty(0, dtype=np.uint8))
     # the keys run person-major, which the stable sort's merging of runs
     # makes cheap
     order = np.argsort(keys, kind="stable")
@@ -460,29 +462,22 @@ def _person_columns(cells, K):
     entry_of = np.empty(keys.size, dtype=np.min_scalar_type(keys.size))
     entry_of[order] = np.cumsum(new) - 1
     person, column = np.divmod(keys[new], RI)
-    column = column.astype(np.min_scalar_type(RI))  # small codes sort by radix
     counts = np.bincount(person, minlength=P)
     starts = np.cumsum(counts) - counts
-    batches = []
+    blocks, index = [], []
     for n in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         same = np.flatnonzero(counts == n)
-        slots = starts[same, None] + np.arange(n)
-        # stable, so each pattern keeps its members in person order
-        order = np.lexsort(column[slots].T)
-        same, slots = same[order], slots[order]
+        slots = np.arange(n)[:, None] + starts[same]
         cols = column[slots]
-        heads = np.flatnonzero(np.concatenate(
-            [[True], np.any(cols[1:] != cols[:-1], axis=1)]))
-        size = np.diff(np.append(heads, same.size))
-        # each pattern's own columns and then the thresholds'
-        cols = np.hstack([cols, np.broadcast_to(RI + np.arange(K), (same.size, K))])
-        piece = max(1, 2**15 // (n + K) ** 2)
-        for m in np.flatnonzero(np.bincount(size)):
-            rows = heads[size == m, None] + np.arange(m)
-            for g in range(0, rows.shape[0], piece):
-                part = rows[g:g + piece]
-                batches.append((same[part], slots[part], cols[part[:, 0]]))
-    return entry_of, batches
+        shared = np.all(cols == cols[:, :1], axis=1)
+        common = np.concatenate([cols[shared, 0], RI + np.arange(K)])
+        cols = cols[~shared]
+        pairs = np.triu_indices(len(cols))
+        blocks.append((same, slots[shared].T, common, slots[~shared], pairs))
+        index += [cols[pairs[0]] * (M + 1) + cols[pairs[1]],
+                  cols[:, :, None] * (M + 1) + common, cols * (M + 1) + M]
+    index = np.concatenate([part.ravel() for part in index])
+    return entry_of, blocks, index.astype(np.min_scalar_type(RI * (M + 1)))
 
 
 def _held(vec, grad, clamp):
@@ -641,18 +636,19 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     and [X >= k] for -threshold k.  The information is the sum over cells of
     their covariance.  The person block is diagonal, so persons are
     eliminated (:func:`_eliminate_persons`): each person's row of the rest
-    is nonzero only at its own n raters and items and the K thresholds, so
-    building the Schur complement over raters, items and thresholds costs
-    the sum over persons of (n + K)^2, not persons times (R + I + K)^2.  On
-    a 10000 x 4 x 400 rater pool (3 raters a person) that took ``estimate``
-    from 1.4 s to 0.44 s (2-core VM, one BLAS thread).  The system is solved
-    densely, then the person steps are back-substituted.  With ``gauge``,
-    the rater, item and threshold steps each sum to zero over their free
-    elements, which fixes the three directions that leave every location
-    unchanged.  A parameter at the clamp whose gradient points further out
-    is held; only in this sum-zero form does holding it keep it in place,
-    since with one element pinned the rest of its group could move against
-    it.
+    is nonzero only at its own raters and items and the K thresholds, so
+    the Schur complement costs a product per block over the columns its
+    persons share and a few products a person, not persons times
+    (R + I + K)^2.  On a 10000 x 4 x 400 rater pool (3 raters a person)
+    ``estimate`` takes 0.46 s, 0.68 s with one product per pattern of
+    columns (medians of 10 interleaved calls, 2-core VM, one BLAS thread).
+    The system is solved densely on the free steps (:func:`_project`),
+    then the person steps are back-substituted.  With ``gauge``, the rater,
+    item and threshold steps each sum to zero over their free elements,
+    which fixes the three directions that leave every location unchanged.
+    A parameter at the clamp whose gradient points further out is held;
+    only in this sum-zero form does holding it keep it in place, since
+    with one element pinned the rest of its group could move against it.
 
     Every sum over the cells weights each by its multiplicity: a grouped
     person's information and gradient are its group's, so its step is one
@@ -683,21 +679,13 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     grads = (g_p, -g_o[:R], -g_o[R:RI], -g_o[RI:])
     free = [free_p] + [ok & ~_held(v, g, clamp)
                        for v, g, ok in zip(params[1:], grads[1:], free[1:])]
-    # basis of the free steps; with the gauge, of those that sum to zero over
-    # each group's free elements: its last free element moves against the rest
-    basis = []
-    for start, f in zip((0, R, RI), free[1:]):
-        f = start + np.flatnonzero(f)
-        n = max(f.size - gauge, 0)
-        part = np.zeros((M, n))
-        part[f[:n], np.arange(n)] = 1.0
-        if gauge:
-            part[f[-1:]] = -1.0
-        basis.append(part)
-    basis = np.hstack(basis)
-
+    groups = [start + np.flatnonzero(f) for start, f in zip((0, R, RI), free[1:])]
     try:
-        d_o = basis @ np.linalg.solve(basis.T @ schur @ basis, basis.T @ rhs)
+        projected, right, keep, last = _project(schur, rhs, groups, gauge)
+        basis = np.zeros((M, keep.size))
+        basis[keep, np.arange(keep.size)] = 1.0
+        basis[last, np.arange(last.size)] = -1.0
+        d_o = basis @ np.linalg.solve(projected, right)
         d_p = inv_d * (g_p - np.bincount(pidx, w * (d_o[ridx] + d_o[R + iidx]), P)
                        - cov_p @ d_o[RI:])
         singular = False
@@ -712,6 +700,24 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     return steps, sum(step @ g for step, g in zip(steps, grads)), singular
 
 
+def _project(schur, rhs, groups, gauge):
+    """``basis.T @ schur @ basis`` and ``basis.T @ rhs`` by index, with the
+    places ``keep`` and ``last`` of the basis's 1s and -1s: each of
+    ``groups``, the free raters, items and thresholds, moves its last
+    element against the rest with the gauge.  Last rows are subtracted in
+    all groups before last columns, so each entry is the difference of two
+    that the products form, with their bits."""
+    keep = np.concatenate([f[:f.size - gauge] for f in groups])
+    last = np.concatenate([f[-1:].repeat(f[:-1].size * gauge) for f in groups])
+    if not gauge:
+        return schur[np.ix_(keep, keep)], rhs[keep], keep, last
+    rows = schur[keep]
+    rows -= schur[last]
+    projected = rows[:, keep]
+    projected -= rows[:, last]
+    return projected, rhs[keep] - rhs[last], keep, last
+
+
 def _eliminate_persons(cells, e, w, weighted, info_t, g_o, inv_d, g_p, columns):
     """The system :func:`_joint_step` solves over raters, items and
     thresholds, the persons eliminated: the information less, for each
@@ -720,12 +726,15 @@ def _eliminate_persons(cells, e, w, weighted, info_t, g_o, inv_d, g_p, columns):
     gradient ``g_p``.  Returns that Schur complement and right side and
     each person's covariances with the thresholds.
 
-    A person's row is nonzero only at its own raters and items
-    (``columns``, :func:`_person_columns`) and at the thresholds, so each
-    batch of patterns takes one product of its members' rows over those
-    columns.  Where one pattern holds every person, as in a crossed design,
-    that is the one product over all columns.  A function of its own, so
-    that its temporaries are freed before the solve.
+    A person's row is nonzero only at its own raters and items and at the
+    thresholds (``columns``, :func:`_person_columns`).  Each block takes
+    one product of its persons' rows over its shared columns (a crossed
+    design's over all columns); one ``np.bincount`` sums each other entry
+    times its person's later other entries, shared columns and gradient,
+    over the person's curvature: o (o + 1) / 2 + o (s + 1) products for o
+    other entries and s shared columns, 27 on the benchmark's pool.  A
+    function of its own, so that its temporaries are freed before the
+    solve.
     """
     P, R, I = cells.size["person"], cells.size["rater"], cells.size["item"]
     K = info_t.shape[0]
@@ -745,15 +754,32 @@ def _eliminate_persons(cells, e, w, weighted, info_t, g_o, inv_d, g_p, columns):
     info[np.arange(RI), np.arange(RI)] = np.concatenate([np.bincount(ridx, w, R),
                                                          np.bincount(iidx, w, I)])
 
-    entry_of, batches = columns
+    entry_of, blocks, index = columns
     own = np.bincount(entry_of, np.concatenate([w, w]))
     schur, rhs = info, g_o.copy()
-    for members, slots, cols in batches:
-        rows = np.concatenate([own[slots], cov_p[members]], axis=2)
-        scaled = (rows * inv_d[members, None]).transpose(0, 2, 1)
-        np.subtract.at(schur.reshape(-1), (cols[:, :, None] * M + cols[:, None, :]).ravel(),
-                       (scaled @ rows).ravel())
-        np.subtract.at(rhs, cols.ravel(), (scaled @ g_p[members, None]).ravel())
+
+    def eliminate(persons, shared, common, others, pairs):
+        # subtract the product over the shared columns; return the others'
+        rows = np.concatenate([own[shared], cov_p[persons]], axis=1)
+        scaled = (rows * inv_d[persons, None]).T
+        schur.reshape(-1)[(common[:, None] * M + common).ravel()] -= (scaled @ rows).ravel()
+        rhs[common] -= (scaled @ g_p[persons, None]).ravel()
+        if not others.size:
+            return []
+        y = own[others]
+        x = y * inv_d[persons]
+        return [part.ravel() for part in (x[pairs[0]] * y[pairs[1]], x[:, :, None] * rows,
+                                          x * g_p[persons])]
+
+    products = [part for block in blocks for part in eliminate(*block)]
+    if products:
+        # each pair of columns is at one of its two places, the diagonal once
+        products = np.concatenate(products)
+        upper = np.bincount(index, products, RI * (M + 1)).reshape(RI, M + 1)
+        rhs[:RI] -= upper[:, M]
+        schur[:RI] -= upper[:, :M]
+        upper[np.arange(RI), np.arange(RI)] = 0.0
+        schur[:, :RI] -= upper[:, :M].T
     return schur, rhs, cov_p
 
 

@@ -7,7 +7,7 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from facetkit import (
@@ -32,6 +32,7 @@ from facetkit.estimate import (
     _joint_step,
     _mark_extremes,
     _person_columns,
+    _project,
     _require_linked,
     _score_groups,
     _totals,
@@ -770,6 +771,76 @@ def rater_subset_designs(draw):
     return small_tensor(scores, scale=(0, K)), draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def panel_designs(draw):
+    """2-4 blocks of persons x 1-3 items on a 0-K scale (K = 2..4), out of
+    3-6 raters: each block's persons are scored on every item by one panel,
+    rater r1 and 1-2 drawn others.  The 2-6 persons of a block have distinct
+    raw totals, each spread as evenly as it goes over their cells in a
+    drawn order, so no two of them make a score group while all of them
+    share the block's columns; with them comes a seed for the parameters."""
+    I, R, K = draw(st.integers(1, 3)), draw(st.integers(3, 6)), draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(2, 4))):
+        panel = [0] + sorted(draw(st.sets(st.integers(1, R - 1), min_size=1, max_size=2)))
+        cells = I * len(panel)
+        for total in draw(st.lists(st.integers(1, K * cells - 1), min_size=2,
+                                   max_size=min(6, K * cells - 1), unique=True)):
+            scores = np.full(cells, total // cells)
+            scores[np.array(draw(st.permutations(range(cells))))[:total % cells]] += 1
+            row = np.full((I, R), np.nan)
+            row[:, panel] = scores.reshape(I, len(panel))
+            rows.append(row)
+    return small_tensor(rows, scale=(0, K)), draw(st.integers(0, 2**32 - 1))
+
+
+def full_and_pool_design():
+    """24 persons x 2 items on 0-4: persons 1-8 scored by all 5 raters, the
+    rest by r1 and one of the other four in turn, from a rating-scale
+    draw, so one step eliminates a block of persons with every column and
+    a block of pool persons together."""
+    rng = np.random.default_rng(11)
+    scores = np.full((24, 2, 5), np.nan)
+    for p in range(24):
+        raters = list(range(5)) if p < 8 else [0, 1 + p % 4]
+        logit = 2 + rng.normal() - np.linspace(-0.5, 0.5, 5)[raters]
+        scores[p][:, raters] = np.clip(np.rint(logit + rng.normal(size=(2, len(raters)))), 0, 4)
+    return small_tensor(scores, scale=(0, 4)), 11
+
+
+def gauge_basis(groups, size, gauge):
+    """The basis of the free steps as a matrix, the reference for
+    :func:`_project`: a unit column per free element of each group but,
+    with the gauge, the group's last, which takes -1 in each of its
+    group's columns."""
+    parts = []
+    for f in groups:
+        n = max(f.size - gauge, 0)
+        part = np.zeros((size, n))
+        part[f[:n], np.arange(n)] = 1.0
+        if gauge:
+            part[f[-1:]] = -1.0
+        parts.append(part)
+    return np.hstack(parts)
+
+
+@st.composite
+def projections(draw):
+    """A symmetric matrix over 1-40 raters, 1-6 items and 1-6 thresholds,
+    entries of scales 1e-3 to 1e3 and about a third of them zero, a right
+    side, each facet's free elements (possibly none) and the gauge on or
+    off."""
+    sizes = [draw(st.integers(1, hi)) for hi in (40, 6, 6)]
+    starts = np.cumsum([0] + sizes[:-1])
+    groups = [start + np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+              for start, n in zip(starts, sizes)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = sum(sizes)
+    half = rng.normal(size=(M, M)) * 10.0 ** rng.integers(-3, 4, size=(M, M))
+    half[rng.random((M, M)) < 0.3] = 0.0
+    return half + half.T, rng.normal(size=M), groups, draw(st.booleans())
+
+
 class TestJointNewton:
     def assert_schur_step_matches_dense(self, tensor, params, clamp=10.0, grouped=False):
         """:func:`_joint_step` on the cells of the fit, or on their score
@@ -899,7 +970,17 @@ class TestJointNewton:
     @settings(max_examples=100, deadline=None)
     @given(rater_subset_designs())
     def test_schur_step_on_random_rater_subsets(self, design):
-        tensor, seed = design
+        self.assert_step_on_drawn_design(*design)
+
+    @settings(max_examples=100, deadline=None)
+    @given(panel_designs())
+    @example((full_and_pool_design()))
+    def test_schur_step_on_rater_panels(self, design):
+        self.assert_step_on_drawn_design(*design)
+
+    def assert_step_on_drawn_design(self, tensor, seed):
+        """The step against the dense one at parameters drawn from ``seed``,
+        on designs that identify their measures."""
         cells, K = tensor.cell_index, tensor.scale.span
         flags, active = _mark_extremes(cells, K)
         estimable = [flags[which] == "none" for which in FACETS]
@@ -909,6 +990,20 @@ class TestJointNewton:
         params = [rng.normal(0, 1, P), rng.normal(0, 0.5, R), rng.normal(0, 0.5, I),
                   np.sort(rng.normal(0, 1, K))]
         self.assert_schur_step_matches_dense(tensor, params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(projections())
+    def test_projection_by_index_has_the_product_bits(self, case):
+        # the bundled run's manifest rests on these bits
+        schur, rhs, groups, gauge = case
+        basis = gauge_basis(groups, rhs.size, gauge)
+        projected, right, keep, last = _project(schur, rhs, groups, gauge)
+        assert np.array_equal(projected, basis.T @ schur @ basis)
+        assert np.array_equal(right, basis.T @ rhs)
+        rebuilt = np.zeros_like(basis)
+        rebuilt[keep, np.arange(keep.size)] = 1.0
+        rebuilt[last, np.arange(last.size)] = -1.0
+        assert np.array_equal(rebuilt, basis)
 
     def test_unobserved_category_converges(self):
         # every 3 recoded to 2: threshold 3 runs to the clamp and is held
@@ -1024,16 +1119,15 @@ def link_error_on_all_cells(tensor):
     link check on all cells, the two categories, every string extreme, and
     the link check on the cells of no extreme element."""
     cells, K = tensor.cell_index, tensor.scale.span
-    every = np.arange(cells.size["person"])
     try:
-        _require_linked(cells, tensor.ids, every)
+        _require_linked(cells, tensor.ids)
         if cells.x.min() == cells.x.max():
             return "need at least 2 observed score categories"
         flags, active = _mark_extremes(cells, K)
         if not active.any():
             return "every response string is extreme; nothing to estimate"
         if not active.all():
-            _require_linked(cells.subset(active), tensor.ids, every,
+            _require_linked(cells.subset(active), tensor.ids,
                             {which: flags[which] == "none" for which in FACETS},
                             " once extreme strings are removed")
     except EstimationError as error:
@@ -1121,6 +1215,11 @@ class TestScoreGroups:
 
     @settings(max_examples=200, deadline=None)
     @given(linking_designs())
+    # rater r3 gives everyone 0 and r1 gives p1 and p2 the maximum, so their
+    # group keeps no cells once extremes are dropped, and its two members
+    # are the pair the persons' own cells name
+    @example(small_tensor([[[2, None, 0]], [[2, None, 0]], [[None, None, 0]],
+                           [[None, None, 0]], [[None, 1, 0]]], scale=(0, 2)))
     def test_link_errors_match_the_check_on_all_cells(self, tensor):
         # the checks run on the score groups; they must reject what the
         # persons' own cells reject, naming the same pair

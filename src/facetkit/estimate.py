@@ -13,11 +13,11 @@ once, with every fitted measure held, each against its adjusted raw score.
 
 Persons scored on the same cells with the same raw total have the same
 likelihood equations (Wright & Panchapakesan 1969).  Such score groups are
-formed once, over all cells, and every later pass reads their cells, each
-weighted by its group's size and keeping its members' scores: the link
-check and the extreme marking always, each phase of the fit and the
-standard errors and final log-likelihood where that at least halves their
-cells.  Elsewhere those read the persons' own cells.
+formed once, over all cells, where they at least halve the cells; else each
+person is a group of its own, on its own cells.  Every later pass reads the
+groups' cells, each weighted by its group's size and keeping its members'
+scores: the link check, the extreme marking, both phases of the fit, the
+standard errors and the final log-likelihood.
 
 Identification: person abilities are free; severities, difficulties, and
 thresholds sum to zero over non-extreme elements.  Re-centering shifts are
@@ -91,8 +91,7 @@ class FacetEstimates:
     cell, extreme ones included, at the final measures; with score groups
     it reads each group cell's probabilities at every member's score, in
     the persons' order, which gives the bits of the sum over the persons'
-    own cells.  The standard errors come from the groups' cells too, where
-    they at least halve the cells.
+    own cells.  The standard errors come from the groups' cells too.
     """
 
     params: ModelParams
@@ -265,7 +264,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
 
     params = [np.zeros(P), np.zeros(R), np.zeros(I), np.zeros(K)]
     iterations, converged, sweep_lls, max_change, max_resid = _in_phase(
-        cells, grouping, active, free, free[0], params, fit)
+        grouping, active, free, free[0], params, fit)
     if not converged:
         failed = "; ".join(
             f"last {name} {value:.3g} above tolerance {tol:g}"
@@ -276,22 +275,17 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         warnings.warn(
             f"estimation did not converge in {config.max_iterations} iterations ({failed})")
     if not active.all():
-        _in_phase(cells, grouping, ~active, free, ~free[0], params,
+        _in_phase(grouping, ~active, free, ~free[0], params,
                   lambda phase, free, params: _solve_extremes(phase, K, free, params, config))
 
     # standard errors from observed Fisher information at the final estimates,
-    # and the log-likelihood: on the groups where that halves the cells and
-    # every member has its group's ability (no phase ran on the persons' own
-    # cells), each person's information one member's and each cell's
-    # probabilities read at every member's score, in the persons' order
-    out, ability, person, rows = cells, params[0], slice(None), None
-    if (groups.group_size is not None and 2 * groups.n <= groups.n_scored
-            and np.array_equal(params[0][reps][group_of], params[0])):
-        out, ability, person, rows = groups, params[0][reps], group_of, groups.rows
-    probs, _, w = cell_moments(out.locations(ability, *params[1:3]), params[3])
-    information = [np.bincount(out.pidx, w, out.size["person"])[person]]
-    information += [out.sums(which, w) for which in ("rater", "item")]
-    weighted = probs if out.mult is None else probs * out.mult[:, None]
+    # and the log-likelihood, on the groups: each person's information one
+    # member's and each cell's probabilities read at every member's score,
+    # in the persons' order
+    probs, _, w = cell_moments(groups.locations(params[0][reps], *params[1:3]), params[3])
+    information = [np.bincount(groups.pidx, w, reps.size)[group_of]]
+    information += [groups.sums(which, w) for which in ("rater", "item")]
+    weighted = probs if groups.mult is None else probs * groups.mult[:, None]
     information.append(np.diag(_threshold_information(probs, weighted)[1]))
     se = [1.0 / np.sqrt(np.maximum(info, 1e-12)) for info in information]
     return FacetEstimates(
@@ -306,7 +300,8 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         iterations_used=iterations,
         converged=converged,
         log_likelihood_final=observed_log_likelihood(
-            probs, cells.observed() if rows is None else (rows, cells.x.astype(int), None)),
+            probs, cells.observed() if groups.rows is None
+            else (groups.rows, cells.x.astype(int), None)),
         sweep_log_likelihoods=tuple(sweep_lls),
         max_score_residual=float(max_resid),
         config=config,
@@ -355,8 +350,9 @@ def _score_groups(cells):
     each group's first member, the groups numbered by first member in person
     order, weighted by their sizes and counting their members' scores
     (:class:`CellIndex`), then those first members and each person's group.
-    Where no two persons share a group, the cells themselves come back,
-    every person its own group.
+    Where the groups' cells would not at least halve the cells, the cells
+    themselves come back, every person its own group: this is the one place
+    that decides whether estimation reads groups.
     """
     P, I, R = cells.shape
     counts = np.bincount(cells.pidx, minlength=P)
@@ -376,15 +372,15 @@ def _score_groups(cells):
                               | np.any(row[1:] != row[:-1], axis=1)])
         first[same] = same[new][np.cumsum(new) - 1]
     reps = np.flatnonzero(first == np.arange(P))
-    if reps.size == P:
-        return cells, reps, reps
+    size = counts[reps]
+    if reps.size == P or 2 * size.sum() > cells.n:
+        return cells, np.arange(P), np.arange(P)
     group_of = np.empty(P, dtype=np.intp)
     group_of[reps] = np.arange(reps.size)
     group_of = group_of[first]
     sel = first[cells.pidx] == cells.pidx
     # each cell's row among the groups' cells: its first member's cell at
     # the same place in its list, the groups' cells in order
-    size = counts[reps]
     shift = (np.cumsum(size) - size)[group_of] - starts
     row = np.arange(cells.n) + shift[cells.pidx]
     width = int(cells.x.max()) + 1
@@ -397,29 +393,16 @@ def _score_groups(cells):
     return grouped, reps, group_of
 
 
-def _in_phase(cells, grouping, sel, free, moving, params, solve):
-    """``solve(cells, free, params)`` on the cells of one phase of the fit:
-    the cells of the score groups (:func:`_score_groups`) that ``sel``
-    selects, the groups with such cells renumbered in order, where that at
-    least halves the persons' cells they stand for; else those persons' own
-    ``cells``.  ``free``, ``params`` and ``moving``, the persons the phase
-    measures, are per person; each of those takes its group's ability."""
+def _in_phase(grouping, sel, free, moving, params, solve):
+    """``solve(cells, free, params)`` on the cells of the score groups
+    (:func:`_score_groups`) that ``sel`` selects; a group without such cells
+    stays, as a person without cells.  ``free``, ``params`` and ``moving``,
+    the persons the phase measures, are per person; each of those takes its
+    group's ability."""
     groups, reps, group_of = grouping
-    if groups.group_size is not None and 2 * sel.sum() <= groups.mult[sel].sum():
-        kept = np.flatnonzero(np.bincount(groups.pidx[sel], minlength=reps.size))
-        code = np.full(reps.size, -1)
-        code[kept] = np.arange(kept.size)
-        phase = CellIndex(code[groups.pidx[sel]], groups.iidx[sel], groups.ridx[sel],
-                          groups.score[sel], (kept.size, *groups.shape[1:]),
-                          groups.min_score, groups.group_size[kept], groups.counts[sel])
-        rep, of = reps[kept], code[group_of]
-    else:
-        phase = cells.subset(sel if groups.rows is None else sel[groups.rows])
-        rep = of = np.arange(group_of.size)
-    ability = params[0][rep]
-    result = solve(phase, [free[0][rep], *free[1:]], [ability, *params[1:]])
-    moved = np.flatnonzero(moving & (of >= 0))
-    params[0][moved] = ability[of[moved]]
+    ability = params[0][reps]
+    result = solve(groups.subset(sel), [free[0][reps], *free[1:]], [ability, *params[1:]])
+    params[0][moving] = ability[group_of[moving]]
     return result
 
 
@@ -440,20 +423,13 @@ def _person_columns(cells, K):
     an (R + I) x (M + 1) array (M = R + I + K) of each product
     :func:`_eliminate_persons` sums, in its order: an other entry's column
     times M + 1 plus that of a pair's later entry, of a shared column or
-    M, the gradient's.  Where every person has every cell, as in a crossed
-    design, the keys number the entries unsorted (a person without cells
-    leaves a gap) and every column is shared.
+    M, the gradient's.
     """
     P, I, R = cells.shape
     RI, M = R + I, R + I + K
     # each cell's (person, rater) and (person, item) key
     base = cells.pidx * RI
     keys = np.concatenate([base + cells.ridx, base + R + cells.iidx])
-    persons = np.flatnonzero(np.bincount(cells.pidx, minlength=P))
-    if cells.n == persons.size * I * R:
-        return (keys.astype(np.min_scalar_type(P * RI)),
-                [(persons, persons[:, None] * RI + np.arange(RI), np.arange(M),
-                  np.empty((0, persons.size), dtype=int), None)], np.empty(0, dtype=np.uint8))
     # the keys run person-major, which the stable sort's merging of runs
     # makes cheap
     order = np.argsort(keys, kind="stable")

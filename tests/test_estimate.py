@@ -917,6 +917,21 @@ class TestJointNewton:
         estimable, _ = self.assert_schur_step_matches_dense(tensor, params)
         assert not estimable[0][0]
 
+    def test_crossed_design_is_one_block_of_shared_columns(self):
+        # every person has every cell: one product over all columns, and no
+        # other entries to scatter
+        tensor = bundled_tensor()
+        cells, K = tensor.cell_index, tensor.scale.span
+        P, I, R = cells.shape
+        entry_of, blocks, index = _person_columns(cells, K)
+        [(persons, shared, common, others, _)] = blocks
+        assert persons.tolist() == list(range(P))
+        assert np.array_equal(shared, np.arange(P * (R + I)).reshape(P, R + I))
+        assert common.tolist() == list(range(R + I + K))
+        assert others.size == 0 and index.size == 0
+        assert np.array_equal(entry_of, np.concatenate([cells.pidx * (R + I) + cells.ridx,
+                                                        cells.pidx * (R + I) + R + cells.iidx]))
+
     def test_schur_step_on_a_rater_pool(self):
         # H1 scores everyone and each person gets 2 of 20 pool raters: every
         # person has a pattern of its own, 3 of 21 raters
@@ -1171,18 +1186,38 @@ def near_the_clamp(est):
         (p.ability, p.severity, p.difficulty, p.thresholds), fitted))
 
 
+def group_cells(cells):
+    """The count of cells that the score groups keep, one member's each, and
+    the count of groups, from each person's (item, rater) cells and raw
+    total compared as tuples; a person without cells is a group of its own."""
+    kept = {}
+    for p in range(cells.size["person"]):
+        mine = cells.pidx == p
+        key = (tuple(zip(cells.iidx[mine], cells.ridx[mine])), cells.x[mine].sum(),
+               p if not mine.any() else None)
+        kept[key] = mine.sum()
+    return sum(kept.values()), len(kept)
+
+
 class TestScoreGroups:
     @settings(max_examples=100, deadline=None)
-    @given(copied_designs())
+    @given(st.one_of(copied_designs(), sparse_designs()))
     def test_grouped_fit_matches_ungrouped(self, tensor):
-        grouped = estimate_module._score_groups(tensor.cell_index)[0]
-        assert 2 * grouped.n <= tensor.n_cells
+        cells = tensor.cell_index
+        grouped, reps, group_of = estimate_module._score_groups(cells)
+        # the cells come back unless the groups at least halve them
+        kept, n_groups = group_cells(cells)
+        assert (grouped is cells) == (n_groups == cells.size["person"]
+                                      or 2 * kept > tensor.n_cells)
         fits = [fit_or_error(tensor), fit_without_groups(tensor)]
         if any(isinstance(fit, EstimationError) for fit in fits):
             assert all(isinstance(fit, EstimationError) for fit in fits)
             assert str(fits[0]) == str(fits[1])
             return
         (est, clamped), (want, clamped_want) = fits
+        # every member takes its group's ability and standard error
+        for vec in (est.params.ability, est.se_ability):
+            assert np.array_equal(vec, vec[reps][group_of])
         assert est.to_json_dict()["extreme_flags"] == want.to_json_dict()["extreme_flags"]
         if clamped or clamped_want or near_the_clamp(est) or near_the_clamp(want):
             # no finite maximum: where the iterations stop depends on rounding
@@ -1257,8 +1292,11 @@ class TestScoreGroups:
         assert any(flag != "none" for flag in est.extreme_persons) == (shape != "crossed")
 
     def test_bundled_fit_is_bit_identical(self):
-        # 28 score groups of 30 persons: grouping would not halve the cells
+        # 28 score groups of 30 persons: grouping would not halve the cells,
+        # so the fit reads the cells themselves
         tensor = bundled_tensor()
+        assert group_cells(tensor.cell_index)[1] == 28
+        assert _score_groups(tensor.cell_index)[0] is tensor.cell_index
         (est, _), (want, _) = fit_or_error(tensor), fit_without_groups(tensor)
         assert est.to_json_text() == want.to_json_text()
         assert est.sweep_log_likelihoods == want.sweep_log_likelihoods
@@ -1286,7 +1324,7 @@ class TestScoreGroups:
         runs = []
 
         def recording_newton(cells, *args):
-            runs.append((cells.n, cells.group_size))
+            runs.append((cells.n, cells.group_size[np.unique(cells.pidx)]))
             return newton(cells, *args)
 
         newton = estimate_module._newton

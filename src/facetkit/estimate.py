@@ -17,7 +17,9 @@ formed once, over all cells, where they at least halve the cells; else each
 person is a group of its own, on its own cells.  Every later pass reads the
 groups' cells, each weighted by its group's size and keeping its members'
 scores: the link check, the extreme marking, both phases of the fit, the
-standard errors and the final log-likelihood.
+standard errors and the final log-likelihood.  Measures and extreme flags
+stay per group until the result is built; each person then takes its
+group's.
 
 Identification: person abilities are free; severities, difficulties, and
 thresholds sum to zero over non-extreme elements.  Re-centering shifts are
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -57,13 +60,14 @@ class EstimationConfig:
     newton_damping: float = 1.0    # max logits any parameter moves per iteration
 
     def __post_init__(self):
-        for name in ("convergence_tol", "residual_tol", "extreme_adjust", "newton_damping"):
-            if getattr(self, name) <= 0:
+        lowest = {"max_iterations": 1, "logit_clamp": 5}   # the others must be positive
+        for name, value in self.to_dict().items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if name in lowest and not value >= lowest[name]:
+                raise ValueError(f"{name} must be >= {lowest[name]}")
+            if name not in lowest and not value > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.logit_clamp < 5:
-            raise ValueError("logit_clamp must be >= 5")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -234,10 +238,9 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             "at or above an all-maximum one"
         )
     cells = tensor.cell_index
-    P, I, R = cells.shape
     # members of a group share their cells, so the groups link as the persons
     # do; where they do not, the persons' own cells name the pair
-    grouping = groups, reps, group_of = _score_groups(cells)
+    groups, reps, group_of = _score_groups(cells)
     if groups.unlinked():
         _require_linked(cells, tensor.ids)
     if cells.x.min() == cells.x.max():
@@ -247,24 +250,19 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     if not active.any():
         raise EstimationError("every response string is extreme; nothing to estimate")
     free = [flags[which] == EXTREME_NONE for which in _FACETS] + [np.ones(K, dtype=bool)]
-    if not active.all() and groups.subset(active).unlinked(dict(zip(_FACETS, free))):
+    fit_cells = groups.subset(active)
+    if not active.all() and fit_cells.unlinked(dict(zip(_FACETS, free))):
         # dropping the extreme strings can split a linked design, and a group
         # left without cells splits from its own members
         _require_linked(cells.subset(active if groups.rows is None else active[groups.rows]),
                         tensor.ids, dict(zip(_FACETS, [free[0][group_of], *free[1:]])),
                         " once extreme strings are removed")
-    flags["person"], free[0] = flags["person"][group_of], free[0][group_of]
 
-    def fit(fit_cells, free, params):
-        targets = _totals(fit_cells, K)
-        for vec, start in zip(params, _initial_values(fit_cells, K, free, targets)):
-            vec[:] = start
-        return _newton(fit_cells, targets, free, True, params, config,
-                       config.max_iterations, config.convergence_tol, config.residual_tol)
-
-    params = [np.zeros(P), np.zeros(R), np.zeros(I), np.zeros(K)]
-    iterations, converged, sweep_lls, max_change, max_resid = _in_phase(
-        grouping, active, free, free[0], params, fit)
+    targets = _totals(fit_cells, K)
+    params = list(_initial_values(fit_cells, K, free, targets))
+    iterations, converged, sweep_lls, max_change, max_resid = _newton(
+        fit_cells, targets, free, True, params, config, config.max_iterations,
+        config.convergence_tol, config.residual_tol)
     if not converged:
         failed = "; ".join(
             f"last {name} {value:.3g} above tolerance {tol:g}"
@@ -275,26 +273,25 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
         warnings.warn(
             f"estimation did not converge in {config.max_iterations} iterations ({failed})")
     if not active.all():
-        _in_phase(grouping, ~active, free, ~free[0], params,
-                  lambda phase, free, params: _solve_extremes(phase, K, free, params, config))
+        _solve_extremes(groups.subset(~active), K, free, params, config)
 
     # standard errors from observed Fisher information at the final estimates,
     # and the log-likelihood, on the groups: each person's information one
     # member's and each cell's probabilities read at every member's score,
     # in the persons' order
-    probs, _, w = cell_moments(groups.locations(params[0][reps], *params[1:3]), params[3])
+    probs, _, w = cell_moments(groups.locations(*params[:3]), params[3])
     information = [np.bincount(groups.pidx, w, reps.size)[group_of]]
     information += [groups.sums(which, w) for which in ("rater", "item")]
     weighted = probs if groups.mult is None else probs * groups.mult[:, None]
     information.append(np.diag(_threshold_information(probs, weighted)[1]))
     se = [1.0 / np.sqrt(np.maximum(info, 1e-12)) for info in information]
     return FacetEstimates(
-        params=ModelParams(*params),
+        params=ModelParams(params[0][group_of], *params[1:]),
         se_ability=se[0],
         se_severity=se[1],
         se_difficulty=se[2],
         se_thresholds=se[3],
-        extreme_persons=tuple(flags["person"]),
+        extreme_persons=tuple(flags["person"][group_of]),
         extreme_raters=tuple(flags["rater"]),
         extreme_items=tuple(flags["item"]),
         iterations_used=iterations,
@@ -391,19 +388,6 @@ def _score_groups(cells):
                         scored.reshape(-1, width).astype(np.min_scalar_type(P)),
                         row.astype(np.min_scalar_type(size.sum())))
     return grouped, reps, group_of
-
-
-def _in_phase(grouping, sel, free, moving, params, solve):
-    """``solve(cells, free, params)`` on the cells of the score groups
-    (:func:`_score_groups`) that ``sel`` selects; a group without such cells
-    stays, as a person without cells.  ``free``, ``params`` and ``moving``,
-    the persons the phase measures, are per person; each of those takes its
-    group's ability."""
-    groups, reps, group_of = grouping
-    ability = params[0][reps]
-    result = solve(groups.subset(sel), [free[0][reps], *free[1:]], [ability, *params[1:]])
-    params[0][moving] = ability[group_of[moving]]
-    return result
 
 
 def _person_columns(cells, K):
@@ -602,7 +586,7 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     ``resid_sums`` each person's, rater's and item's target minus expected
     total, ``n_ge`` the target counts of scores >= 1..K; ``free`` masks the
     elements that move, and ``columns`` are the persons' own columns
-    (:func:`_person_columns`; unused when only persons move).  Returns the
+    (:func:`_person_columns`), None when only persons move.  Returns the
     four steps, their predicted gain (sum of step times gradient) and
     whether the system was singular, in which case each step is the
     diagonal one.
@@ -641,7 +625,7 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     g_p, g_r, g_i = resid_sums
     free_p = free[0] & ~_held(params[0], g_p, clamp)
     inv_d = np.where(free_p, 1.0 / np.maximum(np.bincount(pidx, w, P), 1e-12), 0.0)
-    if not any(f.any() for f in free[1:]):
+    if columns is None:
         # only persons move: their block is diagonal and no system is left
         d_p = inv_d * g_p
         return (d_p, np.zeros(R), np.zeros(I), np.zeros(K)), d_p @ g_p, False

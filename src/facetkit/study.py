@@ -54,7 +54,7 @@ class StudyConfig:
     def from_json_dict(cls, d: dict, base_dir=".") -> "StudyConfig":
         ensembles = tuple(
             EnsembleSpec(
-                e["name"], tuple(e["members"]),
+                e["name"], _json_list(e["members"], f"members of ensemble {e['name']!r}"),
                 e.get("rounding", "half-away-from-zero"),
             )
             for e in d.get("ensembles", ())
@@ -62,11 +62,13 @@ class StudyConfig:
         cuts = d.get("fit_cuts")
         return cls(
             input=d["input"],
-            benchmarks=tuple(d.get("benchmarks", ())),
-            alpha_groups={k: tuple(v) for k, v in d.get("alpha_groups", {}).items()},
+            benchmarks=_json_list(d.get("benchmarks", []), "benchmarks"),
+            alpha_groups={k: _json_list(v, f"alpha_groups[{k!r}]")
+                          for k, v in d.get("alpha_groups", {}).items()},
             ensembles=ensembles,
             estimation=EstimationConfig.from_dict(d.get("estimation", {})),
-            fit_cuts=STRINGENT_CUTS if cuts is None else FitCuts(*cuts),
+            fit_cuts=(STRINGENT_CUTS if cuts is None
+                      else FitCuts(*_json_list(cuts, "fit_cuts", 2))),
             output_dir=d.get("output_dir"),
             seed=d.get("seed"),
             base_dir=str(base_dir),
@@ -77,6 +79,15 @@ class StudyConfig:
         path = Path(path)
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_json_dict(json.load(f), base_dir=path.parent)
+
+
+def _json_list(value, key, length=None):
+    """``value`` as a tuple; a :class:`ValueError` naming ``key`` unless it is
+    a JSON list (of ``length`` items, if given)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length}"
+        raise ValueError(f"{key} must be a JSON list{size}, got {value!r}")
+    return tuple(value)
 
 
 def _resolve_output_dir(config, override=None):

@@ -281,6 +281,32 @@ class TestRun:
         assert err["stage"] == "agreement"
         assert "R99" in err["error"]
 
+    @pytest.mark.parametrize("key, value, named", [
+        pytest.param("benchmarks", "R1", "benchmarks", id="benchmarks-string"),
+        pytest.param("alpha_groups", {"holistic": "SN1"}, "alpha_groups['holistic']",
+                     id="alpha-items-string"),
+        pytest.param("ensembles", [{"name": "AI11", "members": "A1"}], "ensemble 'AI11'",
+                     id="members-string"),
+        pytest.param("fit_cuts", [0.7], "fit_cuts", id="cuts-one-element"),
+        pytest.param("fit_cuts", "0.7,1.3", "fit_cuts", id="cuts-string"),
+        pytest.param("estimation", {"max_iterations": "200"}, "max_iterations",
+                     id="setting-string"),
+    ])
+    def test_malformed_config_value_is_one_json_error(self, tmp_path, capsys, key, value,
+                                                      named):
+        # a string where a list belongs is not split into characters, and a
+        # wrong type ends in the JSON error line, not a traceback
+        config = json.loads(BUNDLED_STUDY.read_text())
+        config["input"]["csv"] = str(BUNDLED_CSV)
+        config[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("run", path, "--out", tmp_path / "out") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert named in json.loads(lines[0])["error"]
+        assert not (tmp_path / "out").exists()
+
     def test_failed_stage_leaves_partial_manifest(self, tmp_path, capsys):
         # every person scores all-minimum or all-maximum: agreement and alpha
         # run, but estimation has nothing left to fit

@@ -136,6 +136,21 @@ class TestPreconditions:
         with pytest.raises(EstimationError, match="persons 'p1' and 'p11' share no items"):
             estimate(small_tensor(scores, scale=(0, 4)))
 
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                       reason="a linked design with a direction the cells leave "
+                       "free fits without error")
+    def test_linked_design_short_of_full_rank_rejected(self):
+        # every element is linked to every other, but the +-1 incidence of
+        # the cells has rank 4, not P + I + R - 2 = 5: one direction moves
+        # no location; today the fit reports converged=True in 7 iterations
+        cells = [("p0", "i0", "r1", 0), ("p0", "i2", "r1", 2), ("p1", "i0", "r0", 1),
+                 ("p1", "i1", "r1", 1), ("p1", "i2", "r0", 0)]
+        tensor = RatingsTensor.from_cells(ScaleSpec(0, 2), FacetIds(
+            ("p0", "p1"), ("i0", "i1", "i2"), ("r0", "r1")), cells)
+        assert tensor.connected
+        with pytest.raises(EstimationError):
+            estimate(tensor)
+
     def test_single_category_rejected(self):
         t = small_tensor([[3, 3], [3, 3]])
         with pytest.raises(EstimationError, match="2 observed score categories"):
@@ -146,6 +161,10 @@ class TestPreconditions:
             EstimationConfig(convergence_tol=0)
         with pytest.raises(ValueError):
             EstimationConfig(logit_clamp=2)
+        # a JSON string, null or boolean is not a number
+        for value in ("200", None, True):
+            with pytest.raises(ValueError, match="max_iterations must be a number"):
+                EstimationConfig(max_iterations=value)
 
 
 @st.composite
@@ -1199,9 +1218,25 @@ def group_cells(cells):
     return sum(kept.values()), len(kept)
 
 
+def extreme_groups_design():
+    """A 6 x 2 x 3 draw on 0-3 with each person there three times: r3 gives
+    every cell the maximum and the last three copies score 0 on r1 and r2.
+    18 persons in 5 score groups (30 of 108 cells): r3 is max-extreme, the
+    group of p4-p9 is max-extreme, and that of p16-p18 is min-extreme only
+    once r3 is dropped, so the extreme phase measures groups behind an
+    extreme rater.  Seed 4: at seed 5, also of this shape, fitted
+    abilities reach the clamp, where the test compares no numbers."""
+    tensor, _ = simulate(SimSpec(6, 2, 3, ScaleSpec(0, 3), seed=4, ability_sd=1.5))
+    scores = np.repeat(np.asarray(tensor.values, float), 3, axis=0)
+    scores[:, :, 2] = 3
+    scores[-3:, :, :2] = 0
+    return small_tensor(scores, scale=(0, 3))
+
+
 class TestScoreGroups:
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(copied_designs(), sparse_designs()))
+    @example(extreme_groups_design())
     def test_grouped_fit_matches_ungrouped(self, tensor):
         cells = tensor.cell_index
         grouped, reps, group_of = estimate_module._score_groups(cells)
@@ -1267,6 +1302,19 @@ class TestScoreGroups:
             assert str(error) == want
         else:
             assert want is None
+
+    def test_extreme_groups_design_has_grouped_extremes(self):
+        tensor = extreme_groups_design()
+        groups, reps, group_of = _score_groups(tensor.cell_index)
+        assert (tensor.n_cells, groups.n, reps.tolist()) == (108, 30, [0, 3, 9, 12, 15])
+        flags, active = _mark_extremes(groups, 3)
+        assert flags["rater"].tolist() == ["none", "none", "max-extreme"]
+        assert flags["person"].tolist() == ["none", "max-extreme", "none", "none",
+                                            "min-extreme"]
+        # the last group scores r3's maximum, so it is extreme only once r3 is dropped
+        assert groups.x[groups.pidx == 4].tolist() == [0, 0, 3, 0, 0, 3]
+        est, clamped = fit_or_error(tensor)
+        assert est.converged and not clamped and not near_the_clamp(est)
 
     @pytest.mark.parametrize("shape", ["crossed", "extreme_screen"])
     def test_one_grouping_pass_per_fit(self, shape, monkeypatch):

@@ -527,21 +527,32 @@ def ingest_csv(path, scale_min=None, scale_max=None) -> RatingsTensor:
     The file must carry the header ``person_id,item_id,rater_id,score``.
     A blank score declares the triple missing.  The scale defaults to the
     observed min/max unless ``scale_min``/``scale_max`` are given.
+
+    A plain file is split and coded by numpy from its bytes: the header
+    exactly, then printable ASCII records of four unquoted fields, none
+    with a space at either end, each record ending in a line feed (see
+    ``_plain_read``).  Any other file is read with the ``csv`` module.  Both
+    reads give the same tensor, or the same error.
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        try:
-            return _ingest_rows(csv.reader(f), scale_min, scale_max, str(path))
-        except UnicodeDecodeError:
-            # the file is decoded in chunks, so no line can be named
-            raise IngestError(f"{path}: not UTF-8 text") from None
+    with open(path, "rb") as f:
+        read = _plain_read(f.read())
+    if read is None:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            try:
+                read = _csv_read(csv.reader(f), str(path))
+            except UnicodeDecodeError:
+                # the file is decoded in chunks, so no line can be named
+                raise IngestError(f"{path}: not UTF-8 text") from None
+    return _ingest_read(*read, scale_min, scale_max, str(path))
 
 
 def ingest_csv_text(text, scale_min=None, scale_max=None) -> RatingsTensor:
     """Same as :func:`ingest_csv` but from an in-memory string."""
     # newline="" as for a file: the csv module splits lines itself, and a
     # quoted line break stays inside its field
-    return _ingest_rows(csv.reader(io.StringIO(text, newline="")), scale_min, scale_max,
-                        "<text>")
+    read = (_plain_read(text.encode("utf-8", "surrogatepass"))
+            or _csv_read(csv.reader(io.StringIO(text, newline="")), "<text>"))
+    return _ingest_read(*read, scale_min, scale_max, "<text>")
 
 
 def _flat_codes(shape, pidx, iidx, ridx):
@@ -554,6 +565,8 @@ def _person_major(keys):
     """The order that sorts the flat codes ``keys`` person-major, and
     ``(k, j)`` for the first key equal to an earlier one, ``keys[j]``, or
     None when the keys are distinct."""
+    if np.all(keys[1:] > keys[:-1]):  # already person-major, as written files are
+        return np.arange(keys.size), None
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     earlier = first[inverse]
     repeats = np.flatnonzero(earlier != np.arange(keys.size))
@@ -653,7 +666,10 @@ def _read_blocks(reader, coders):
             return parts, np.concatenate(skipped), stop
 
 
-def _ingest_rows(reader, scale_min, scale_max, source):
+def _csv_read(reader, source):
+    """Read a CSV with the ``csv`` module: each column's codes and distinct
+    texts, in order of first appearance, then the ordinals of the blank
+    records skipped and the read's fault, as :func:`_read_blocks` gives them."""
     try:
         header = next(reader, None)
     except csv.Error as e:
@@ -668,8 +684,79 @@ def _ingest_rows(reader, scale_min, scale_max, source):
 
     coders = [_Coder() for _ in range(4)]
     parts, skipped, stop = _read_blocks(reader, coders)
-    pidx, iidx, ridx, score_code = map(np.concatenate, parts)
-    del parts
+    return ([(np.concatenate(part), list(coder.ids)) for part, coder in zip(parts, coders)],
+            skipped, stop)
+
+
+_HEADER = b"person_id,item_id,rater_id,score\n"
+# the bytes of a plain file: printable ASCII but the quote, and the line feed
+_PLAIN = bytes(b for b in range(256) if b == 10 or 32 <= b < 127 and b != 34)
+# _MASKS[k] keeps the first k bytes of a little-endian 8-byte word
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _plain_read(raw):
+    """Read the bytes of a plain file with numpy into what :func:`_csv_read`
+    returns, or return None for any other file.
+
+    A plain file is :data:`_HEADER`, then records of four fields, each
+    ending in a line feed.  It holds only :data:`_PLAIN` bytes, no field
+    longer than the csv module's field limit and none with a space at
+    either end, so the csv module would split it at every comma and line
+    feed and strip no field.
+    """
+    if not (raw.startswith(_HEADER) and raw.endswith(b"\n") and not raw.translate(None, _PLAIN)
+            and not any(edge in raw for edge in (b" ,", b", ", b" \n", b"\n "))):
+        return None
+    data = np.frombuffer(raw + bytes(8), np.uint8)  # the words at the end read zeros
+    # field c of record j, the header being record 0, lies between
+    # sep[4j + c] and sep[4j + c + 1]; -1 ends the record before the header
+    sep = np.concatenate(([-1], np.flatnonzero((data == 44) | (data == 10))),
+                         dtype=np.int32 if len(raw) < 1 << 31 else np.intp)
+    # every fourth separator, and no other, a line feed
+    if not (sep.size == 4 * raw.count(b"\n") + 1 and np.all(data[sep[4::4]] == 10)
+            and np.diff(sep).max() <= csv.field_size_limit() + 1):
+        return None
+    words = np.ndarray(len(raw) + 1, "<u8", data, strides=(1,))  # 8 bytes from each offset
+    columns = []
+    for c in range(4):
+        start, end = sep[c + 4:-1:4] + 1, sep[c + 5::4]
+        codes, first = _field_codes(words, start, end - start)
+        columns.append((codes, [raw[a:b].decode() for a, b in
+                                zip(start[first].tolist(), end[first].tolist())]))
+    return columns, np.zeros(0, np.intp), None
+
+
+def _field_codes(words, start, width):
+    """Each field's code among the distinct fields, in order of first
+    appearance, and the row where each first appears.  A field's key is its
+    first 8 bytes as a word, zero-padded, as no field holds a zero byte;
+    then each further 8 bytes refine the keys of the fields that have them."""
+    key = words[start] & _MASKS[np.minimum(width, 8)]
+    longer = np.flatnonzero(width > 8)
+    if longer.size:  # small codes for the words, so that a pair of them fits in 64 bits
+        key = np.unique(key, return_inverse=True)[1]
+    skip = 8
+    while longer.size:
+        word = words[start[longer] + skip] & _MASKS[np.minimum(width[longer] - skip, 8)]
+        word = np.unique(word, return_inverse=True)[1]
+        pair = key[longer] * (word.max() + 1) + word
+        # past every code in use: a longer field never meets a shorter one
+        key[longer] = key.max() + 1 + np.unique(pair, return_inverse=True)[1]
+        skip += 8
+        longer = longer[width[longer] > skip]
+    # numpy sorts keys of up to 16 bits, such as most score texts, by radix
+    key = key.astype(np.min_scalar_type(key.max(initial=0)))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order]
+
+
+def _ingest_read(columns, skipped, stop, scale_min, scale_max, source):
+    """The tensor of a read's columns, or the :class:`IngestError` of its
+    first fault; ``columns``, ``skipped`` and ``stop`` are as
+    :func:`_csv_read` returns them."""
+    (pidx, persons), (iidx, items), (ridx, raters), (score_code, score_texts) = columns
     # a line number is the CSV record ordinal + 1, and blank records count:
     # row k follows the blank records with fewer than k + 1 rows before them
     rows_before = skipped - np.arange(skipped.size)
@@ -682,15 +769,15 @@ def _ingest_rows(reader, scale_min, scale_max, source):
     # listed: field count (or an unreadable record), blank identifier,
     # score text, duplicate.
     faults = [] if stop is None else [stop]
-    for coder, codes in zip(coders[:3], (pidx, iidx, ridx)):
-        if "" in coder.ids:
-            at = line(np.argmax(codes == coder.ids[""]))
+    for texts, codes in zip((persons, items, raters), (pidx, iidx, ridx)):
+        if "" in texts:
+            at = line(np.argmax(codes == texts.index("")))
             faults.append((at, 1, f"malformed row at line {at} (blank identifier)"))
 
     # score texts are parsed by int() once each, in first-appearance order,
     # so the first text that fails also appears first
     distinct = []
-    for text in coders[3].ids:
+    for text in score_texts:
         try:
             distinct.append(None if text == "" else int(text))
         except ValueError:
@@ -700,8 +787,8 @@ def _ingest_rows(reader, scale_min, scale_max, source):
 
     # fresh copies of the ids, made side by side: the originals lie scattered
     # through the freed blocks' memory and would keep it from being reused
-    persons, items, raters = (marshal.loads(marshal.dumps(tuple(coder.ids)))
-                              for coder in coders[:3])
+    persons, items, raters = (marshal.loads(marshal.dumps(tuple(texts)))
+                              for texts in (persons, items, raters))
     shape = (len(persons), len(items), len(raters))
     flat = _flat_codes(shape, pidx, iidx, ridx)
     order, repeat = _person_major(flat)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,23 +53,27 @@ class StudyConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict, base_dir=".") -> "StudyConfig":
+        specs = [_json_object(e, f"ensembles[{k}]", ("name", "members"))
+                 for k, e in enumerate(_json_list(d.get("ensembles", []), "ensembles"))]
         ensembles = tuple(
             EnsembleSpec(
                 e["name"], _json_list(e["members"], f"members of ensemble {e['name']!r}"),
                 e.get("rounding", "half-away-from-zero"),
             )
-            for e in d.get("ensembles", ())
+            for e in specs
         )
         cuts = d.get("fit_cuts")
+        if cuts is not None and not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
+                                        for c in _json_list(cuts, "fit_cuts", 2)):
+            raise ValueError(f"fit_cuts must hold two numbers, got {cuts!r}")
         return cls(
             input=d["input"],
             benchmarks=_json_list(d.get("benchmarks", []), "benchmarks"),
-            alpha_groups={k: _json_list(v, f"alpha_groups[{k!r}]")
-                          for k, v in d.get("alpha_groups", {}).items()},
+            alpha_groups={k: _json_list(v, f"alpha_groups[{k!r}]") for k, v in
+                          _json_object(d.get("alpha_groups", {}), "alpha_groups").items()},
             ensembles=ensembles,
             estimation=EstimationConfig.from_dict(d.get("estimation", {})),
-            fit_cuts=(STRINGENT_CUTS if cuts is None
-                      else FitCuts(*_json_list(cuts, "fit_cuts", 2))),
+            fit_cuts=STRINGENT_CUTS if cuts is None else FitCuts(*cuts),
             output_dir=d.get("output_dir"),
             seed=d.get("seed"),
             base_dir=str(base_dir),
@@ -88,6 +93,15 @@ def _json_list(value, key, length=None):
         size = "" if length is None else f" of {length}"
         raise ValueError(f"{key} must be a JSON list{size}, got {value!r}")
     return tuple(value)
+
+
+def _json_object(value, key, required=()):
+    """``value``; a :class:`ValueError` naming ``key`` unless it is a JSON
+    object holding every key in ``required``."""
+    if not isinstance(value, dict) or not value.keys() >= set(required):
+        keys = f" with keys {', '.join(map(repr, required))}" if required else ""
+        raise ValueError(f"{key} must be a JSON object{keys}, got {value!r}")
+    return value
 
 
 def _resolve_output_dir(config, override=None):

@@ -291,6 +291,12 @@ class TestRun:
         pytest.param("fit_cuts", "0.7,1.3", "fit_cuts", id="cuts-string"),
         pytest.param("estimation", {"max_iterations": "200"}, "max_iterations",
                      id="setting-string"),
+        pytest.param("fit_cuts", ["0.7", "1.3"], "fit_cuts", id="cuts-strings"),
+        pytest.param("alpha_groups", ["SN1"], "alpha_groups", id="groups-list"),
+        pytest.param("ensembles", "AI11", "ensembles", id="ensembles-string"),
+        pytest.param("ensembles", ["A1"], "ensembles[0]", id="ensemble-string"),
+        pytest.param("ensembles", [{"members": ["A1"]}], "ensembles[0]",
+                     id="ensemble-without-name"),
     ])
     def test_malformed_config_value_is_one_json_error(self, tmp_path, capsys, key, value,
                                                       named):

@@ -1,8 +1,9 @@
 """Tests for the tensor.json encoder and the CSV ingest against references.
 
 ``reference_ingest_rows`` is a row-by-row ingest, kept as the reference
-for the block-wise ``ratings._ingest_rows``: its results, error messages,
-line numbers and warnings.  The encoder is checked against
+for ``ingest_csv`` and ``ingest_csv_text``: their results, error messages,
+line numbers and warnings, whether a file takes the numpy read of plain
+files or the block-wise ``csv`` read.  The encoder is checked against
 ``canonical_json(tensor.to_json_dict())``, the generic encoding of the same
 document.
 """
@@ -10,8 +11,10 @@ document.
 import csv
 import io
 import json
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,7 +33,7 @@ from facetkit import (
     ingest_csv_text,
 )
 from facetkit import ratings
-from facetkit.ratings import _ingest_rows, canonical_json
+from facetkit.ratings import canonical_json
 
 
 def reference_records(reader, source):
@@ -149,6 +152,13 @@ SCALES = [(None, None), (None, None), (0, 4), (-1, 10), (1, 3)]
 # the longer field of UNREADABLE, as it does at any limit on a longer one
 FIELD_LIMIT = 16
 UNREADABLE = "p" + "x" * FIELD_LIMIT
+HEADER = "person_id,item_id,rater_id,score\n"
+# plain ids: ASCII, no quote, comma or edge space; some longer than the 8
+# bytes of one word, some alike in their first 8 bytes, one at the limit
+PLAIN_IDS = ["p1", "p2", "x\\y", "a b", "abcdefgh", "abcdefghi", "student_000001",
+             "student_000002", "student_0000010", "q" * FIELD_LIMIT]
+PLAIN_CHARS = "".join(chr(b) for b in range(33, 127) if chr(b) not in '",')
+PLAIN_SCORES = ["0", "1", "2", "3", "", "+3", "1_0", "-1"]
 
 
 def csv_line(fields):
@@ -193,16 +203,40 @@ def ingest_inputs(draw):
     return header + "".join(lines), draw(st.sampled_from(SCALES))
 
 
-def ingest_outcome(ingest, text, scale):
-    """The tensor, or the exception type and message, plus the warnings.
-    The text is read as :func:`ingest_csv_text` reads it, with
-    ``newline=""``, and the csv module's field limit at FIELD_LIMIT."""
+@st.composite
+def plain_inputs(draw):
+    """A plain ratings CSV, the kind read without the csv module, with up to
+    three injected faults that only later checks name."""
+    ids = st.one_of(st.sampled_from(PLAIN_IDS), st.text(PLAIN_CHARS, min_size=1, max_size=4))
+    persons = draw(st.lists(ids, min_size=2, max_size=4, unique=True))
+    items = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    raters = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    grid = [(p, i, r) for p in persons for i in items for r in raters]
+    cells = draw(st.permutations(grid))[:draw(st.integers(2, len(grid)))]
+    lines = [f"{p},{i},{r},{draw(st.sampled_from(PLAIN_SCORES))}\n" for p, i, r in cells]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        kind = draw(st.sampled_from(["blank_id", "bad_score", "duplicate"]))
+        cell = list(draw(st.sampled_from(grid)))
+        if kind == "blank_id":
+            cell[draw(st.integers(0, 2))] = ""
+            line = f"{','.join(cell)},1\n"
+        elif kind == "bad_score":
+            line = f"{','.join(cell)},{draw(st.sampled_from(BAD_SCORES))}\n"
+        else:
+            line = lines[draw(st.integers(0, len(lines) - 1))]
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return HEADER + "".join(lines), draw(st.sampled_from(SCALES))
+
+
+def ingest_outcome(ingest, scale):
+    """The tensor of ``ingest(*scale)``, or the exception type and message,
+    plus the warnings, with the csv module's field limit at FIELD_LIMIT."""
     limit = csv.field_size_limit(FIELD_LIMIT)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                tensor = ingest(csv.reader(io.StringIO(text, newline="")), *scale, "<text>")
+                tensor = ingest(*scale)
             except Exception as e:  # the exception itself is the outcome compared
                 result = (type(e), str(e))
             else:
@@ -213,10 +247,36 @@ def ingest_outcome(ingest, text, scale):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def reference_outcome(f, scale, source):
+    """The reference's outcome on the open text ``f``, read with ``newline=""``."""
+    return ingest_outcome(lambda *s: reference_ingest_rows(csv.reader(f), *s, source), scale)
+
+
 def assert_same_outcome(text, scale):
-    got = ingest_outcome(_ingest_rows, text, scale)
-    assert got == ingest_outcome(reference_ingest_rows, text, scale)
+    """``ingest_csv_text`` on ``text``, and ``ingest_csv`` on a file of it
+    in UTF-8 where it has one, against the reference."""
+    got = ingest_outcome(lambda *s: ingest_csv_text(text, *s), scale)
+    assert got == reference_outcome(io.StringIO(text, newline=""), scale, "<text>")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return got
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ratings.csv"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8", newline="") as f:
+            expected = reference_outcome(f, scale, str(path))
+        assert ingest_outcome(lambda *s: ingest_csv(path, *s), scale) == expected
     return got
+
+
+def is_plain(text):
+    """Whether ingest reads ``text`` without the csv module, at FIELD_LIMIT."""
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        return ratings._plain_read(text.encode("utf-8", "surrogatepass")) is not None
+    finally:
+        csv.field_size_limit(limit)
 
 
 class TestIngestMatchesReference:
@@ -233,6 +293,52 @@ class TestIngestMatchesReference:
         # block boundary
         with mock.patch.object(ratings, "_BLOCK", block):
             assert_same_outcome(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_inputs())
+    def test_random_plain_files(self, case):
+        # the numpy read meets every fault that the checks after it name
+        assert is_plain(case[0])
+        assert_same_outcome(*case)
+
+    @pytest.mark.parametrize("rows", [
+        ["p1,i1,r1,3", "student_000001,i1,r1,", "p1,i2,r1,0"],
+        ["p1,i1,r1,3", "p1,i1,r2,x", "p1,i1,r1,3"],
+    ])
+    def test_plain_file_never_calls_csv_reader(self, tmp_path, rows):
+        text = HEADER + "\n".join(rows) + "\n"
+        path = tmp_path / "plain.csv"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            from_file = reference_outcome(f, (0, 6), str(path))
+        from_text = reference_outcome(io.StringIO(text, newline=""), (0, 6), "<text>")
+        with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader called")):
+            assert ingest_outcome(lambda *s: ingest_csv_text(text, *s), (0, 6)) == from_text
+            assert ingest_outcome(lambda *s: ingest_csv(path, *s), (0, 6)) == from_file
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(HEADER + '"p1",i1,r1,3\np1,i1,r2,2\n', id="quote"),
+        pytest.param(HEADER + "p1,i1,r1,3\r\np1,i1,r2,2\r\n", id="CR"),
+        pytest.param(HEADER + "p\x001,i1,r1,3\np1,i1,r2,2\n", id="NUL"),
+        # str.strip removes \x0b, so the two p1 collide
+        pytest.param(HEADER + "p1\x0b,i1,r1,3\np1,i1,r1,2\n", id="VT"),
+        pytest.param(HEADER + "p1,i1,r1,3\n\np1,i1,r2,2\n", id="blank-line"),
+        pytest.param(HEADER + "p1,i1,r1,3\np1,i1,r2\n", id="short-row"),
+        pytest.param(HEADER + "p1,i1,r1,3\np1,i1,r2,2,4\n", id="long-row"),
+        # as many commas as four-field rows have, in the wrong places
+        pytest.param(HEADER + "p1,i1,r1\np1,i1,r2,2,4\n", id="short-then-long-row"),
+        pytest.param(HEADER + f"p1,i1,r1,3\n{UNREADABLE},i1,r1,3\n", id="over-the-limit"),
+        pytest.param(HEADER + "é,i1,r1,3\np1,i1,r2,2\n", id="non-ASCII"),
+        pytest.param(HEADER + "p1,i1,r1,3\n p1,i1,r1,2\n", id="leading-space"),
+        pytest.param(HEADER + "p1,i1,r1,3\np1,i1,r2,2 \n", id="trailing-space"),
+        pytest.param(HEADER + "p1,i1,r1,3\np1,i1,r2,2", id="no-final-newline"),
+        pytest.param(HEADER + "p1,i1,r1,3\np2", id="no-final-newline-nor-comma"),
+        pytest.param(" person_id ,item_id,rater_id,score\np1,i1,r1,3\n", id="spaced-header"),
+        pytest.param("PERSON_ID,item_id,rater_id,score\np1,i1,r1,3\n", id="upper-header"),
+    ])
+    def test_fallback_reads_as_the_csv_path(self, text):
+        assert not is_plain(text)
+        assert_same_outcome(text, (0, 6))
 
     @pytest.mark.parametrize("rows, message", [
         # the earliest faulty line wins, whatever the fault
@@ -327,21 +433,32 @@ class TestIngestFile:
         assert str(e.value) == f"{path}: not UTF-8 text"
 
     def test_memory_per_row(self, tmp_path):
-        """A 100 000-row crossed file (2500 x 4 x 10): ingest holds one block
-        of records as strings at a time, and keeps integer codes."""
-        path = tmp_path / "crossed.csv"
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("person_id,item_id,rater_id,score\n")
-            f.writelines(f"p{p},i{i},r{r},{(p + i + r) % 7}\n"
-                         for p in range(2500) for i in range(4) for r in range(10))
-        tracemalloc.start()
-        try:
+        """A 100 000-row crossed file (2500 x 4 x 10) of short ids: the numpy
+        read keeps its positions in 32 bits and codes one column at a time."""
+        assert_memory_per_row(tmp_path, "p{}")
+
+    def test_memory_per_row_long_ids(self, tmp_path):
+        """The same file with person ids of 14 bytes, each coded in two words."""
+        assert_memory_per_row(tmp_path, "student_{:06d}")
+
+
+def assert_memory_per_row(tmp_path, person):
+    """Ingest of a 100 000-row crossed file, read without the csv module,
+    peaks under 200 traced bytes a row."""
+    path = tmp_path / "crossed.csv"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(HEADER)
+        f.writelines(f"{person.format(p)},i{i},r{r},{(p + i + r) % 7}\n"
+                     for p in range(2500) for i in range(4) for r in range(10))
+    tracemalloc.start()
+    try:
+        with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader called")):
             tensor = ingest_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert tensor.n_cells == 100_000
-        assert peak < 200 * tensor.n_cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tensor.n_cells == 100_000
+    assert peak < 200 * tensor.n_cells, peak / tensor.n_cells
 
 
 # -- the tensor.json encoder -----------------------------------------------

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import marshal
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,33 @@ def canonical_json(obj) -> str:
     """The one JSON encoding of every artifact: sorted keys, two-space
     indent, trailing newline, so equal objects always give equal bytes."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_list(value, key, length=None):
+    """``value`` as a tuple; a :class:`ValueError` naming ``key`` unless it is
+    a JSON list (of ``length`` items, if given)."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length}"
+        raise ValueError(f"{key} must be a JSON list{size}, got {value!r}")
+    return tuple(value)
+
+
+def _json_object(value, key, required=()):
+    """``value``; a :class:`ValueError` naming ``key`` unless it is a JSON
+    object holding every key in ``required``."""
+    if not isinstance(value, dict) or not value.keys() >= set(required):
+        keys = f" with keys {', '.join(map(repr, required))}" if required else ""
+        raise ValueError(f"{key} must be a JSON object{keys}, got {value!r}")
+    return value
+
+
+def _json_number(value, key, kind=numbers.Real):
+    """``value``; a :class:`ValueError` naming ``key`` unless it is a JSON
+    number, an integer where ``kind`` is ``numbers.Integral``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "integer" if kind is numbers.Integral else "number"
+        raise ValueError(f"{key} must be a JSON {noun}, got {value!r}")
+    return value
 
 
 #: The facets of a tensor, in the order of its axes.
@@ -530,9 +558,10 @@ def ingest_csv(path, scale_min=None, scale_max=None) -> RatingsTensor:
 
     A plain file is split and coded by numpy from its bytes: the header
     exactly, then printable ASCII records of four unquoted fields, none
-    with a space at either end, each record ending in a line feed (see
-    ``_plain_read``).  Any other file is read with the ``csv`` module.  Both
-    reads give the same tensor, or the same error.
+    with a space at either end, each record ending in a line feed, or each
+    in a carriage return and a line feed (see ``_plain_read``).  Any other
+    file is read with the ``csv`` module.  Both reads give the same tensor,
+    or the same error.
     """
     with open(path, "rb") as f:
         read = _plain_read(f.read())
@@ -703,8 +732,13 @@ def _plain_read(raw):
     ending in a line feed.  It holds only :data:`_PLAIN` bytes, no field
     longer than the csv module's field limit and none with a space at
     either end, so the csv module would split it at every comma and line
-    feed and strip no field.
+    feed and strip no field.  A file whose every line ends in a carriage
+    return and a line feed is read as the same file with line feeds alone,
+    as the csv module reads it; any other carriage return makes a file not
+    plain.
     """
+    if b"\r" in raw and raw.count(b"\r") == raw.count(b"\r\n") == raw.count(b"\n"):
+        raw = raw.replace(b"\r\n", b"\n")
     if not (raw.startswith(_HEADER) and raw.endswith(b"\n") and not raw.translate(None, _PLAIN)
             and not any(edge in raw for edge in (b" ,", b", ", b" \n", b"\n "))):
         return None

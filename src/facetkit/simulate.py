@@ -12,15 +12,19 @@ byte-identical for a given seed no matter how sampling is scheduled.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ModelParams, category_probs
-from .ratings import FacetIds, RatingsTensor, ScaleSpec
+from .ratings import FacetIds, RatingsTensor, ScaleSpec, _json_list, _json_number, _json_object
 from .rounding import round_half_away
 
 _SEVERITY_STREAM = 2
+# cells drawn and priced together: a block's uniforms and probabilities,
+# 8 * (K + 2) bytes a cell, stay in a core's cache
+_BLOCK_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -137,30 +141,53 @@ class SimSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimSpec":
+        """The spec of a JSON object as :meth:`to_json_dict` writes it; a
+        :class:`ValueError` naming the key of any value of the wrong type."""
+        d = _json_object(d, "the simulation spec",
+                         ("n_persons", "n_items", "n_raters", "scale", "seed"))
+        scale = _json_object(d["scale"], "scale", ("min_score", "max_score"))
+        ability = _json_object(d.get("ability", {}), "ability")
         sev = d.get("severity")
         if isinstance(sev, dict):
-            a, b = sev["uniform"]
-            sev = ("uniform", float(a), float(b))
-        ability = d.get("ability", {})
-        pathologies = {
-            int(r): Pathology(float(p.get("noise", 0.0)), float(p.get("compression", 0.0)))
-            for r, p in d.get("pathologies", {}).items()
-        }
+            bounds = _json_object(sev, "severity", ("uniform",))["uniform"]
+            sev = ("uniform", *map(float, _json_vector(bounds, "severity's uniform bounds", 2)))
+        elif sev is not None:
+            sev = _json_vector(sev, "severity")
+        pathologies = {}
+        for r, p in _json_object(d.get("pathologies", {}), "pathologies").items():
+            key = f"pathologies[{r!r}]"
+            p = _json_object(p, key)
+            pathologies[int(r)] = Pathology(*(float(_json_number(p.get(k, 0.0), f"{key}.{k}"))
+                                              for k in ("noise", "compression")))
+
+        def optional(key, read):
+            return None if d.get(key) is None else read(d[key], key)
+
+        def integer(value, key):
+            return _json_number(value, key, numbers.Integral)
+
         return cls(
-            n_persons=int(d["n_persons"]),
-            n_items=int(d["n_items"]),
-            n_raters=int(d["n_raters"]),
-            scale=ScaleSpec.from_dict(d["scale"]),
-            seed=int(d["seed"]),
-            ability_mean=float(ability.get("mean", 0.0)),
-            ability_sd=float(ability.get("sd", 1.0)),
+            n_persons=integer(d["n_persons"], "n_persons"),
+            n_items=integer(d["n_items"], "n_items"),
+            n_raters=integer(d["n_raters"], "n_raters"),
+            scale=ScaleSpec(integer(scale["min_score"], "scale.min_score"),
+                            integer(scale["max_score"], "scale.max_score")),
+            seed=integer(d["seed"], "seed"),
+            ability_mean=float(_json_number(ability.get("mean", 0.0), "ability.mean")),
+            ability_sd=float(_json_number(ability.get("sd", 1.0), "ability.sd")),
             severity=sev,
-            difficulty=d.get("difficulty"),
-            thresholds=d.get("thresholds"),
+            difficulty=optional("difficulty", _json_vector),
+            thresholds=optional("thresholds", _json_vector),
             pathologies=pathologies,
-            item_ids=None if d.get("item_ids") is None else tuple(d["item_ids"]),
-            rater_ids=None if d.get("rater_ids") is None else tuple(d["rater_ids"]),
+            item_ids=optional("item_ids", _json_list),
+            rater_ids=optional("rater_ids", _json_list),
         )
+
+
+def _json_vector(value, key, length=None):
+    """``value`` as a list of numbers; a :class:`ValueError` naming ``key``
+    unless it is a JSON list of numbers (of ``length`` items, if given)."""
+    return [_json_number(v, key) for v in _json_list(value, key, length)]
 
 
 def _default_ids(prefix, n):
@@ -179,25 +206,29 @@ def simulate(spec: SimSpec):
     thresholds = spec._threshold_vector()
     K = spec.scale.num_categories - 1
 
-    ability = np.empty(spec.n_persons)
-    u = np.empty((spec.n_persons, spec.n_items, spec.n_raters))
-    for j in range(spec.n_persons):
-        rng = np.random.default_rng([spec.seed, 0, j])
-        ability[j] = rng.normal(spec.ability_mean, spec.ability_sd)
-        u[j] = rng.random((spec.n_items, spec.n_raters))
-    # a cell's category is the number of its cumulative probabilities
-    # 0..K-1 below its uniform draw, so rounding that leaves the last one
-    # short of 1 cannot give K+1.  One kernel call per block of about 2**16
-    # cells keeps the probabilities of a large design from taking K+1 times
-    # the memory of the cube.
+    # persons are drawn and priced a block of about _BLOCK_CELLS cells at a
+    # time, so that a block's uniforms and probabilities stay in cache.  A
+    # cell's category is the number of its cumulative probabilities 0..K-1
+    # below its uniform draw, so rounding that leaves the last one short of 1
+    # cannot give K+1.  The cumulative columns are summed left to right, the
+    # order of np.cumsum, and the counts take the smallest unsigned dtype
+    # that holds K.
     base_loc = -(difficulty[:, None] + severity[None, :])  # (items, raters)
-    cats = np.zeros(u.shape)
-    block = max(1, 2**16 // base_loc.size)
+    block = max(1, _BLOCK_CELLS // base_loc.size)
+    ability = np.empty(spec.n_persons)
+    u = np.empty((block, *base_loc.shape))
+    cats = np.zeros((spec.n_persons, *base_loc.shape), np.min_scalar_type(K))
     for p0 in range(0, spec.n_persons, block):
-        cdf = category_probs(ability[p0:p0 + block, None, None] + base_loc, thresholds)
-        np.cumsum(cdf, axis=-1, out=cdf)
+        n = min(block, spec.n_persons - p0)
+        for j in range(p0, p0 + n):
+            rng = np.random.default_rng([spec.seed, 0, j])
+            ability[j] = rng.normal(spec.ability_mean, spec.ability_sd)
+            rng.random(out=u[j - p0])
+        probs = category_probs(ability[p0:p0 + n, None, None] + base_loc, thresholds)
+        cdf = np.zeros(probs.shape[:-1])
         for k in range(K):
-            cats[p0:p0 + block] += u[p0:p0 + block] > cdf[..., k]
+            cdf += probs[..., k]
+            cats[p0:p0 + n] += u[:n] > cdf
 
     for ridx in sorted(int(r) for r in spec.pathologies):
         pathology = spec.pathologies[ridx]
@@ -217,6 +248,6 @@ def simulate(spec: SimSpec):
         spec.rater_ids if spec.rater_ids is not None else _default_ids("R", spec.n_raters),
     )
     tensor = RatingsTensor._of_codes(spec.scale, ids, np.arange(cats.size),
-                                     cats.ravel() + spec.scale.min_score)
+                                     np.add(cats.ravel(), spec.scale.min_score, dtype=float))
     truth = ModelParams(ability, severity, difficulty, thresholds)
     return tensor, truth

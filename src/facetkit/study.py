@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from .agreement import alpha_results, qwk_matrix
 from .ensemble import EnsembleSpec, build_ensemble
 from .estimate import EstimationConfig, estimate, severity_classification
 from .fitstats import FitCuts, STRINGENT_CUTS, fit_statistics, with_flags
-from .ratings import canonical_json, ingest_csv
+from .ratings import _json_list, _json_number, _json_object, canonical_json, ingest_csv
 from .report import (Table, descriptive_table, estimates_summary, measure_table,
                      render_wright)
 from .simulate import SimSpec, simulate
@@ -63,9 +62,8 @@ class StudyConfig:
             for e in specs
         )
         cuts = d.get("fit_cuts")
-        if cuts is not None and not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
-                                        for c in _json_list(cuts, "fit_cuts", 2)):
-            raise ValueError(f"fit_cuts must hold two numbers, got {cuts!r}")
+        if cuts is not None:
+            cuts = [_json_number(c, "fit_cuts") for c in _json_list(cuts, "fit_cuts", 2)]
         return cls(
             input=d["input"],
             benchmarks=_json_list(d.get("benchmarks", []), "benchmarks"),
@@ -84,24 +82,6 @@ class StudyConfig:
         path = Path(path)
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_json_dict(json.load(f), base_dir=path.parent)
-
-
-def _json_list(value, key, length=None):
-    """``value`` as a tuple; a :class:`ValueError` naming ``key`` unless it is
-    a JSON list (of ``length`` items, if given)."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        size = "" if length is None else f" of {length}"
-        raise ValueError(f"{key} must be a JSON list{size}, got {value!r}")
-    return tuple(value)
-
-
-def _json_object(value, key, required=()):
-    """``value``; a :class:`ValueError` naming ``key`` unless it is a JSON
-    object holding every key in ``required``."""
-    if not isinstance(value, dict) or not value.keys() >= set(required):
-        keys = f" with keys {', '.join(map(repr, required))}" if required else ""
-        raise ValueError(f"{key} must be a JSON object{keys}, got {value!r}")
-    return value
 
 
 def _resolve_output_dir(config, override=None):

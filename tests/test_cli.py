@@ -220,6 +220,33 @@ class TestSimulate:
         run_cli("simulate", "--spec", spec_path, "--seed", "6", "--out", b)
         assert a.read_text() != b.read_text()
 
+    @pytest.mark.parametrize("key, value, named", [
+        pytest.param("pathologies", ["1"], "pathologies", id="pathologies-list"),
+        pytest.param("pathologies", {"1": 0.2}, "pathologies['1']", id="pathology-number"),
+        pytest.param("ability", [1], "ability", id="ability-list"),
+        pytest.param("item_ids", "AB", "item_ids", id="item-ids-string"),
+        pytest.param("n_persons", 5.7, "n_persons", id="persons-fraction"),
+        pytest.param("seed", 1.5, "seed", id="seed-fraction"),
+        pytest.param(None, None, "simulation spec", id="spec-list"),
+    ])
+    def test_malformed_spec_value_is_one_json_error(self, tmp_path, capsys, key, value,
+                                                    named):
+        # a wrong type ends in the JSON error line, not a traceback; a string
+        # is not split into ids, nor a fraction truncated
+        spec = {"n_persons": 2, "n_items": 2, "n_raters": 2,
+                "scale": {"min_score": 0, "max_score": 6}, "seed": 5}
+        if key is None:
+            spec = [spec]
+        else:
+            spec[key] = value
+        spec_path = tmp_path / "sim.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run_cli("simulate", "--spec", spec_path, "--out", tmp_path / "t.csv") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert named in json.loads(lines[0])["error"]
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestRun:
     def test_bundled_study_completes(self, tmp_path):

@@ -206,7 +206,8 @@ def ingest_inputs(draw):
 @st.composite
 def plain_inputs(draw):
     """A plain ratings CSV, the kind read without the csv module, with up to
-    three injected faults that only later checks name."""
+    three injected faults that only later checks name, its lines all ending
+    in a line feed, or all in a carriage return and a line feed."""
     ids = st.one_of(st.sampled_from(PLAIN_IDS), st.text(PLAIN_CHARS, min_size=1, max_size=4))
     persons = draw(st.lists(ids, min_size=2, max_size=4, unique=True))
     items = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
@@ -225,7 +226,8 @@ def plain_inputs(draw):
         else:
             line = lines[draw(st.integers(0, len(lines) - 1))]
         lines.insert(draw(st.integers(0, len(lines))), line)
-    return HEADER + "".join(lines), draw(st.sampled_from(SCALES))
+    text = (HEADER + "".join(lines)).replace("\n", draw(st.sampled_from(["\n", "\r\n"])))
+    return text, draw(st.sampled_from(SCALES))
 
 
 def ingest_outcome(ingest, scale):
@@ -306,19 +308,28 @@ class TestIngestMatchesReference:
         ["p1,i1,r1,3", "p1,i1,r2,x", "p1,i1,r1,3"],
     ])
     def test_plain_file_never_calls_csv_reader(self, tmp_path, rows):
-        text = HEADER + "\n".join(rows) + "\n"
-        path = tmp_path / "plain.csv"
-        path.write_text(text, encoding="utf-8")
-        with open(path, encoding="utf-8", newline="") as f:
-            from_file = reference_outcome(f, (0, 6), str(path))
-        from_text = reference_outcome(io.StringIO(text, newline=""), (0, 6), "<text>")
-        with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader called")):
-            assert ingest_outcome(lambda *s: ingest_csv_text(text, *s), (0, 6)) == from_text
-            assert ingest_outcome(lambda *s: ingest_csv(path, *s), (0, 6)) == from_file
+        for newline in ("\n", "\r\n"):
+            text = (HEADER + "\n".join(rows) + "\n").replace("\n", newline)
+            path = tmp_path / "plain.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with open(path, encoding="utf-8", newline="") as f:
+                from_file = reference_outcome(f, (0, 6), str(path))
+            from_text = reference_outcome(io.StringIO(text, newline=""), (0, 6), "<text>")
+            with mock.patch.object(csv, "reader",
+                                   side_effect=AssertionError("csv.reader called")):
+                assert ingest_outcome(lambda *s: ingest_csv_text(text, *s), (0, 6)) == from_text
+                assert ingest_outcome(lambda *s: ingest_csv(path, *s), (0, 6)) == from_file
 
     @pytest.mark.parametrize("text", [
         pytest.param(HEADER + '"p1",i1,r1,3\np1,i1,r2,2\n', id="quote"),
+        # a header ending in \n, records in \r\n
         pytest.param(HEADER + "p1,i1,r1,3\r\np1,i1,r2,2\r\n", id="CR"),
+        pytest.param((HEADER + "p1,i1,r1,3\np1,i1,r2,2\n").replace("\n", "\r"), id="lone-CR"),
+        # \r\n line ends, and one \r more inside a field
+        pytest.param((HEADER + "p1,i1,r1,3\n").replace("\n", "\r\n") + "p\r2,i1,r1,3\r\n",
+                     id="CRLF-and-lone-CR"),
+        pytest.param((HEADER + "p1,i1,r1,3\n\np1,i1,r2,2\n").replace("\n", "\r\n"),
+                     id="CRLF-blank-line"),
         pytest.param(HEADER + "p\x001,i1,r1,3\np1,i1,r2,2\n", id="NUL"),
         # str.strip removes \x0b, so the two p1 collide
         pytest.param(HEADER + "p1\x0b,i1,r1,3\np1,i1,r1,2\n", id="VT"),

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, cell_moments, observed_log_likelihood
-from .ratings import CellIndex, FacetIds, RatingsTensor, ScaleSpec, canonical_json
+from .ratings import (CellIndex, FacetIds, RatingsTensor, ScaleSpec, _json_list, _json_object,
+                      canonical_json)
 
 EXTREME_NONE = "none"
 EXTREME_MIN = "min-extreme"
@@ -139,18 +140,29 @@ class FacetEstimates:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FacetEstimates":
+        """The estimates of a JSON object as :meth:`to_json_dict` writes it;
+        a :class:`ValueError` naming the key of any section of the wrong
+        type, or of a standard error it does not know."""
+        d = _json_object(d, "the estimates")
+        names = ("ability", "severity", "difficulty", "thresholds")
+        facets = ("persons", "items", "raters")
+        se = _json_object(d["se"], "se", names)
+        if set(se) - set(names):
+            raise ValueError(f"unknown se key(s): {', '.join(sorted(set(se) - set(names)))}")
+        flags = _json_object(d["extreme_flags"], "extreme_flags", facets)
+        ids = _json_object(d["facets"], "facets", facets)
         return cls(
-            params=ModelParams.from_dict(d["params"]),
-            **{"se_" + name: np.asarray(v, float) for name, v in d["se"].items()},
-            **{"extreme_" + name: tuple(v) for name, v in d["extreme_flags"].items()},
+            params=ModelParams.from_dict(_json_object(d["params"], "params", names)),
+            **{"se_" + n: np.asarray(_json_list(se[n], f"se.{n}"), float) for n in names},
+            **{"extreme_" + k: _json_list(flags[k], f"extreme_flags.{k}") for k in facets},
             iterations_used=int(d["iterations_used"]),
             converged=bool(d["converged"]),
             log_likelihood_final=float(d["log_likelihood_final"]),
             sweep_log_likelihoods=(),
             max_score_residual=float(d["max_score_residual"]),
-            config=EstimationConfig.from_dict(d["config"]),
-            ids=FacetIds(*(tuple(d["facets"][k]) for k in ("persons", "items", "raters"))),
-            scale=ScaleSpec.from_dict(d["scale"]),
+            config=EstimationConfig.from_dict(_json_object(d["config"], "config")),
+            ids=FacetIds(*(_json_list(ids[k], f"facets.{k}") for k in facets)),
+            scale=ScaleSpec.from_dict(_json_object(d["scale"], "scale")),
         )
 
     @classmethod

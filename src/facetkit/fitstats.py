@@ -78,6 +78,7 @@ def fit_statistics(tensor: RatingsTensor, estimates: FacetEstimates,
         raise ValueError(f"facet must be one of {sorted(FACETS)}, got {facet!r}")
     if estimates.ids != tensor.ids or estimates.scale != tensor.scale:
         raise ValueError("estimates were fitted to a different tensor (misaligned inputs)")
+    estimates.params.validate_for(tensor)
 
     params = estimates.params
     cells = tensor.cell_index

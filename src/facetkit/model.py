@@ -8,7 +8,7 @@ indices run 0..K internally; reporting adds the scale minimum back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,21 +61,11 @@ class ModelParams:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "ability": self.ability.tolist(),
-            "severity": self.severity.tolist(),
-            "difficulty": self.difficulty.tolist(),
-            "thresholds": self.thresholds.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
-        return cls(
-            np.asarray(d["ability"], float),
-            np.asarray(d["severity"], float),
-            np.asarray(d["difficulty"], float),
-            np.asarray(d["thresholds"], float),
-        )
+        return cls(*(np.asarray(d[f.name], float) for f in fields(cls)))
 
 
 def category_probs(location, thresholds) -> np.ndarray:

@@ -17,7 +17,6 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice
 
 import numpy as np
 
@@ -567,11 +566,7 @@ def ingest_csv(path, scale_min=None, scale_max=None) -> RatingsTensor:
         read = _plain_read(f.read())
     if read is None:
         with open(path, "r", encoding="utf-8", newline="") as f:
-            try:
-                read = _csv_read(csv.reader(f), str(path))
-            except UnicodeDecodeError:
-                # the file is decoded in chunks, so no line can be named
-                raise IngestError(f"{path}: not UTF-8 text") from None
+            read = _csv_read(csv.reader(f), str(path))
     return _ingest_read(*read, scale_min, scale_max, str(path))
 
 
@@ -640,10 +635,6 @@ def _cube_cells(shape, values, declared_missing):
     return flat, values.ravel()[flat]
 
 
-# records coded at a time: only one block of them is ever held as strings
-_BLOCK = 1 << 13
-
-
 class _Coder(dict):
     """Codes one column's raw field texts.  A text's code is the position
     of its stripped text among the distinct stripped texts, in order of
@@ -659,62 +650,49 @@ class _Coder(dict):
         return code
 
 
-def _read_blocks(reader, coders):
-    """Code the records after the header, :data:`_BLOCK` at a time.
-
-    Returns each column's codes as a list of per-block arrays, the ordinals
-    of the blank records skipped, and ``(line, 0, message)`` for a record
-    with the wrong field count or one the csv module cannot read, else
-    None.  No later line can hold an earlier fault, so such a record ends
-    the read.  No record outlives its block.
-    """
-    parts, skipped, read = [[np.zeros(0, np.intp)] for _ in coders], [], 0
-    while True:
-        block, stop = [], None
-        try:
-            block.extend(islice(reader, _BLOCK))  # keeps the records before a failing one
-        except csv.Error as e:
-            line = read + len(block) + 2
-            stop = (line, 0, f"unreadable record at line {line} ({e})")
-        size = len(block)
-        lengths = np.fromiter(map(len, block), np.intp, size)
-        blank = np.zeros(size, dtype=bool)
-        blank[[k for k in np.flatnonzero(lengths <= 1) if not "".join(block[k]).strip()]] = True
-        malformed = np.flatnonzero(~blank & (lengths != 4))
-        if malformed.size:
-            end = malformed[0]
-            line = read + end + 2
-            stop = (line, 0, f"malformed row at line {line} (expected 4 fields)")
-            block, blank = block[:end], blank[:end]
-        skipped.append(np.flatnonzero(blank) + read)
-        rows = list(compress(block, (~blank).tolist()))
-        for part, coder, column in zip(parts, coders, zip(*rows)):
-            part.append(np.fromiter(map(coder.__getitem__, column), np.intp, len(column)))
-        read += size
-        if stop is not None or size < _BLOCK:
-            return parts, np.concatenate(skipped), stop
-
-
 def _csv_read(reader, source):
     """Read a CSV with the ``csv`` module: each column's codes and distinct
     texts, in order of first appearance, then the ordinals of the blank
-    records skipped and the read's fault, as :func:`_read_blocks` gives them."""
+    records skipped, and ``(line, 0, message)`` for the first record with
+    the wrong field count or one the csv module cannot read or decode, else
+    None.  No later line can hold an earlier fault, so such a record ends
+    the read.
+    """
+    pc, ic, rc, sc = coders = [_Coder() for _ in range(4)]
+    pcodes, icodes, rcodes, scodes = codes = [], [], [], []
+    skipped, stop, line = [], None, 1  # line: that of the record read next
     try:
         header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{source}: empty file")
+        header = [h.strip().lower() for h in header]
+        if header != ["person_id", "item_id", "rater_id", "score"]:
+            raise IngestError(f"{source}: expected header person_id,item_id,rater_id,score, "
+                              f"got {','.join(header)}")
+        line = 2
+        for record in reader:
+            if len(record) == 4:
+                p, i, r, s = record
+                pcodes.append(pc[p])
+                icodes.append(ic[i])
+                rcodes.append(rc[r])
+                scodes.append(sc[s])
+            elif len(record) <= 1 and not "".join(record).strip():
+                skipped.append(line - 2)
+            else:
+                stop = (line, 0, f"malformed row at line {line} (expected 4 fields)")
+                break
+            line += 1
     except csv.Error as e:
-        raise IngestError(f"{source}: unreadable record at line 1 ({e})") from None
-    if header is None:
-        raise IngestError(f"{source}: empty file")
-    header = [h.strip().lower() for h in header]
-    if header != ["person_id", "item_id", "rater_id", "score"]:
-        raise IngestError(
-            f"{source}: expected header person_id,item_id,rater_id,score, got {','.join(header)}"
-        )
-
-    coders = [_Coder() for _ in range(4)]
-    parts, skipped, stop = _read_blocks(reader, coders)
-    return ([(np.concatenate(part), list(coder.ids)) for part, coder in zip(parts, coders)],
-            skipped, stop)
+        stop = (line, 0, f"unreadable record at line {line} ({e})")
+    except UnicodeDecodeError:
+        # the file is decoded a chunk at a time, so the byte's own line is
+        # unknown: the read ends where the decoder met it, and a fault on an
+        # earlier line still wins
+        stop = (line, 0, "not UTF-8 text")
+    return ([(np.fromiter(column, np.intp, len(column)), list(coder.ids))
+             for column, coder in zip(codes, coders)],
+            np.fromiter(skipped, np.intp, len(skipped)), stop)
 
 
 _HEADER = b"person_id,item_id,rater_id,score\n"
@@ -820,7 +798,7 @@ def _ingest_read(columns, skipped, stop, scale_min, scale_max, source):
             break
 
     # fresh copies of the ids, made side by side: the originals lie scattered
-    # through the freed blocks' memory and would keep it from being reused
+    # among the read's freed records and would keep that memory from reuse
     persons, items, raters = (marshal.loads(marshal.dumps(tuple(texts)))
                               for texts in (persons, items, raters))
     shape = (len(persons), len(items), len(raters))

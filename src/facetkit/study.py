@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +53,21 @@ class StudyConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict, base_dir=".") -> "StudyConfig":
+        """The config of a JSON object; a :class:`ValueError` naming the key
+        of any value of the wrong type, or every key it does not know."""
+        unknown = sorted(set(_json_object(d, "the study config"))
+                         - {f.name for f in dataclasses.fields(cls)} - {"base_dir"})
+        if unknown:
+            raise ValueError(f"unknown study setting(s): {', '.join(unknown)}")
+
+        def integer(value, key):
+            return None if value is None else _json_number(value, key, numbers.Integral)
+
+        source = _json_object(d.get("input"), "input")
+        for key in ("scale_min", "scale_max"):
+            integer(source.get(key), f"input.{key}")
+        if not isinstance(d.get("output_dir"), (str, type(None))):
+            raise ValueError(f"output_dir must be a JSON string, got {d['output_dir']!r}")
         specs = [_json_object(e, f"ensembles[{k}]", ("name", "members"))
                  for k, e in enumerate(_json_list(d.get("ensembles", []), "ensembles"))]
         ensembles = tuple(
@@ -65,15 +81,16 @@ class StudyConfig:
         if cuts is not None:
             cuts = [_json_number(c, "fit_cuts") for c in _json_list(cuts, "fit_cuts", 2)]
         return cls(
-            input=d["input"],
+            input=source,
             benchmarks=_json_list(d.get("benchmarks", []), "benchmarks"),
             alpha_groups={k: _json_list(v, f"alpha_groups[{k!r}]") for k, v in
                           _json_object(d.get("alpha_groups", {}), "alpha_groups").items()},
             ensembles=ensembles,
-            estimation=EstimationConfig.from_dict(d.get("estimation", {})),
+            estimation=EstimationConfig.from_dict(
+                _json_object(d.get("estimation", {}), "estimation")),
             fit_cuts=STRINGENT_CUTS if cuts is None else FitCuts(*cuts),
             output_dir=d.get("output_dir"),
-            seed=d.get("seed"),
+            seed=integer(d.get("seed"), "seed"),
             base_dir=str(base_dir),
         )
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,9 +13,12 @@ import numpy as np
 import pytest
 
 import facetkit
-from facetkit import STRINGENT_CUTS, EstimationConfig, FacetEstimates, RatingsTensor
+from facetkit import (STRINGENT_CUTS, EstimationConfig, FacetEstimates, RatingsTensor,
+                      simulate)
 from facetkit.cli import build_parser, main
 from facetkit.study import StudyConfig, run_study
+
+from conftest import paper_spec
 
 BUNDLED_STUDY = Path(str(files("facetkit") / "data" / "study.json"))
 BUNDLED_CSV = Path(str(files("facetkit") / "data" / "paper_shaped.csv"))
@@ -151,6 +155,25 @@ class TestEstimateFitReport:
         for name in ("raters.csv", "wright.txt", "wright.svg", "descriptives.csv",
                      "summary.json"):
             assert (out / name).read_bytes() == (study / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(lambda d: {**d, "se": []}, "se must be a JSON object", id="se-list"),
+        pytest.param(lambda d: [d], "the estimates", id="top-level-list"),
+        pytest.param(lambda d: {**d, "se": {**d["se"], "abilty": []}}, "abilty",
+                     id="unknown-se-key"),
+        pytest.param(lambda d: {**d, "params": {**d["params"],
+                                                "severity": d["params"]["severity"][1:]}},
+                     "11 raters", id="severity-short"),
+    ])
+    def test_malformed_estimates_is_one_json_error(self, estimates_json, tensor_json,
+                                                   tmp_path, capsys, command, edit, named):
+        path = tmp_path / "estimates.json"
+        path.write_text(json.dumps(edit(json.loads(estimates_json.read_text()))))
+        assert run_cli(command, path, tensor_json, "--out", tmp_path / "out") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert named in json.loads(lines[0])["error"]
 
     def test_wright_choice_picks_the_files(self, estimates_json, tensor_json, tmp_path):
         out = tmp_path / "report"
@@ -324,11 +347,19 @@ class TestRun:
         pytest.param("ensembles", ["A1"], "ensembles[0]", id="ensemble-string"),
         pytest.param("ensembles", [{"members": ["A1"]}], "ensembles[0]",
                      id="ensemble-without-name"),
+        pytest.param("input", "r.csv", "input", id="input-string"),
+        pytest.param("input", {"csv": str(BUNDLED_CSV), "scale_min": "0"}, "input.scale_min",
+                     id="scale-min-string"),
+        pytest.param("output_dir", 5, "output_dir", id="output-dir-number"),
+        pytest.param("estimation", [], "estimation", id="estimation-list"),
+        pytest.param("seed", "1", "seed", id="seed-string"),
+        pytest.param("benchmark", ["R2"], "benchmark", id="unknown-key"),
     ])
     def test_malformed_config_value_is_one_json_error(self, tmp_path, capsys, key, value,
                                                       named):
-        # a string where a list belongs is not split into characters, and a
-        # wrong type ends in the JSON error line, not a traceback
+        # a string where a list belongs is not split into characters, a
+        # wrong type ends in the JSON error line, not a traceback, and a
+        # mistyped key is named, not ignored
         config = json.loads(BUNDLED_STUDY.read_text())
         config["input"]["csv"] = str(BUNDLED_CSV)
         config[key] = value
@@ -339,6 +370,24 @@ class TestRun:
         assert len(lines) == 1
         assert named in json.loads(lines[0])["error"]
         assert not (tmp_path / "out").exists()
+
+    def test_simulated_input(self, tmp_path):
+        # the config's seed replaces the spec's, and --seed replaces both
+        config = tmp_path / "sim_study.json"
+        config.write_text(json.dumps({"input": {"simulate": paper_spec().to_json_dict()},
+                                      "seed": 11}))
+
+        def run(name, *seed):
+            assert run_cli("run", config, "--out", tmp_path / name, *seed) == 0
+            return json.loads((tmp_path / name / "manifest.json").read_text())
+
+        first = run("first")
+        assert run("again") == first
+        assert run("same-seed", "--seed", 11) == first
+        assert run("other-seed", "--seed", 12) != first
+        tensor, _ = simulate(dataclasses.replace(paper_spec(), seed=12))
+        assert (tmp_path / "other-seed" / "tensor.json").read_text() == tensor.to_json_text()
+        assert (tmp_path / "first" / "tensor.json").read_text() != tensor.to_json_text()
 
     def test_failed_stage_leaves_partial_manifest(self, tmp_path, capsys):
         # every person scores all-minimum or all-maximum: agreement and alpha

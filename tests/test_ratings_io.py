@@ -3,7 +3,7 @@
 ``reference_ingest_rows`` is a row-by-row ingest, kept as the reference
 for ``ingest_csv`` and ``ingest_csv_text``: their results, error messages,
 line numbers and warnings, whether a file takes the numpy read of plain
-files or the block-wise ``csv`` read.  The encoder is checked against
+files or the record-by-record ``csv`` read.  The encoder is checked against
 ``canonical_json(tensor.to_json_dict())``, the generic encoding of the same
 document.
 """
@@ -38,7 +38,8 @@ from facetkit.ratings import canonical_json
 
 def reference_records(reader, source):
     """(line, record) for each record after the header; a record the csv
-    module cannot read raises at its line."""
+    module cannot read raises at its line, and text that is not UTF-8
+    raises as the file's fault."""
     lineno = 2
     while True:
         try:
@@ -47,6 +48,8 @@ def reference_records(reader, source):
             return
         except csv.Error as e:
             raise IngestError(f"{source}: unreadable record at line {lineno} ({e})") from None
+        except UnicodeDecodeError:
+            raise IngestError(f"{source}: not UTF-8 text") from None
         yield lineno, row
         lineno += 1
 
@@ -56,6 +59,8 @@ def reference_ingest_rows(reader, scale_min, scale_max, source):
         header = next(reader, None)
     except csv.Error as e:
         raise IngestError(f"{source}: unreadable record at line 1 ({e})") from None
+    except UnicodeDecodeError:
+        raise IngestError(f"{source}: not UTF-8 text") from None
     if header is None:
         raise IngestError(f"{source}: empty file")
     header = [h.strip().lower() for h in header]
@@ -168,8 +173,8 @@ def csv_line(fields):
 
 
 @st.composite
-def ingest_inputs(draw):
-    """A ratings CSV of distinct cells with up to three injected faults."""
+def ingest_records(draw):
+    """The header, the records and the scale of :func:`ingest_inputs`."""
     persons = draw(st.lists(st.sampled_from(IDS), min_size=2, max_size=4, unique=True))
     items = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True))
     raters = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=3, unique=True))
@@ -200,7 +205,38 @@ def ingest_inputs(draw):
         lines.insert(at, line)
     header = draw(st.sampled_from(["person_id,item_id,rater_id,score\n",
                                    " Person_ID , item_id,RATER_ID,score\n"]))
-    return header + "".join(lines), draw(st.sampled_from(SCALES))
+    return header, lines, draw(st.sampled_from(SCALES))
+
+
+def ingest_inputs():
+    """A ratings CSV of distinct cells with up to three injected faults."""
+    return ingest_records().map(lambda d: (d[0] + "".join(d[1]), d[2]))
+
+
+# a text file is decoded this many bytes at a time
+DECODE_CHUNK = 8192
+
+
+@st.composite
+def undecodable_inputs(draw):
+    """The bytes of an :func:`ingest_inputs` file with a latin-1 record put
+    in, its lone surrogates kept as their bytes, and its scale: neither is
+    UTF-8.  The record lies in the decoder's first chunk, or past it after
+    a run of blank records that starts at a drawn record and ends near the
+    chunk's end, so that the chunk ends among the blank records, among the
+    records between them and the latin-1 one, or in that one."""
+    header, lines, scale = draw(ingest_records())
+    data = [line.encode("utf-8", "surrogatepass") for line in lines]
+    at = draw(st.integers(0, len(data)))
+    data.insert(at, "José,i1,r1,3\n".encode("latin-1"))
+    if draw(st.booleans()):
+        pad = draw(st.integers(0, at))
+        before = len(header.encode()) + sum(map(len, data[:pad]))
+        between = sum(map(len, data[pad:at]))
+        # the chunk ends that many bytes after the blank records
+        after = draw(st.integers(-64, between + 2))
+        data.insert(pad, b"\n" * (DECODE_CHUNK - before - after))
+    return header.encode() + b"".join(data), scale
 
 
 @st.composite
@@ -287,14 +323,18 @@ class TestIngestMatchesReference:
     def test_random_files(self, case):
         assert_same_outcome(*case)
 
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    @settings(max_examples=150, deadline=None)
-    @given(ingest_inputs())
-    def test_random_files_across_blocks(self, block, case):
-        # blocks of a few rows put every kind of fault on both sides of a
-        # block boundary
-        with mock.patch.object(ratings, "_BLOCK", block):
-            assert_same_outcome(*case)
+    @settings(max_examples=300, deadline=None)
+    @given(undecodable_inputs())
+    def test_random_files_not_utf8(self, case):
+        # the read ends where the decoder meets the byte, so a fault on a
+        # line read before it still wins
+        data, scale = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ratings.csv"
+            path.write_bytes(data)
+            with open(path, encoding="utf-8", newline="") as f:
+                expected = reference_outcome(f, scale, str(path))
+            assert ingest_outcome(lambda *s: ingest_csv(path, *s), scale) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(plain_inputs())
@@ -443,6 +483,28 @@ class TestIngestFile:
             ingest_csv(path)
         assert str(e.value) == f"{path}: not UTF-8 text"
 
+    @pytest.mark.parametrize("row, message", [
+        ("p1,i1", "malformed row at line 3 (expected 4 fields)"),
+        ("p2,i1,r1,x", "non-integer score 'x' at line 3"),
+        (",i1,r1,3", "malformed row at line 3 (blank identifier)"),
+        ("p1,i1,r1,2", "duplicate (p1,i1,r1) at line 3 (first seen at line 2)"),
+    ])
+    @pytest.mark.parametrize("rows_between", [0, 2500])
+    def test_fault_before_a_latin1_byte(self, tmp_path, row, message, rows_between):
+        # 2500 rows put the byte some 30 KB past line 3, beyond the decoder's
+        # first chunk, so line 3 is read first and its fault wins; with none
+        # between, the decoder meets the byte before the header is read
+        rows = ["p1,i1,r1,3", row, *(f"q{k},i1,r1,3" for k in range(rows_between)),
+                "José,i1,r1,3"]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((HEADER + "\n".join(rows) + "\n").encode("latin-1"))
+        with open(path, encoding="utf-8", newline="") as f:
+            expected = reference_outcome(f, (0, 6), str(path))
+        (kind, got), _ = outcome = ingest_outcome(lambda *s: ingest_csv(path, *s), (0, 6))
+        assert outcome == expected
+        assert kind is IngestError
+        assert got == f"{path}: {message if rows_between else 'not UTF-8 text'}"
+
     def test_memory_per_row(self, tmp_path):
         """A 100 000-row crossed file (2500 x 4 x 10) of short ids: the numpy
         read keeps its positions in 32 bits and codes one column at a time."""
@@ -451,6 +513,24 @@ class TestIngestFile:
     def test_memory_per_row_long_ids(self, tmp_path):
         """The same file with person ids of 14 bytes, each coded in two words."""
         assert_memory_per_row(tmp_path, "student_{:06d}")
+
+    def test_memory_per_row_csv_read(self, tmp_path):
+        """The short-id file with a quoted header, which only the csv read
+        takes, peaks under 120 traced bytes a row: the read holds one record
+        at a time, where holding them all takes over 250 a row by itself."""
+        path = tmp_path / "quoted_header.csv"
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write('"person_id",item_id,rater_id,score\n')
+            f.writelines(f"p{p},i{i},r{r},{(p + i + r) % 7}\n"
+                         for p in range(2500) for i in range(4) for r in range(10))
+        tracemalloc.start()
+        try:
+            tensor = ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensor.n_cells == 100_000
+        assert peak < 120 * tensor.n_cells, peak / tensor.n_cells
 
 
 def assert_memory_per_row(tmp_path, person):

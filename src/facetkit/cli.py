@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .agreement import qwk_matrix
 from .ensemble import EnsembleSpec, build_ensemble, greedy_prune
-from .estimate import EstimationConfig, FacetEstimates, estimate
+from .estimate import EstimationConfig, EstimationError, FacetEstimates, estimate
 from .fitstats import STRINGENT_CUTS, FitCuts
 from .ratings import RatingsTensor, canonical_json, ingest_csv
 from .report import Table
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     except StageError as e:
         print(json.dumps({"error": str(e), "stage": e.stage}), file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, EstimationError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 1
 

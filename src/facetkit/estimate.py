@@ -581,9 +581,15 @@ def _threshold_information(probs, weighted):
     weights both sums.  Cells without multiplicities must pass ``probs``
     itself: then ``weighted.T @ probs`` is numpy's symmetric ``a.T @ a``
     product, whose rounding differs from the general product's that an
-    equal copy gets, and the bytes of every ungrouped fit rest on it.
+    equal copy gets, and the bytes of every ungrouped fit rest on it.  Both
+    products take row-major copies of the category-major probabilities
+    (:func:`category_probs`): BLAS's rounding depends on the layout, and
+    these bytes on that rounding.
     """
     K = probs.shape[1] - 1
+    same = weighted is probs
+    probs = np.ascontiguousarray(probs)
+    weighted = probs if same else np.ascontiguousarray(weighted)
     sums_ge = np.cumsum((np.ones(len(probs)) @ weighted)[::-1])[::-1][1:]
     # tail_head[l, m] = sum over cells of P(X >= l) P(X <= m)
     tail_head = np.cumsum(np.cumsum((weighted.T @ probs)[::-1], axis=0)[::-1], axis=1)

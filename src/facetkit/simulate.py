@@ -210,9 +210,9 @@ def simulate(spec: SimSpec):
     # time, so that a block's uniforms and probabilities stay in cache.  A
     # cell's category is the number of its cumulative probabilities 0..K-1
     # below its uniform draw, so rounding that leaves the last one short of 1
-    # cannot give K+1.  The cumulative columns are summed left to right, the
-    # order of np.cumsum, and the counts take the smallest unsigned dtype
-    # that holds K.
+    # cannot give K+1.  The categories' contiguous rows are summed left to
+    # right, the order of np.cumsum, and the counts take the smallest
+    # unsigned dtype that holds K.
     base_loc = -(difficulty[:, None] + severity[None, :])  # (items, raters)
     block = max(1, _BLOCK_CELLS // base_loc.size)
     ability = np.empty(spec.n_persons)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from facetkit import (
     EstimationConfig,
@@ -10,6 +11,13 @@ from facetkit import (
     estimate,
     simulate,
 )
+
+# A failing example prints the @reproduce_failure blob that replays it, and
+# stays in the example database under .hypothesis/.  The profile's parent is
+# the default one, not the "ci" profile Hypothesis picks on CI machines: that
+# one derandomizes, so --hypothesis-seed changes nothing, and keeps no database.
+settings.register_profile("replayable", settings.get_profile("default"), print_blob=True)
+settings.load_profile("replayable")
 
 PAPER_ITEMS = ("SN1", "ER1", "SN2", "ER2")
 PAPER_RATERS = ("R1", "R2", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10")

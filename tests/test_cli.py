@@ -18,7 +18,7 @@ from facetkit import (STRINGENT_CUTS, EstimationConfig, FacetEstimates, RatingsT
 from facetkit.cli import build_parser, main
 from facetkit.study import StudyConfig, run_study
 
-from conftest import paper_spec
+from conftest import paper_spec, small_tensor
 
 BUNDLED_STUDY = Path(str(files("facetkit") / "data" / "study.json"))
 BUNDLED_CSV = Path(str(files("facetkit") / "data" / "paper_shaped.csv"))
@@ -174,6 +174,16 @@ class TestEstimateFitReport:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert named in json.loads(lines[0])["error"]
+
+    def test_disconnected_design_is_one_json_error(self, tmp_path, capsys):
+        # two persons, each scored by a rater the other never meets
+        path = tmp_path / "tensor.json"
+        path.write_text(small_tensor([[1, None], [None, 4]]).to_json_text())
+        assert run_cli("estimate", path, "--out", tmp_path / "estimates.json") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "disconnected design" in json.loads(lines[0])["error"]
+        assert not (tmp_path / "estimates.json").exists()
 
     def test_wright_choice_picks_the_files(self, estimates_json, tensor_json, tmp_path):
         out = tmp_path / "report"

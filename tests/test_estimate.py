@@ -1364,6 +1364,25 @@ class TestScoreGroups:
         assert len(calls) == est.iterations_used + 1    # each step and the SEs
         assert all(calls)
 
+    def test_threshold_information_takes_row_major_products(self):
+        # the kernel hands over a category-major view, and BLAS rounds by the
+        # layout: the sums must be those of the products of row-major rows,
+        # the symmetric rows.T @ rows when no multiplicities weight them
+        n = 1440
+        rng = np.random.default_rng(6)
+        probs = category_probs(rng.normal(0, 1.5, n), np.linspace(-2, 2, 6))
+        rows = np.ascontiguousarray(probs)
+        mult = rng.integers(1, 5, n).astype(float)
+        k = np.arange(1, 7)
+        for weighted, weighted_rows in ((probs, rows),
+                                        (probs * mult[:, None], rows * mult[:, None])):
+            sums_ge, info = estimate_module._threshold_information(probs, weighted)
+            want_ge = np.cumsum((np.ones(n) @ weighted_rows)[::-1])[::-1][1:]
+            tail_head = np.cumsum(np.cumsum((weighted_rows.T @ rows)[::-1], axis=0)[::-1], axis=1)
+            assert sums_ge.tobytes() == want_ge.tobytes()
+            assert info.tobytes() == tail_head[np.maximum.outer(k, k),
+                                               np.minimum.outer(k, k) - 1].tobytes()
+
     def test_extreme_screen_meets_the_extreme_targets(self, monkeypatch):
         tensor, _ = simulate(SimSpec(
             n_persons=4000, n_items=2, n_raters=2, scale=ScaleSpec(0, 3), seed=1,

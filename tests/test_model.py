@@ -1,6 +1,7 @@
 """Tests for category probabilities, score moments, and the log-likelihood."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from facetkit import (
     log_likelihood,
     score_variance,
 )
-from facetkit.model import cell_moments
+from facetkit.model import _SUM_BLOCK, cell_moments
 from conftest import small_tensor
 
 
@@ -115,6 +116,112 @@ class TestCategoryProbs:
         assert batch.shape == (3, 7)
         for i, loc in enumerate(locs):
             assert_allclose(batch[i], category_probs(loc, thr), atol=1e-15)
+
+
+def lane_order_sum(row):
+    """Sum of ``row`` in the kernel's documented order, in Python floats:
+    lane i adds items i, i+4, i+8, ... over the full groups of four, the
+    lanes are reduced as (l0 + l2) + (l1 + l3), and the rest, added left to
+    right, is added to that."""
+    full = len(row) - len(row) % 4
+    lanes = row[:4]
+    for j in range(4, full):
+        lanes[j % 4] += row[j]
+    tail = None
+    for value in row[full:]:
+        tail = value if tail is None else tail + value
+    if not full:
+        return tail
+    total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
+    return total if tail is None else total + tail
+
+
+def lane_order_probs(location, thresholds):
+    """The kernel's probabilities from the same centred psi and np.exp values,
+    each row divided by its :func:`lane_order_sum`: no BLAS call is made."""
+    location = np.asarray(location, dtype=float)
+    K = len(thresholds)
+    c = K // 2
+    cum = np.concatenate([[0.0], np.cumsum(thresholds)])
+    cum -= cum[c]
+    psi = np.stack([location * (k - c) - cum[k] for k in range(K + 1)], axis=-1)
+    if np.max(np.abs(location), initial=0.0) * max(c, K - c) + np.max(np.abs(cum)) > 700:
+        psi -= psi.max(axis=-1, keepdims=True)
+    rows = np.exp(psi).reshape(-1, K + 1).tolist()
+    return np.array([[v / lane_order_sum(list(row)) for v in row] for row in rows]
+                    ).reshape(psi.shape)
+
+
+class TestCategoryMajorKernel:
+    @pytest.mark.parametrize("K", [*range(1, 13), 300])
+    def test_row_sum_takes_the_documented_order(self, K):
+        rng = np.random.default_rng(K)
+        thresholds = np.sort(rng.uniform(-3, 3, K))
+        thresholds -= thresholds.mean()
+        # a whole block of the row sum and a part one, a count that is not a
+        # multiple of four
+        n = _SUM_BLOCK + 3 if K < 300 else 203
+        for location in (rng.normal(0, 3, n), rng.normal(0, 3),
+                         rng.normal(0, 3, (5, 3, 2))):
+            probs = category_probs(location, thresholds)
+            assert probs.tobytes() == lane_order_probs(location, thresholds).tobytes()
+
+    def test_a_cell_does_not_depend_on_the_call(self):
+        # the row sum is numpy's own: a cell's bits are the same alone, in a
+        # batch and in a stack, at every position
+        rng = np.random.default_rng(3)
+        for K in (3, 6, 9):
+            thresholds = np.linspace(-2, 2, K)
+            location = rng.normal(0, 2, 4 * 5 * 3)
+            batch = category_probs(location, thresholds)
+            stacked = category_probs(location.reshape(4, 5, 3), thresholds)
+            assert stacked.tobytes() == batch.tobytes()
+            for i in (0, 57, 58, 59):
+                assert category_probs(location[i], thresholds).tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 3, 5)])
+    def test_each_category_is_a_contiguous_row(self, shape):
+        probs = category_probs(np.linspace(-2, 2, math.prod(shape)).reshape(shape),
+                               np.linspace(-1, 1, 6))
+        assert probs.shape == (*shape, 7)
+        for k in range(7):
+            assert probs[..., k].flags.c_contiguous
+
+    def test_scalar_location_gives_one_row(self):
+        assert category_probs(0.5, np.linspace(-1, 1, 6)).shape == (7,)
+
+    def test_row_max_path_past_700(self):
+        # 3 * 240 logits from the middle category passes the bound of 700
+        thresholds = np.linspace(-2, 2, 6)
+        location = np.array([-240.0, -1.0, 0.0, 2.0, 240.0])
+        probs = category_probs(location, thresholds)
+        assert np.all(np.isfinite(probs))
+        assert probs[0, 0] == 1.0 and probs[-1, -1] == 1.0
+        assert probs.tobytes() == lane_order_probs(location, thresholds).tobytes()
+
+
+class TestKernelMemory:
+    N = 120_000
+    SLACK = 64 * 1024   # bytes that do not grow with the cells
+
+    def traced_peak(self, fn):
+        location = np.random.default_rng(4).normal(0, 2, self.N)
+        thresholds = np.array([-2.1, -1.3, -0.45, 0.45, 1.3, 2.1])
+        tracemalloc.start()
+        try:
+            fn(location, thresholds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_category_probs_takes_the_probabilities_and_two_rows(self):
+        # psi itself, 8 (K + 1) bytes a cell at K = 6, and at most two
+        # float64 rows of temporaries (59.3 B/cell with numpy 2.4)
+        assert self.traced_peak(category_probs) <= (8 * 7 + 16) * self.N + self.SLACK
+
+    def test_cell_moments_stays_at_80_bytes_a_cell(self):
+        # the probabilities, E and E[X^2], and E^2
+        assert self.traced_peak(cell_moments) <= 80 * self.N + self.SLACK
 
 
 class TestExpectedScore:

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, cell_moments, observed_log_likelihood
-from .ratings import (CellIndex, FacetIds, RatingsTensor, ScaleSpec, _json_list, _json_object,
-                      canonical_json)
+from .model import PARAMS_JSON, ModelParams, cell_moments, observed_log_likelihood
+from .ratings import (FACET_IDS_JSON, SCALE_JSON, CellIndex, FacetIds, Fields, RatingsTensor,
+                      ScaleSpec, canonical_json, checked_json)
 
 EXTREME_NONE = "none"
 EXTREME_MIN = "min-extreme"
@@ -75,10 +75,10 @@ class EstimationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EstimationConfig":
-        unknown = sorted(set(d) - set(cls().to_dict()))
-        if unknown:
-            raise ValueError(f"unknown estimation setting(s): {', '.join(unknown)}")
-        return cls(**d)
+        return cls(**checked_json(d, ESTIMATION_JSON, "estimation"))
+
+
+ESTIMATION_JSON = Fields.of(EstimationConfig, lambda f: type(f.default), "estimation setting")
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,20 @@ class FacetEstimates:
     ids: FacetIds
     scale: ScaleSpec
 
+    def __post_init__(self):
+        # one measure, one SE and one flag per element, one SE per threshold
+        n = {"persons": len(self.ids.persons), "raters": len(self.ids.raters),
+             "items": len(self.ids.items), "thresholds": len(self.params.thresholds)}
+        sized = []
+        for unit, name in zip(n, ("ability", "severity", "difficulty", "thresholds")):
+            sized += [(f"params.{name}", getattr(self.params, name), unit),
+                      (f"se.{name}", getattr(self, "se_" + name), unit)]
+        sized += [(f"extreme_flags.{unit}", getattr(self, "extreme_" + unit), unit)
+                  for unit in ("persons", "raters", "items")]
+        for key, values, unit in sized:
+            if len(values) != n[unit]:
+                raise ValueError(f"{key} has {len(values)} {unit}, not {n[unit]}")
+
     def severity_of(self, rater) -> float:
         return float(self.params.severity[self.ids.codes("rater", [rater])[0]])
 
@@ -140,35 +154,34 @@ class FacetEstimates:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FacetEstimates":
-        """The estimates of a JSON object as :meth:`to_json_dict` writes it;
-        a :class:`ValueError` naming the key of any section of the wrong
-        type, or of a standard error it does not know."""
-        d = _json_object(d, "the estimates")
-        names = ("ability", "severity", "difficulty", "thresholds")
-        facets = ("persons", "items", "raters")
-        se = _json_object(d["se"], "se", names)
-        if set(se) - set(names):
-            raise ValueError(f"unknown se key(s): {', '.join(sorted(set(se) - set(names)))}")
-        flags = _json_object(d["extreme_flags"], "extreme_flags", facets)
-        ids = _json_object(d["facets"], "facets", facets)
+        """The estimates of a JSON object as :meth:`to_json_dict` writes it."""
+        d = checked_json(d, _ESTIMATES_JSON, "the estimates")
         return cls(
-            params=ModelParams.from_dict(_json_object(d["params"], "params", names)),
-            **{"se_" + n: np.asarray(_json_list(se[n], f"se.{n}"), float) for n in names},
-            **{"extreme_" + k: _json_list(flags[k], f"extreme_flags.{k}") for k in facets},
-            iterations_used=int(d["iterations_used"]),
-            converged=bool(d["converged"]),
+            params=ModelParams.from_dict(d["params"]),
+            **{"se_" + n: np.asarray(se, float) for n, se in d["se"].items()},
+            **{"extreme_" + k: tuple(flags) for k, flags in d["extreme_flags"].items()},
+            iterations_used=d["iterations_used"],
+            converged=d["converged"],
             log_likelihood_final=float(d["log_likelihood_final"]),
             sweep_log_likelihoods=(),
             max_score_residual=float(d["max_score_residual"]),
-            config=EstimationConfig.from_dict(_json_object(d["config"], "config")),
-            ids=FacetIds(*(_json_list(ids[k], f"facets.{k}") for k in facets)),
-            scale=ScaleSpec.from_dict(_json_object(d["scale"], "scale")),
+            config=EstimationConfig.from_dict(d["config"]),
+            ids=FacetIds(**d["facets"]),
+            scale=ScaleSpec.from_dict(d["scale"]),
         )
 
     @classmethod
     def read_json(cls, path) -> "FacetEstimates":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_json_dict(json.load(f))
+
+
+_ESTIMATES_JSON = Fields(
+    {"scale": SCALE_JSON, "facets": FACET_IDS_JSON, "params": PARAMS_JSON, "se": PARAMS_JSON,
+     "extreme_flags": Fields.of(FacetIds, lambda f: [str, ...]), "iterations_used": int,
+     "converged": bool, "log_likelihood_final": float, "max_score_residual": float,
+     "config": ESTIMATION_JSON},
+    noun="estimates key")
 
 
 def _mark_extremes(cells, K):

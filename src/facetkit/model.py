@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ratings import RatingsTensor
+from .ratings import Fields, RatingsTensor, checked_json
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,11 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelParams":
+        d = checked_json(d, PARAMS_JSON, "params")
         return cls(*(np.asarray(d[f.name], float) for f in fields(cls)))
+
+
+PARAMS_JSON = Fields.of(ModelParams, lambda f: [float, ...])
 
 
 def category_probs(location, thresholds) -> np.ndarray:

@@ -10,10 +10,10 @@ this one store; the dense cube is built only on request.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import marshal
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,30 +27,97 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _json_list(value, key, length=None):
-    """``value`` as a tuple; a :class:`ValueError` naming ``key`` unless it is
-    a JSON list (of ``length`` items, if given)."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        size = "" if length is None else f" of {length}"
-        raise ValueError(f"{key} must be a JSON list{size}, got {value!r}")
-    return tuple(value)
+# -- the one reader of JSON input documents ------------------------------------
+# A kind says what a JSON value must be: float (any number), int, str, bool or
+# None (null), and no bool is a number; [kind, ...], a list of any length;
+# [kind, kind], a list of exactly those elements; {str: kind}, an object of
+# any keys; a Fields, an object of known keys; or a tuple of kinds, any one.
+
+_SCALARS = {float: ((int, float), "number"), int: ((int,), "integer"), str: ((str,), "string"),
+            bool: ((bool,), "boolean"), None: ((type(None),), "null")}  # Python types, noun
 
 
-def _json_object(value, key, required=()):
-    """``value``; a :class:`ValueError` naming ``key`` unless it is a JSON
-    object holding every key in ``required``."""
-    if not isinstance(value, dict) or not value.keys() >= set(required):
-        keys = f" with keys {', '.join(map(repr, required))}" if required else ""
-        raise ValueError(f"{key} must be a JSON object{keys}, got {value!r}")
-    return value
+class Fields:
+    """An object holding every key of ``required`` and any of ``optional``,
+    each mapped to its value's kind; a key left out takes the default of the
+    field it fills.  Errors name a key by its path or by its ``labels`` entry,
+    formatted with the object's values, and an unknown one as a ``noun``."""
+
+    def __init__(self, required, optional=(), noun=None, labels=()):
+        self.required, self.optional = required, dict(optional)
+        self.noun, self.labels = noun, dict(labels)
+
+    @classmethod
+    def of(cls, datacls, kind_of, noun=None):
+        """The fields of ``datacls`` that ``kind_of`` gives a kind; those
+        without a default are required."""
+        rows = [(f, k) for f in dataclasses.fields(datacls) if (k := kind_of(f)) is not None]
+        required = {f.name: k for f, k in rows
+                    if f.default is f.default_factory is dataclasses.MISSING}
+        return cls(required, {f.name: k for f, k in rows if f.name not in required}, noun)
 
 
-def _json_number(value, key, kind=numbers.Real):
-    """``value``; a :class:`ValueError` naming ``key`` unless it is a JSON
-    number, an integer where ``kind`` is ``numbers.Integral``."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "integer" if kind is numbers.Integral else "number"
-        raise ValueError(f"{key} must be a JSON {noun}, got {value!r}")
+def _fits(value, kind):
+    if isinstance(kind, list):
+        return isinstance(value, list) and (kind[-1] is ... or len(value) == len(kind))
+    if isinstance(kind, (dict, Fields)):
+        return isinstance(value, dict) and value.keys() >= getattr(kind, "required", {}).keys()
+    return isinstance(value, _SCALARS[kind][0]) and (kind is bool or not isinstance(value, bool))
+
+
+def _noun(kind):
+    if isinstance(kind, list):
+        return "list" if kind[-1] is ... else f"list of {len(kind)}"
+    if isinstance(kind, (dict, Fields)):
+        keys = getattr(kind, "required", ())
+        return "object" + (f" with keys {', '.join(map(repr, keys))}" if keys else "")
+    return _SCALARS[kind][1]
+
+
+def _all_fit(values, kind):
+    """Whether ``values`` are all of the scalar ``kind``, by exact type at C speed."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return (all(k is None or isinstance(k, type) for k in kinds)
+            and {t for k in kinds for t in _SCALARS[k][0]}.issuperset(map(type, values)))
+
+
+def checked_json(value, kind, name, where=""):
+    """``value`` itself if it is a JSON value of ``kind``; else one
+    :class:`ValueError` naming the key path of the first mismatch, or every
+    unknown key of an object.  ``name`` names the whole document and
+    ``where`` the path of ``value`` within it."""
+    at = where or name
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for kind in kinds:
+        if _fits(value, kind):
+            break
+    else:
+        raise ValueError(f"{at} must be a JSON {' or '.join(map(_noun, kinds))}, got {value!r}")
+    if isinstance(kind, list) and kind[-1] is ...:
+        # scalars, and lists of scalars by position (a tensor's cells), are
+        # checked a type set at a time; a mismatch is then sought one by one
+        item = kind[0]
+        if _all_fit(value, item) or (isinstance(item, list) and {list}.issuperset(map(type, value))
+                                     and {len(item)}.issuperset(map(len, value))
+                                     and all(map(_all_fit, zip(*value), item))):
+            return value
+        for k, x in enumerate(value):  # a scalar is named by its list
+            checked_json(x, item, name, at if _all_fit((), item) else f"{at}[{k}]")
+    elif isinstance(kind, list):
+        for k, (x, x_kind) in enumerate(zip(value, kind)):
+            checked_json(x, x_kind, name, f"{at}[{k}]")
+    elif isinstance(kind, dict):
+        for key, x in value.items():
+            checked_json(x, kind[str], name, f"{at}[{key!r}]")
+    elif isinstance(kind, Fields):
+        unknown = sorted(value.keys() - kind.required.keys() - kind.optional.keys())
+        if unknown:
+            raise ValueError(f"unknown {kind.noun or at + ' key'}(s): {', '.join(unknown)}")
+        for key, x_kind in {**kind.required, **kind.optional}.items():
+            if key in value:
+                label = kind.labels.get(key)
+                path = label.format_map(value) if label else f"{where}.{key}" if where else key
+                checked_json(value[key], x_kind, name, path)
     return value
 
 
@@ -89,7 +156,10 @@ class ScaleSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScaleSpec":
-        return cls(int(d["min_score"]), int(d["max_score"]))
+        return cls(**checked_json(d, SCALE_JSON, "scale"))
+
+
+SCALE_JSON = Fields.of(ScaleSpec, lambda f: int)
 
 
 def _score_value(s):
@@ -154,6 +224,11 @@ class FacetIds:
             "items": list(self.items),
             "raters": list(self.raters),
         }
+
+
+_ID_JSON = (str, float, bool, None)  # an identifier in JSON: any scalar
+#: The identifiers of each facet in JSON, keyed as :meth:`FacetIds.to_dict` keys them.
+FACET_IDS_JSON = Fields.of(FacetIds, lambda f: [_ID_JSON, ...])
 
 
 class CellIndex:
@@ -491,14 +566,9 @@ class RatingsTensor:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RatingsTensor":
-        scale = ScaleSpec.from_dict(d["scale"])
-        ids = FacetIds(
-            tuple(d["facets"]["persons"]),
-            tuple(d["facets"]["items"]),
-            tuple(d["facets"]["raters"]),
-        )
-        return cls.from_cells(scale, ids, d["cells"],
-                              integer_scores=d.get("integer_scores", True))
+        d = checked_json(d, _TENSOR_JSON, "the tensor")
+        return cls.from_cells(ScaleSpec.from_dict(d["scale"]), FacetIds(**d["facets"]),
+                              d["cells"], integer_scores=d.get("integer_scores", True))
 
     @classmethod
     def read_json(cls, path) -> "RatingsTensor":
@@ -546,6 +616,11 @@ class RatingsTensor:
                 and np.array_equal(self.listed_scores, other.listed_scores, equal_nan=True))
 
     __hash__ = None
+
+
+_TENSOR_JSON = Fields({"scale": SCALE_JSON, "facets": FACET_IDS_JSON,
+                       "cells": [[_ID_JSON, _ID_JSON, _ID_JSON, (float, None)], ...]},
+                      {"integer_scores": bool}, "tensor key")
 
 
 def ingest_csv(path, scale_min=None, scale_max=None) -> RatingsTensor:

@@ -12,13 +12,12 @@ byte-identical for a given seed no matter how sampling is scheduled.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ModelParams, category_probs
-from .ratings import FacetIds, RatingsTensor, ScaleSpec, _json_list, _json_number, _json_object
+from .ratings import SCALE_JSON, FacetIds, Fields, RatingsTensor, ScaleSpec, checked_json
 from .rounding import round_half_away
 
 _SEVERITY_STREAM = 2
@@ -141,53 +140,30 @@ class SimSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimSpec":
-        """The spec of a JSON object as :meth:`to_json_dict` writes it; a
-        :class:`ValueError` naming the key of any value of the wrong type."""
-        d = _json_object(d, "the simulation spec",
-                         ("n_persons", "n_items", "n_raters", "scale", "seed"))
-        scale = _json_object(d["scale"], "scale", ("min_score", "max_score"))
-        ability = _json_object(d.get("ability", {}), "ability")
-        sev = d.get("severity")
-        if isinstance(sev, dict):
-            bounds = _json_object(sev, "severity", ("uniform",))["uniform"]
-            sev = ("uniform", *map(float, _json_vector(bounds, "severity's uniform bounds", 2)))
-        elif sev is not None:
-            sev = _json_vector(sev, "severity")
-        pathologies = {}
-        for r, p in _json_object(d.get("pathologies", {}), "pathologies").items():
-            key = f"pathologies[{r!r}]"
-            p = _json_object(p, key)
-            pathologies[int(r)] = Pathology(*(float(_json_number(p.get(k, 0.0), f"{key}.{k}"))
-                                              for k in ("noise", "compression")))
-
-        def optional(key, read):
-            return None if d.get(key) is None else read(d[key], key)
-
-        def integer(value, key):
-            return _json_number(value, key, numbers.Integral)
-
-        return cls(
-            n_persons=integer(d["n_persons"], "n_persons"),
-            n_items=integer(d["n_items"], "n_items"),
-            n_raters=integer(d["n_raters"], "n_raters"),
-            scale=ScaleSpec(integer(scale["min_score"], "scale.min_score"),
-                            integer(scale["max_score"], "scale.max_score")),
-            seed=integer(d["seed"], "seed"),
-            ability_mean=float(_json_number(ability.get("mean", 0.0), "ability.mean")),
-            ability_sd=float(_json_number(ability.get("sd", 1.0), "ability.sd")),
-            severity=sev,
-            difficulty=optional("difficulty", _json_vector),
-            thresholds=optional("thresholds", _json_vector),
-            pathologies=pathologies,
-            item_ids=optional("item_ids", _json_list),
-            rater_ids=optional("rater_ids", _json_list),
-        )
+        """The spec of a JSON object as :meth:`to_json_dict` writes it."""
+        d = dict(checked_json(d, SPEC_JSON, "the simulation spec"))
+        d.update({"ability_" + k: v for k, v in d.pop("ability", {}).items()})
+        d["scale"] = ScaleSpec.from_dict(d["scale"])
+        d["pathologies"] = {int(r): Pathology(**p) for r, p in d.get("pathologies", {}).items()}
+        if isinstance(d.get("severity"), dict):
+            d["severity"] = ("uniform", *map(float, d["severity"]["uniform"]))
+        for key in ("item_ids", "rater_ids"):
+            if d.get(key) is not None:
+                d[key] = tuple(d[key])
+        return cls(**d)
 
 
-def _json_vector(value, key, length=None):
-    """``value`` as a list of numbers; a :class:`ValueError` naming ``key``
-    unless it is a JSON list of numbers (of ``length`` items, if given)."""
-    return [_json_number(v, key) for v in _json_list(value, key, length)]
+SPEC_JSON = Fields(
+    {"n_persons": int, "n_items": int, "n_raters": int, "scale": SCALE_JSON, "seed": int},
+    {"ability": Fields({}, {"mean": float, "sd": float}),
+     "severity": ([float, ...], None, Fields({"uniform": [float, float]},
+                                              labels={"uniform": "severity's uniform bounds"})),
+     "difficulty": ([float, ...], None),
+     "thresholds": ([float, ...], None),
+     "pathologies": {str: Fields.of(Pathology, lambda f: float)},
+     "item_ids": ([str, ...], None),
+     "rater_ids": ([str, ...], None)},
+    noun="simulation spec key")
 
 
 def _default_ids(prefix, n):

@@ -12,19 +12,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agreement import alpha_results, qwk_matrix
 from .ensemble import EnsembleSpec, build_ensemble
-from .estimate import EstimationConfig, estimate, severity_classification
+from .estimate import ESTIMATION_JSON, EstimationConfig, estimate, severity_classification
 from .fitstats import FitCuts, STRINGENT_CUTS, fit_statistics, with_flags
-from .ratings import _json_list, _json_number, _json_object, canonical_json, ingest_csv
+from .ratings import Fields, canonical_json, checked_json, ingest_csv
 from .report import (Table, descriptive_table, estimates_summary, measure_table,
                      render_wright)
-from .simulate import SimSpec, simulate
+from .simulate import SPEC_JSON, SimSpec, simulate
 
 OUTPUT_DIR_ENV = "FACETKIT_OUTPUT_DIR"
 
@@ -37,68 +36,52 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def _json_field(kind, read=None, **default):
+    """A field read from the JSON key of its name: a value of ``kind``, given to ``read``."""
+    return field(**default, metadata={"json": kind, "read": read})
+
+
+_INPUT_JSON = (Fields({"csv": str}, {"scale_min": (int, None), "scale_max": (int, None)}),
+               Fields({"simulate": SPEC_JSON}))
+_ENSEMBLE_JSON = Fields({"name": str, "members": [str, ...]}, {"rounding": str},
+                        labels={"members": "members of ensemble {name!r}"})
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything needed to reproduce one analysis run."""
 
-    input: dict                      # {"csv": path, ...} or {"simulate": spec dict}
-    benchmarks: tuple = ()
-    alpha_groups: dict = field(default_factory=dict)   # name -> item tuple
-    ensembles: tuple = ()            # of EnsembleSpec
-    estimation: EstimationConfig = field(default_factory=EstimationConfig)
-    fit_cuts: FitCuts = STRINGENT_CUTS
-    output_dir: str = None
-    seed: int = None
+    input: dict = _json_field(_INPUT_JSON)  # {"csv": path, ...} or {"simulate": spec dict}
+    benchmarks: tuple = _json_field([str, ...], tuple, default=())
+    alpha_groups: dict = _json_field({str: [str, ...]},  # name -> item tuple
+                                     lambda g: {k: tuple(v) for k, v in g.items()},
+                                     default_factory=dict)
+    ensembles: tuple = _json_field([_ENSEMBLE_JSON, ...],
+                                   lambda es: tuple(EnsembleSpec(**e) for e in es), default=())
+    estimation: EstimationConfig = _json_field(ESTIMATION_JSON, EstimationConfig.from_dict,
+                                               default_factory=EstimationConfig)
+    fit_cuts: FitCuts = _json_field(([float, float], None),
+                                    lambda c: STRINGENT_CUTS if c is None else FitCuts(*c),
+                                    default=STRINGENT_CUTS)
+    output_dir: str = _json_field((str, None), default=None)
+    seed: int = _json_field((int, None), default=None)
     base_dir: str = "."
 
     @classmethod
     def from_json_dict(cls, d: dict, base_dir=".") -> "StudyConfig":
-        """The config of a JSON object; a :class:`ValueError` naming the key
-        of any value of the wrong type, or every key it does not know."""
-        unknown = sorted(set(_json_object(d, "the study config"))
-                         - {f.name for f in dataclasses.fields(cls)} - {"base_dir"})
-        if unknown:
-            raise ValueError(f"unknown study setting(s): {', '.join(unknown)}")
-
-        def integer(value, key):
-            return None if value is None else _json_number(value, key, numbers.Integral)
-
-        source = _json_object(d.get("input"), "input")
-        for key in ("scale_min", "scale_max"):
-            integer(source.get(key), f"input.{key}")
-        if not isinstance(d.get("output_dir"), (str, type(None))):
-            raise ValueError(f"output_dir must be a JSON string, got {d['output_dir']!r}")
-        specs = [_json_object(e, f"ensembles[{k}]", ("name", "members"))
-                 for k, e in enumerate(_json_list(d.get("ensembles", []), "ensembles"))]
-        ensembles = tuple(
-            EnsembleSpec(
-                e["name"], _json_list(e["members"], f"members of ensemble {e['name']!r}"),
-                e.get("rounding", "half-away-from-zero"),
-            )
-            for e in specs
-        )
-        cuts = d.get("fit_cuts")
-        if cuts is not None:
-            cuts = [_json_number(c, "fit_cuts") for c in _json_list(cuts, "fit_cuts", 2)]
-        return cls(
-            input=source,
-            benchmarks=_json_list(d.get("benchmarks", []), "benchmarks"),
-            alpha_groups={k: _json_list(v, f"alpha_groups[{k!r}]") for k, v in
-                          _json_object(d.get("alpha_groups", {}), "alpha_groups").items()},
-            ensembles=ensembles,
-            estimation=EstimationConfig.from_dict(
-                _json_object(d.get("estimation", {}), "estimation")),
-            fit_cuts=STRINGENT_CUTS if cuts is None else FitCuts(*cuts),
-            output_dir=d.get("output_dir"),
-            seed=integer(d.get("seed"), "seed"),
-            base_dir=str(base_dir),
-        )
+        d = checked_json(d, _STUDY_JSON, "the study config")
+        return cls(base_dir=str(base_dir), **{
+            f.name: (f.metadata["read"] or (lambda v: v))(d[f.name])
+            for f in dataclasses.fields(cls) if f.name in d})
 
     @classmethod
     def from_json_file(cls, path) -> "StudyConfig":
         path = Path(path)
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_json_dict(json.load(f), base_dir=path.parent)
+
+
+_STUDY_JSON = Fields.of(StudyConfig, lambda f: f.metadata.get("json"), "study setting")
 
 
 def _resolve_output_dir(config, override=None):
@@ -119,14 +102,12 @@ def _load_input(config, seed_override=None):
         if not path.exists():
             raise StageError("ingest", f"input file not found: {path}")
         return ingest_csv(path, spec.get("scale_min"), spec.get("scale_max"))
-    if "simulate" in spec:
-        sim = SimSpec.from_json_dict(spec["simulate"])
-        seed = seed_override if seed_override is not None else config.seed
-        if seed is not None:
-            sim = dataclasses.replace(sim, seed=int(seed))
-        tensor, _ = simulate(sim)
-        return tensor
-    raise StageError("ingest", "config input must contain 'csv' or 'simulate'")
+    sim = SimSpec.from_json_dict(spec["simulate"])
+    seed = seed_override if seed_override is not None else config.seed
+    if seed is not None:
+        sim = dataclasses.replace(sim, seed=int(seed))
+    tensor, _ = simulate(sim)
+    return tensor
 
 
 def _check_ids(tensor, config):

@@ -165,6 +165,18 @@ class TestEstimateFitReport:
         pytest.param(lambda d: {**d, "params": {**d["params"],
                                                 "severity": d["params"]["severity"][1:]}},
                      "11 raters", id="severity-short"),
+        pytest.param(lambda d: {**d, "converged": "x"}, "converged must be a JSON boolean",
+                     id="converged-string"),
+        pytest.param(lambda d: {**d, "scale": {**d["scale"], "max_score": 6.5}},
+                     "scale.max_score must be a JSON integer", id="max-score-fraction"),
+        pytest.param(lambda d: {**d, "iterations_used": []},
+                     "iterations_used must be a JSON integer", id="iterations-list"),
+        pytest.param(lambda d: {**d, "params": {**d["params"], "ability": {}}},
+                     "params.ability must be a JSON list", id="ability-object"),
+        pytest.param(lambda d: {**d, "se": {**d["se"], "severity": d["se"]["severity"][1:]}},
+                     "se.severity has 11 raters", id="se-short"),
+        pytest.param(lambda d: {**d, "extreme_flags": {**d["extreme_flags"], "raters": []}},
+                     "extreme_flags.raters has 0 raters", id="flags-short"),
     ])
     def test_malformed_estimates_is_one_json_error(self, estimates_json, tensor_json,
                                                    tmp_path, capsys, command, edit, named):
@@ -174,6 +186,35 @@ class TestEstimateFitReport:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert named in json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("edit, named", [
+        pytest.param(lambda d: {**d, "scale": {**d["scale"], "max_score": 6.5}},
+                     "scale.max_score must be a JSON integer", id="max-score-fraction"),
+        pytest.param(lambda d: {**d, "integer_scores": "no"},
+                     "integer_scores must be a JSON boolean", id="integer-scores-string"),
+        pytest.param(lambda d: {**d, "cells": 5}, "cells must be a JSON list", id="cells-number"),
+        pytest.param(lambda d: {**d, "cells": d["cells"][:2] + [d["cells"][2][:3]]},
+                     "cells[2] must be a JSON list of 4", id="cell-of-three"),
+        pytest.param(lambda d: {**d, "cells": [d["cells"][0][:3] + [{}]]},
+                     "cells[0][3] must be a JSON number or null", id="score-object"),
+        pytest.param(lambda d: {**d, "scale": []}, "scale must be a JSON object", id="scale-list"),
+        pytest.param(lambda d: {**d, "facets": {"persons": 5}}, "facets must be a JSON object",
+                     id="facets-partial"),
+        pytest.param(lambda d: {**d, "facets": {**d["facets"], "persons": [[]]}},
+                     "facets.persons must be a JSON string or number or boolean or null",
+                     id="person-id-list"),
+        pytest.param(lambda d: {**d, "shape": [1, 2]}, "unknown tensor key(s): shape",
+                     id="unknown-key"),
+    ])
+    def test_malformed_tensor_is_one_json_error(self, tensor_json, tmp_path, capsys, edit,
+                                                named):
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(edit(json.loads(tensor_json.read_text()))))
+        assert run_cli("estimate", path, "--out", tmp_path / "estimates.json") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert named in json.loads(lines[0])["error"]
+        assert not (tmp_path / "estimates.json").exists()
 
     def test_disconnected_design_is_one_json_error(self, tmp_path, capsys):
         # two persons, each scored by a rater the other never meets
@@ -364,6 +405,19 @@ class TestRun:
         pytest.param("estimation", [], "estimation", id="estimation-list"),
         pytest.param("seed", "1", "seed", id="seed-string"),
         pytest.param("benchmark", ["R2"], "benchmark", id="unknown-key"),
+        pytest.param("base_dir", "/tmp", "unknown study setting(s): base_dir", id="base-dir"),
+        pytest.param("input", {"csv": 5}, "input.csv must be a JSON string", id="csv-number"),
+        pytest.param("input", {}, "input must be a JSON object with keys 'csv'",
+                     id="input-empty"),
+        pytest.param("input", {"simulate": 5}, "input.simulate must be a JSON object",
+                     id="simulate-number"),
+        pytest.param("input", {"simulate": {**paper_spec().to_json_dict(), "n_persons": "2"}},
+                     "input.simulate.n_persons must be a JSON integer", id="spec-persons-string"),
+        pytest.param("input", {"csv": str(BUNDLED_CSV),
+                               "simulate": json.loads(json.dumps(paper_spec().to_json_dict()))},
+                     "unknown input key(s): simulate", id="csv-and-simulate"),
+        pytest.param("ensembles", [{"name": "E", "members": ["A1"], "round": "none"}],
+                     "unknown ensembles[0] key(s): round", id="ensemble-unknown-key"),
     ])
     def test_malformed_config_value_is_one_json_error(self, tmp_path, capsys, key, value,
                                                       named):

@@ -312,6 +312,9 @@ class TestSpecValidation:
         ("severity", {"uniform": [1]}, "uniform bounds must be a JSON list of 2"),
         ("severity", [0.5, "x"], "severity must be a JSON number"),
         ("thresholds", "0", "thresholds must be a JSON list"),
+        ("severity", {"uniform": [1, "x"]}, "severity's uniform bounds[1] must be a JSON number"),
+        ("ability", {"sd": 1.0, "mu": 0.0}, "unknown ability key(s): mu"),
+        ("abilities", {"sd": 1.0}, "unknown simulation spec key(s): abilities"),
     ])
     def test_malformed_json_value_names_its_key(self, key, value, named):
         d = SimSpec(n_persons=5, n_items=2, n_raters=2, scale=ScaleSpec(0, 6),

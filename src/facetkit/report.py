@@ -129,22 +129,10 @@ def descriptive_table(tensor: RatingsTensor) -> Table:
 
 # -- Wright maps -------------------------------------------------------------
 
-
-def _wright_elements(estimates):
-    persons = list(zip(estimates.ids.persons, estimates.params.ability))
-    raters = list(zip(estimates.ids.raters, estimates.params.severity))
-    items = list(zip(estimates.ids.items, estimates.params.difficulty))
-    thresholds = [
-        (f"T{k + 1}", v) for k, v in enumerate(estimates.params.thresholds)
-    ]
-    return persons, raters, items, thresholds
-
-
-def _axis_range(groups, margin=0.5, bucket=0.25):
-    values = [m for group in groups for _, m in group]
-    hi = math.ceil((max(values) + margin) / bucket) * bucket
-    lo = math.floor((min(values) - margin) / bucket) * bucket
-    return lo, hi
+_MARGIN = 0.5  # logits the axis reaches past the outermost measure
+_MAX_BAR = 40  # persons drawn as '#' on one ascii row; a longer row adds its count
+# what xml.sax.saxutils.escape replaces; importing that module loads urllib.request
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def render_wright(estimates: FacetEstimates, format: str = "ascii",
@@ -155,72 +143,60 @@ def render_wright(estimates: FacetEstimates, format: str = "ascii",
     is an affine image of the measure, so elements with equal measures
     land together and ordering is never crossed.
     """
-    if format == "ascii":
-        return _wright_ascii(estimates, bucket)
-    if format == "svg":
-        return _wright_svg(estimates, bucket)
-    raise ValueError(f"format must be ascii or svg, got {format!r}")
+    if format not in ("ascii", "svg"):
+        raise ValueError(f"format must be ascii or svg, got {format!r}")
+    render = _wright_ascii if format == "ascii" else _wright_svg
+    return render(_wright_layout(estimates, bucket), bucket)
 
 
-def _bucket_of(measure, hi, bucket, n_rows):
-    # nearest tick: keeps the affine order and puts labels by the closest rung
-    b = int(math.floor((hi - measure) / bucket + 0.5))
-    return min(max(b, 0), n_rows - 1)
-
-
-def _person_rows(persons, lo, hi, bucket):
-    """Persons on each map row, one row per ``bucket`` from ``hi`` down to ``lo``."""
+def _wright_layout(estimates, bucket):
+    """``(lo, hi, persons, labels)``: the axis, the persons on each row (one
+    row per ``bucket`` from ``hi`` down to ``lo``), and the rater, item and
+    threshold labels, each a list of (measure, text, row) sorted by measure,
+    then text."""
+    params = estimates.params
+    measures = np.concatenate([params.ability, params.severity, params.difficulty,
+                               params.thresholds])
+    hi = math.ceil((measures.max() + _MARGIN) / bucket) * bucket
+    lo = math.floor((measures.min() - _MARGIN) / bucket) * bucket
     n_rows = int(round((hi - lo) / bucket)) + 1
-    person_rows = [0] * n_rows
-    for _, m in persons:
-        person_rows[_bucket_of(m, hi, bucket, n_rows)] += 1
-    return person_rows
+
+    def rows(m):
+        # nearest tick: keeps the affine order and puts labels by the closest rung
+        return np.clip(np.floor((hi - m) / bucket + 0.5), 0, n_rows - 1).astype(int)
+
+    thresholds = [f"T{k + 1}" for k in range(params.thresholds.size)]
+    labels = [sorted(zip(m.tolist(), map(str, ids), rows(m).tolist()))
+              for ids, m in ((estimates.ids.raters, params.severity),
+                             (estimates.ids.items, params.difficulty),
+                             (thresholds, params.thresholds))]
+    return lo, hi, np.bincount(rows(params.ability), minlength=n_rows).tolist(), labels
 
 
-def _wright_ascii(estimates, bucket=0.25, max_bar=40):
-    persons, raters, items, thresholds = _wright_elements(estimates)
-    lo, hi = _axis_range([persons, raters, items, thresholds], bucket=bucket)
-    person_rows = _person_rows(persons, lo, hi, bucket)
-    n_rows = len(person_rows)
-
-    label_rows = {"raters": {}, "items": {}, "thresholds": {}}
-    for key, group in (("raters", raters), ("items", items), ("thresholds", thresholds)):
-        for label, m in sorted(group, key=lambda t: (t[1], str(t[0]))):
-            label_rows[key].setdefault(_bucket_of(m, hi, bucket, n_rows), []).append(label)
-
-    def bar(count):
-        if count <= max_bar:
-            return "#" * count
-        return "#" * max_bar + f"({count})"
-
-    col = {
-        key: [" ".join(label_rows[key].get(b, [])) for b in range(n_rows)]
-        for key in label_rows
-    }
-    pw = max([len(bar(c)) for c in person_rows] + [len("Persons")])
-    rw = max([len(s) for s in col["raters"]] + [len("Raters")])
-    iw = max([len(s) for s in col["items"]] + [len("Items")])
-
-    lines = [
-        f"{'Logit':>7} | {'Persons':<{pw}} | {'Raters':<{rw}} | "
-        f"{'Items':<{iw}} | Thresholds",
-    ]
-    lines.append("-" * len(lines[0]))
-    for b in range(n_rows):
-        tick = hi - b * bucket
-        lines.append(
-            f"{tick:>7.2f} | {bar(person_rows[b]):<{pw}} | {col['raters'][b]:<{rw}} | "
-            f"{col['items'][b]:<{iw}} | {col['thresholds'][b]}"
-        )
+def _wright_ascii(layout, bucket):
+    _, hi, persons, labels = layout
+    columns = [[[] for _ in persons] for _ in labels]
+    for column, group in zip(columns, labels):
+        for _, text, row in group:
+            column[row].append(text)
+    # each column under its heading, so that one format lays out every line
+    ticks = ["Logit", *(f"{hi - b * bucket:.2f}" for b in range(len(persons)))]
+    bars = ["Persons", *("#" * min(count, _MAX_BAR) + (f"({count})" if count > _MAX_BAR else "")
+                         for count in persons)]
+    raters, items, thresholds = ([name, *map(" ".join, column)] for name, column
+                                 in zip(("Raters", "Items", "Thresholds"), columns))
+    pw, rw, iw = (max(map(len, column)) for column in (bars, raters, items))
+    lines = [f"{tick:>7} | {bar:<{pw}} | {rater:<{rw}} | {item:<{iw}} | {threshold}"
+             for tick, bar, rater, item, threshold in zip(ticks, bars, raters, items, thresholds)]
+    lines.insert(1, "-" * len(lines[0]))
     lines.append("")
-    lines.append(f"Each # is one person; {len(persons)} persons, "
-                 f"{len(raters)} raters, {len(items)} items.")
+    lines.append(f"Each # is one person; {sum(persons)} persons, "
+                 f"{len(labels[0])} raters, {len(labels[1])} items.")
     return "\n".join(lines) + "\n"
 
 
-def _wright_svg(estimates, bucket=0.25):
-    persons, raters, items, thresholds = _wright_elements(estimates)
-    lo, hi = _axis_range([persons, raters, items, thresholds], bucket=bucket)
+def _wright_svg(layout, bucket):
+    lo, hi, persons, labels = layout
 
     px_per_logit = 60.0
     pad_top, pad_bottom = 40.0, 20.0
@@ -254,10 +230,8 @@ def _wright_svg(estimates, bucket=0.25):
         tick += 0.5
 
     # person distribution as horizontal bars per bucket
-    person_rows = _person_rows(persons, lo, hi, bucket)
-    peak = max(person_rows) if person_rows else 1
-    bar_scale = 190.0 / max(peak, 1)
-    for b, count in enumerate(person_rows):
+    bar_scale = 190.0 / max(max(persons), 1)
+    for b, count in enumerate(persons):
         if count == 0:
             continue
         top = pad_top + b * bucket * px_per_logit
@@ -271,12 +245,13 @@ def _wright_svg(estimates, bucket=0.25):
             f'y="{top + bucket * px_per_logit / 2 + 4:.1f}">{count}</text>'
         )
 
-    for group, x in ((raters, x_rater), (items, x_item), (thresholds, x_thresh)):
-        for label, m in sorted(group, key=lambda t: (t[1], str(t[0]))):
+    for group, x in zip(labels, (x_rater, x_item, x_thresh)):
+        for m, text, _ in group:
             parts.append(
                 f'<circle cx="{x - 8:.1f}" cy="{y(m):.1f}" r="2.5" fill="black"/>'
             )
-            parts.append(f'<text x="{x:.1f}" y="{y(m) + 4:.1f}">{label} ({m:.2f})</text>')
+            parts.append(f'<text x="{x:.1f}" y="{y(m) + 4:.1f}">'
+                         f'{text.translate(_XML_TEXT)} ({m:.2f})</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -144,7 +144,8 @@ class SimSpec:
         d = dict(checked_json(d, SPEC_JSON, "the simulation spec"))
         d.update({"ability_" + k: v for k, v in d.pop("ability", {}).items()})
         d["scale"] = ScaleSpec.from_dict(d["scale"])
-        d["pathologies"] = {int(r): Pathology(**p) for r, p in d.get("pathologies", {}).items()}
+        d["pathologies"] = {_rater_index(r): Pathology(**p)
+                            for r, p in d.get("pathologies", {}).items()}
         if isinstance(d.get("severity"), dict):
             d["severity"] = ("uniform", *map(float, d["severity"]["uniform"]))
         for key in ("item_ids", "rater_ids"):
@@ -164,6 +165,13 @@ SPEC_JSON = Fields(
      "item_ids": ([str, ...], None),
      "rater_ids": ([str, ...], None)},
     noun="simulation spec key")
+
+
+def _rater_index(key):
+    try:
+        return int(key)
+    except ValueError:
+        raise ValueError(f"pathologies key {key!r} is not a rater index") from None
 
 
 def _default_ids(prefix, n):

@@ -154,14 +154,25 @@ def fit_stage(tensor, estimates, cuts, facet="rater", sort="by_measure"):
     return fit, measure_table(estimates, fit, sort=sort)
 
 
+def _text_keys(by_id: dict) -> dict:
+    """``by_id`` keyed by each id's text, as JSON keys are; two ids of one text are an error."""
+    first = {}
+    for element in by_id:
+        other = first.setdefault(str(element), element)
+        if other is not element:
+            raise ValueError(f"rater ids {other!r} and {element!r} are both {str(element)!r}")
+    return {text: by_id[element] for text, element in first.items()}
+
+
 def report_stage(tensor, estimates, rater_fit) -> dict:
     """The report artifacts as {file name: text}: both Wright maps, the
     descriptive table, and the summary with severity labels and the rater
     fit flags at ``rater_fit``'s cuts."""
     summary = {
         "estimates": estimates_summary(estimates),
-        "severity_labels": severity_classification(estimates, allow_unconverged=True),
-        "fit_flags": dict(zip(rater_fit.element_ids, rater_fit.flags)),
+        "severity_labels": _text_keys(severity_classification(estimates,
+                                                              allow_unconverged=True)),
+        "fit_flags": _text_keys(dict(zip(rater_fit.element_ids, rater_fit.flags))),
         "fit_cuts": [rater_fit.cuts.lower, rater_fit.cuts.upper],
     }
     return {

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from importlib.resources import files
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 import facetkit
-from facetkit import (STRINGENT_CUTS, EstimationConfig, FacetEstimates, RatingsTensor,
-                      simulate)
+from facetkit import (STRINGENT_CUTS, EstimationConfig, FacetEstimates, FacetIds,
+                      RatingsTensor, ScaleSpec, SimSpec, simulate)
 from facetkit.cli import build_parser, main
 from facetkit.study import StudyConfig, run_study
 
@@ -35,6 +36,35 @@ BUNDLED_SHA256 = {
     "ensemble_agreement.csv":
         "619664630a2543b346bf6ca03d1ebcda1fe06333ad28c7495dc3491413d00305",
 }
+
+
+# the bundled run's BLAS-dependent bytes, and the host they were recorded on:
+# numpy, its BLAS build, the CPU vendor and AVX-512F, which OpenBLAS reads
+# at run time to pick its kernels
+BUNDLED_MANIFEST_SHA256 = "9f248d2b01870d5537b35f43f0735debb005af8571615a1a420c3390428b319f"
+RECORDED_BLAS_HOST = ("2.4.6", "0.3.31.188.0", "GenuineIntel", True)
+
+
+def blas_host():
+    """This host's (numpy, BLAS, CPU vendor, AVX-512F), or None before numpy 2."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+        avx512 = bool(np._core._multiarray_umath.__cpu_features__.get("AVX512F"))
+    except (AttributeError, KeyError, TypeError):
+        return None
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
+    vendor = next((line.split(":", 1)[1].strip() for line in lines
+                   if line.startswith("vendor_id")), None)
+    return np.__version__, blas, vendor, avx512
+
+
+def relabelled(items, raters):
+    """A small simulated tensor whose item and rater ids are replaced."""
+    tensor, _ = simulate(SimSpec(n_persons=20, n_items=2, n_raters=3,
+                                 scale=ScaleSpec(0, 3), seed=1))
+    ids = FacetIds(tensor.ids.persons, items, raters)
+    return RatingsTensor(tensor.scale, ids, tensor.values)
 
 
 def run_cli(*argv):
@@ -155,6 +185,39 @@ class TestEstimateFitReport:
         for name in ("raters.csv", "wright.txt", "wright.svg", "descriptives.csv",
                      "summary.json"):
             assert (out / name).read_bytes() == (study / name).read_bytes(), name
+
+    @pytest.mark.parametrize("items, raters", [
+        pytest.param((1, 2), ("r1", "r2", "r3"), id="int-items"),
+        pytest.param(("i1", "i2"), (7, "b", 2.5), id="mixed-raters"),
+        pytest.param(("a&b", "<i>"), ("<r>", "x>y", "&"), id="markup"),
+    ])
+    def test_report_prints_ids_as_text(self, tmp_path, items, raters):
+        # tensor.json takes any scalar id
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(relabelled(items, raters).to_json_text())
+        assert run_cli("estimate", tensor, "--out", tmp_path / "estimates.json") == 0
+        out = tmp_path / "report"
+        assert run_cli("report", tmp_path / "estimates.json", tensor, "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary["fit_flags"]) == sorted(summary["severity_labels"]) == sorted(
+            map(str, raters))
+        labels = [el.text for el in ET.fromstring((out / "wright.svg").read_text()).iter()
+                  if el.tag.endswith("text")]
+        ascii_map = (out / "wright.txt").read_text()
+        for element in (*items, *raters):
+            assert any(text.startswith(f"{element} (") for text in labels), element
+            assert str(element) in ascii_map, element
+
+    def test_rater_ids_of_one_text_are_one_json_error(self, tmp_path, capsys):
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(relabelled(("i1", "i2"), (7, "7", "b")).to_json_text())
+        assert run_cli("estimate", tensor, "--out", tmp_path / "estimates.json") == 0
+        capsys.readouterr()
+        assert run_cli("report", tmp_path / "estimates.json", tensor,
+                       "--out", tmp_path / "report") == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "rater ids 7 and '7'" in json.loads(lines[0])["error"]
 
     @pytest.mark.parametrize("command", ["fit", "report"])
     @pytest.mark.parametrize("edit, named", [
@@ -297,6 +360,8 @@ class TestSimulate:
     @pytest.mark.parametrize("key, value, named", [
         pytest.param("pathologies", ["1"], "pathologies", id="pathologies-list"),
         pytest.param("pathologies", {"1": 0.2}, "pathologies['1']", id="pathology-number"),
+        pytest.param("pathologies", {"x": {"noise": 0.2}}, "pathologies key 'x'",
+                     id="pathology-key-not-index"),
         pytest.param("ability", [1], "ability", id="ability-list"),
         pytest.param("item_ids", "AB", "item_ids", id="item-ids-string"),
         pytest.param("n_persons", 5.7, "n_persons", id="persons-fraction"),
@@ -362,6 +427,16 @@ class TestRun:
                 assert got == want, path
 
         assert_close(got, want, "estimates")
+
+    def test_bundled_run_has_the_recorded_bytes_on_the_recorded_blas(self, tmp_path):
+        host = blas_host()
+        if host != RECORDED_BLAS_HOST:
+            pytest.skip(f"the fit's BLAS sums may round otherwise here: host {host}, "
+                        f"bytes recorded on {RECORDED_BLAS_HOST}")
+        _, out = run_study(StudyConfig.from_json_file(BUNDLED_STUDY), output_dir=tmp_path)
+        assert (out / "estimates.json").read_bytes() == GOLDEN_ESTIMATES.read_bytes()
+        manifest = (out / "manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == BUNDLED_MANIFEST_SHA256
 
     def test_rerun_is_hash_identical(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

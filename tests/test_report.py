@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from facetkit import (
     EstimationConfig,
@@ -68,6 +70,187 @@ def golden_estimates():
         items=("SN1", "ER1", "SN2"),
         raters=("R1", "R2", "G2"),
     )
+
+
+# -- the reference renderer: both maps built one person at a time ---------------
+
+
+def reference_wright(estimates, format, bucket):
+    """``render_wright(estimates, format, bucket)`` as first written: each
+    map rebuilds the axis and places every person with its own Python call.
+    Labels go into the SVG unescaped, so ids must hold no ``&``, ``<``, ``>``."""
+    render = {"ascii": _reference_ascii, "svg": _reference_svg}[format]
+    return render(estimates, bucket)
+
+
+def _reference_elements(estimates):
+    persons = list(zip(estimates.ids.persons, estimates.params.ability))
+    raters = list(zip(estimates.ids.raters, estimates.params.severity))
+    items = list(zip(estimates.ids.items, estimates.params.difficulty))
+    thresholds = [
+        (f"T{k + 1}", v) for k, v in enumerate(estimates.params.thresholds)
+    ]
+    return persons, raters, items, thresholds
+
+
+def _reference_axis_range(groups, margin=0.5, bucket=0.25):
+    values = [m for group in groups for _, m in group]
+    hi = math.ceil((max(values) + margin) / bucket) * bucket
+    lo = math.floor((min(values) - margin) / bucket) * bucket
+    return lo, hi
+
+
+def _reference_bucket_of(measure, hi, bucket, n_rows):
+    b = int(math.floor((hi - measure) / bucket + 0.5))
+    return min(max(b, 0), n_rows - 1)
+
+
+def _reference_person_rows(persons, lo, hi, bucket):
+    n_rows = int(round((hi - lo) / bucket)) + 1
+    person_rows = [0] * n_rows
+    for _, m in persons:
+        person_rows[_reference_bucket_of(m, hi, bucket, n_rows)] += 1
+    return person_rows
+
+
+def _reference_ascii(estimates, bucket=0.25, max_bar=40):
+    persons, raters, items, thresholds = _reference_elements(estimates)
+    lo, hi = _reference_axis_range([persons, raters, items, thresholds], bucket=bucket)
+    person_rows = _reference_person_rows(persons, lo, hi, bucket)
+    n_rows = len(person_rows)
+
+    label_rows = {"raters": {}, "items": {}, "thresholds": {}}
+    for key, group in (("raters", raters), ("items", items), ("thresholds", thresholds)):
+        for label, m in sorted(group, key=lambda t: (t[1], str(t[0]))):
+            label_rows[key].setdefault(_reference_bucket_of(m, hi, bucket, n_rows),
+                                       []).append(label)
+
+    def bar(count):
+        if count <= max_bar:
+            return "#" * count
+        return "#" * max_bar + f"({count})"
+
+    col = {
+        key: [" ".join(label_rows[key].get(b, [])) for b in range(n_rows)]
+        for key in label_rows
+    }
+    pw = max([len(bar(c)) for c in person_rows] + [len("Persons")])
+    rw = max([len(s) for s in col["raters"]] + [len("Raters")])
+    iw = max([len(s) for s in col["items"]] + [len("Items")])
+
+    lines = [
+        f"{'Logit':>7} | {'Persons':<{pw}} | {'Raters':<{rw}} | "
+        f"{'Items':<{iw}} | Thresholds",
+    ]
+    lines.append("-" * len(lines[0]))
+    for b in range(n_rows):
+        tick = hi - b * bucket
+        lines.append(
+            f"{tick:>7.2f} | {bar(person_rows[b]):<{pw}} | {col['raters'][b]:<{rw}} | "
+            f"{col['items'][b]:<{iw}} | {col['thresholds'][b]}"
+        )
+    lines.append("")
+    lines.append(f"Each # is one person; {len(persons)} persons, "
+                 f"{len(raters)} raters, {len(items)} items.")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg(estimates, bucket=0.25):
+    persons, raters, items, thresholds = _reference_elements(estimates)
+    lo, hi = _reference_axis_range([persons, raters, items, thresholds], bucket=bucket)
+
+    px_per_logit = 60.0
+    pad_top, pad_bottom = 40.0, 20.0
+    height = pad_top + (hi - lo) * px_per_logit + pad_bottom
+    x_axis, x_person, x_rater, x_item, x_thresh = 70.0, 90.0, 310.0, 470.0, 610.0
+    width = 720.0
+
+    def y(measure):
+        return pad_top + (hi - measure) * px_per_logit
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}" '
+        'font-family="monospace" font-size="12">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        f'<line x1="{x_axis:.1f}" y1="{y(hi):.1f}" x2="{x_axis:.1f}" '
+        f'y2="{y(lo):.1f}" stroke="black"/>',
+    ]
+    for name, x in (("Persons", x_person), ("Raters", x_rater),
+                    ("Items", x_item), ("Thresholds", x_thresh)):
+        parts.append(f'<text x="{x:.1f}" y="20" font-weight="bold">{name}</text>')
+    parts.append('<text x="10" y="20" font-weight="bold">Logit</text>')
+
+    tick = lo
+    while tick <= hi + 1e-9:
+        parts.append(
+            f'<line x1="{x_axis - 5:.1f}" y1="{y(tick):.1f}" x2="{x_axis:.1f}" '
+            f'y2="{y(tick):.1f}" stroke="black"/>'
+        )
+        parts.append(f'<text x="10" y="{y(tick) + 4:.1f}">{tick:>6.2f}</text>')
+        tick += 0.5
+
+    person_rows = _reference_person_rows(persons, lo, hi, bucket)
+    peak = max(person_rows) if person_rows else 1
+    bar_scale = 190.0 / max(peak, 1)
+    for b, count in enumerate(person_rows):
+        if count == 0:
+            continue
+        top = pad_top + b * bucket * px_per_logit
+        parts.append(
+            f'<rect x="{x_person:.1f}" y="{top:.1f}" '
+            f'width="{count * bar_scale:.1f}" height="{bucket * px_per_logit - 1:.1f}" '
+            'fill="steelblue"/>'
+        )
+        parts.append(
+            f'<text x="{x_person + count * bar_scale + 4:.1f}" '
+            f'y="{top + bucket * px_per_logit / 2 + 4:.1f}">{count}</text>'
+        )
+
+    for group, x in ((raters, x_rater), (items, x_item), (thresholds, x_thresh)):
+        for label, m in sorted(group, key=lambda t: (t[1], str(t[0]))):
+            parts.append(
+                f'<circle cx="{x - 8:.1f}" cy="{y(m):.1f}" r="2.5" fill="black"/>'
+            )
+            parts.append(f'<text x="{x:.1f}" y="{y(m) + 4:.1f}">{label} ({m:.2f})</text>')
+
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@st.composite
+def wright_cases(draw):
+    """Estimates and a bucket other than the default.  Half of the measures
+    are multiples of half a bucket, so with a dyadic bucket they sit on
+    exact half-row ties that round up; repeated abilities fill rows past
+    the ascii bar's 40 persons."""
+    bucket = draw(st.sampled_from([0.1, 0.125, 0.2, 0.5, 1.0]))
+    measure = st.one_of(st.integers(-30, 30).map(lambda k: k * bucket / 2),
+                        st.floats(-8.0, 8.0, allow_nan=False))
+    ids = st.text("ab AB0 1_-.", min_size=1, max_size=4)
+
+    def facet(max_size):
+        measures = draw(st.lists(measure, min_size=1, max_size=max_size))
+        names = draw(st.lists(ids, min_size=len(measures), max_size=len(measures),
+                              unique=True))
+        return measures, tuple(names)
+
+    ability = draw(st.lists(measure, min_size=1, max_size=30)) * draw(st.integers(1, 20))
+    (severity, raters), (difficulty, items) = facet(12), facet(6)
+    thresholds = draw(st.lists(measure, min_size=1, max_size=6))
+    return toy_estimates(ability, severity, difficulty, thresholds,
+                         items=items, raters=raters), bucket
+
+
+@settings(max_examples=150, deadline=None)
+@given(wright_cases())
+@example((golden_estimates(), 0.25))
+@example((toy_estimates([0.0] * 41 + [1.0] * 40, [0.0], [0.0], [0.0]), 0.5))  # bar's end
+def test_wright_maps_match_the_reference(case):
+    estimates, bucket = case
+    for format in ("ascii", "svg"):
+        assert render_wright(estimates, format, bucket) == reference_wright(
+            estimates, format, bucket), format
 
 
 class TestWrightAscii:
@@ -138,6 +321,12 @@ class TestWrightSvg:
         assert any("G2" in (t or "") for t in labels)
         assert any("SN1" in (t or "") for t in labels)
         assert any("T4" in (t or "") for t in labels)
+        # ids from a plain CSV may hold markup characters; the labels escape them
+        est = toy_estimates([0.0], [-0.5, 0.5], [0.0], [0.0, 0.0],
+                            items=("<i>&amp;",), raters=("a&b", "<r>"))
+        root = ET.fromstring(render_wright(est, "svg"))
+        labels = [el.text for el in root.iter() if el.tag.endswith("text")]
+        assert {"a&b (-0.50)", "<r> (0.50)", "<i>&amp; (0.00)"} <= set(labels)
 
     def test_positions_are_affine_in_measure(self):
         est = toy_estimates([0.0, 0.0], [-1.0, 0.0, 2.0], [0.0], [0.0, 0.0])

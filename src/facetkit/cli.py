@@ -168,11 +168,11 @@ def cmd_simulate(args):
 def cmd_report(args):
     estimates = FacetEstimates.read_json(args.estimates)
     tensor = _load_tensor(args.tensor)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rater_fit, raters = fit_stage(tensor, estimates, args.cuts)
     files = {"raters.csv": raters.to_csv_text(), **report_stage(tensor, estimates, rater_fit)}
     unwanted = {"ascii": "wright.svg", "svg": "wright.txt"}.get(args.wright)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         if name != unwanted:
             (out / name).write_text(text, encoding="utf-8")

@@ -307,8 +307,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     probs, _, w = cell_moments(groups.locations(*params[:3]), params[3])
     information = [np.bincount(groups.pidx, w, reps.size)[group_of]]
     information += [groups.sums(which, w) for which in ("rater", "item")]
-    weighted = probs if groups.mult is None else probs * groups.mult[:, None]
-    information.append(np.diag(_threshold_information(probs, weighted)[1]))
+    information.append(np.diag(_threshold_information(probs, groups.mult)[1]))
     se = [1.0 / np.sqrt(np.maximum(info, 1e-12)) for info in information]
     return FacetEstimates(
         params=ModelParams(params[0][group_of], *params[1:]),
@@ -582,7 +581,7 @@ def _newton(cells, targets, free, gauge, params, config, max_iterations, change_
         change = max(np.max(np.abs(vec - old)) for vec, old in zip(params, prev))
 
 
-def _threshold_information(probs, weighted):
+def _threshold_information(probs, mult):
     """Sums over cells of P(X >= k), k = 1..K, and the K x K threshold information.
 
     The information is the sum over cells of Cov([X >= k], [X >= l]), which
@@ -590,19 +589,17 @@ def _threshold_information(probs, weighted):
     sums of the column totals of ``probs`` and of ``probs.T @ probs``, so no
     per-cell array of K columns is formed and every term is a sum of
     positive products, precise even where one category is nearly certain.
-    ``weighted``, each row of ``probs`` times its cell's multiplicity,
-    weights both sums.  Cells without multiplicities must pass ``probs``
-    itself: then ``weighted.T @ probs`` is numpy's symmetric ``a.T @ a``
-    product, whose rounding differs from the general product's that an
-    equal copy gets, and the bytes of every ungrouped fit rest on it.  Both
-    products take row-major copies of the category-major probabilities
-    (:func:`category_probs`): BLAS's rounding depends on the layout, and
-    these bytes on that rounding.
+    ``mult``, the cells' multiplicities, weights each row of ``probs`` in
+    both sums.  Cells without multiplicities pass None, which selects
+    numpy's symmetric ``a.T @ a`` product: its rounding differs from the
+    general product's, which multiplicities of ones would get, and the
+    bytes of every ungrouped fit rest on it.  Both products take row-major
+    copies of the category-major probabilities (:func:`category_probs`):
+    BLAS's rounding depends on the layout, and these bytes on that rounding.
     """
     K = probs.shape[1] - 1
-    same = weighted is probs
     probs = np.ascontiguousarray(probs)
-    weighted = probs if same else np.ascontiguousarray(weighted)
+    weighted = probs if mult is None else probs * mult[:, None]
     sums_ge = np.cumsum((np.ones(len(probs)) @ weighted)[::-1])[::-1][1:]
     # tail_head[l, m] = sum over cells of P(X >= l) P(X <= m)
     tail_head = np.cumsum(np.cumsum((weighted.T @ probs)[::-1], axis=0)[::-1], axis=1)
@@ -631,8 +628,9 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     the Schur complement costs a product per block over the columns its
     persons share and a few products a person, not persons times
     (R + I + K)^2.  On a 10000 x 4 x 400 rater pool (3 raters a person)
-    ``estimate`` takes 0.46 s, 0.68 s with one product per pattern of
-    columns (medians of 10 interleaved calls, 2-core VM, one BLAS thread).
+    ``estimate`` takes 0.25 s (median of 10 calls, 2-core VM, one BLAS
+    thread); at commit a4d92ea, 0.46 s against 0.68 s with one product per
+    pattern of columns (medians of 10 interleaved calls, same host type).
     The system is solved densely on the free steps (:func:`_project`),
     then the person steps are back-substituted.  With ``gauge``, the rater,
     item and threshold steps each sum to zero over their free elements,
@@ -650,9 +648,8 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
     P, R, I = cells.size["person"], cells.size["rater"], cells.size["item"]
     RI, M = R + I, R + I + K
     pidx, ridx, iidx = cells.pidx, cells.ridx, cells.iidx
-    weighted = probs    # not a copy: see _threshold_information
     if cells.mult is not None:
-        w, weighted = w * cells.mult, probs * cells.mult[:, None]
+        w = w * cells.mult
     g_p, g_r, g_i = resid_sums
     free_p = free[0] & ~_held(params[0], g_p, clamp)
     inv_d = np.where(free_p, 1.0 / np.maximum(np.bincount(pidx, w, P), 1e-12), 0.0)
@@ -661,10 +658,10 @@ def _joint_step(cells, probs, e, w, resid_sums, n_ge, params, free, gauge, clamp
         d_p = inv_d * g_p
         return (d_p, np.zeros(R), np.zeros(I), np.zeros(K)), d_p @ g_p, False
 
-    sums_ge, info_t = _threshold_information(probs, weighted)
+    sums_ge, info_t = _threshold_information(probs, cells.mult)
     g_o = np.concatenate([g_r, g_i, n_ge - sums_ge])
 
-    schur, rhs, cov_p = _eliminate_persons(cells, e, w, weighted, info_t, g_o, inv_d, g_p,
+    schur, rhs, cov_p = _eliminate_persons(cells, e, w, probs, info_t, g_o, inv_d, g_p,
                                            columns)
 
     grads = (g_p, -g_o[:R], -g_o[R:RI], -g_o[RI:])
@@ -709,7 +706,7 @@ def _project(schur, rhs, groups, gauge):
     return projected, rhs[keep] - rhs[last], keep, last
 
 
-def _eliminate_persons(cells, e, w, weighted, info_t, g_o, inv_d, g_p, columns):
+def _eliminate_persons(cells, e, w, probs, info_t, g_o, inv_d, g_p, columns):
     """The system :func:`_joint_step` solves over raters, items and
     thresholds, the persons eliminated: the information less, for each
     person, its row times its inverse curvature ``inv_d`` times its row,
@@ -731,12 +728,13 @@ def _eliminate_persons(cells, e, w, weighted, info_t, g_o, inv_d, g_p, columns):
     K = info_t.shape[0]
     RI, M = R + I, R + I + K
     pidx, ridx, iidx = cells.pidx, cells.ridx, cells.iidx
+    mult = 1.0 if cells.mult is None else cells.mult
     info = np.zeros((M, M))
     info[:R, R:RI] = np.bincount(ridx * I + iidx, w, R * I).reshape(R, I)
     cov_p = np.empty((P, K))
     tail = np.zeros(cells.n)
     for k in range(K, 0, -1):
-        tail += (k - e) * weighted[:, k]  # Cov(X, [X >= k]) of each cell
+        tail += (k - e) * (probs[:, k] * mult)  # Cov(X, [X >= k]) of each cell
         cov_p[:, k - 1] = np.bincount(pidx, tail, P)
         info[:R, RI + k - 1] = np.bincount(ridx, tail, R)
         info[R:RI, RI + k - 1] = np.bincount(iidx, tail, I)

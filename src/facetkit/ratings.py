@@ -17,6 +17,7 @@ import marshal
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat as repeated
 
 import numpy as np
 
@@ -583,10 +584,12 @@ class RatingsTensor:
         ``ids``, :class:`IngestError` for a cell listed twice or scored NaN
         (a missing score is None).  On one cell the checks rank in that order.
         """
-        rows = [(p, i, r, s) for p, i, r, s in cells]  # each cell unpacks to four values
+        rows = cells if isinstance(cells, list) else list(cells)
+        if not {tuple, list}.issuperset(map(type, rows)) or set(map(len, rows)) - {4}:
+            rows = [(p, i, r, s) for p, i, r, s in rows]  # the first cell not of 4 values raises
         columns = list(zip(*rows)) or [()] * 4
         indexes = (ids.person_index, ids.item_index, ids.rater_index)
-        pidx, iidx, ridx = (np.array([index.get(x, -1) for x in column], dtype=np.intp)
+        pidx, iidx, ridx = (np.fromiter(map(index.get, column, repeated(-1)), np.intp, len(rows))
                             for index, column in zip(indexes, columns))
         unknown = np.flatnonzero((pidx < 0) | (iidx < 0) | (ridx < 0))
         nan_score = np.flatnonzero([s is not None and s != s for s in columns[3]])

@@ -72,7 +72,9 @@ class SimSpec:
             raise ValueError("seed must be a non-negative 64-bit integer")
         if self.ability_sd <= 0:
             raise ValueError("ability_sd must be positive")
-        thr = self._threshold_vector()
+        self._vector("severity", self.n_raters)
+        self._vector("difficulty", self.n_items)
+        thr = self._vector("thresholds", self.scale.num_categories - 1)
         if abs(thr.sum()) > 1e-9:
             raise ValueError(f"thresholds must be centered, sum is {thr.sum():g}")
         for ridx, pathology in self.pathologies.items():
@@ -85,34 +87,19 @@ class SimSpec:
         if self.rater_ids is not None and len(self.rater_ids) != self.n_raters:
             raise ValueError("rater_ids length must equal n_raters")
 
-    def _threshold_vector(self) -> np.ndarray:
-        K = self.scale.num_categories - 1
-        if self.thresholds is None:
-            return np.zeros(K)
-        thr = np.asarray(self.thresholds, dtype=float)
-        if thr.shape != (K,):
-            raise ValueError(f"expected {K} thresholds, got shape {thr.shape}")
-        return thr
-
-    def _severity_vector(self) -> np.ndarray:
-        if self.severity is None:
-            return np.zeros(self.n_raters)
-        if isinstance(self.severity, tuple) and self.severity[0] == "uniform":
-            _, a, b = self.severity
-            rng = np.random.default_rng([self.seed, _SEVERITY_STREAM])
-            return rng.uniform(a, b, self.n_raters)
-        sev = np.asarray(self.severity, dtype=float)
-        if sev.shape != (self.n_raters,):
-            raise ValueError(f"expected {self.n_raters} severities, got {sev.shape}")
-        return sev
-
-    def _difficulty_vector(self) -> np.ndarray:
-        if self.difficulty is None:
-            return np.zeros(self.n_items)
-        dif = np.asarray(self.difficulty, dtype=float)
-        if dif.shape != (self.n_items,):
-            raise ValueError(f"expected {self.n_items} difficulties, got {dif.shape}")
-        return dif
+    def _vector(self, name, n) -> np.ndarray:
+        """The generating vector ``name`` of length ``n``: zeros for None, and
+        for severity, a seeded uniform draw for ``("uniform", a, b)``."""
+        value = getattr(self, name)
+        if value is None:
+            return np.zeros(n)
+        if name == "severity" and isinstance(value, tuple) and value[0] == "uniform":
+            _, a, b = value
+            return np.random.default_rng([self.seed, _SEVERITY_STREAM]).uniform(a, b, n)
+        vec = np.asarray(value, dtype=float)
+        if vec.shape != (n,):
+            raise ValueError(f"expected {n} {name} values, got shape {vec.shape}")
+        return vec
 
     def to_json_dict(self) -> dict:
         sev = self.severity
@@ -185,10 +172,10 @@ def simulate(spec: SimSpec):
     Returns ``(tensor, truth)`` where ``truth`` is the :class:`ModelParams`
     that produced the scores (before any pathology was applied).
     """
-    severity = spec._severity_vector()
-    difficulty = spec._difficulty_vector()
-    thresholds = spec._threshold_vector()
     K = spec.scale.num_categories - 1
+    severity = spec._vector("severity", spec.n_raters)
+    difficulty = spec._vector("difficulty", spec.n_items)
+    thresholds = spec._vector("thresholds", K)
 
     # persons are drawn and priced a block of about _BLOCK_CELLS cells at a
     # time, so that a block's uniforms and probabilities stay in cache.  A

@@ -399,6 +399,12 @@ BAD_CELLS = {
     "unknown": [("p1", "i1", "r1", 9), ("p3", "i1", "r1", 1)],
     "nan": [("p1", "i1", "r1", 2), ("p2", "i1", "r1", float("nan"))],
     "good": [("p2", "i1", "r2", 3), ("p1", "i1", "r2", None), ("p1", "i1", "r1", 0)],
+    # cells of other than four values raise as unpacking does, ahead of any other fault
+    "unknown then three values": [("p3", "i1", "r1", 1), ("p1", "i1", "r1")],
+    "five values": [("p1", "i1", "r1", 1), ("p2", "i1", "r1", 1, 0)],
+    "not a sequence": [("p1", "i1", "r1", 1), 7],
+    "lists and tuples": [["p2", "i1", "r2", 3], ("p1", "i1", "r1", 0)],
+    "other iterables": [range(4), "wxyz"],
 }
 
 

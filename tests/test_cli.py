@@ -219,6 +219,17 @@ class TestEstimateFitReport:
         assert len(lines) == 1
         assert "rater ids 7 and '7'" in json.loads(lines[0])["error"]
 
+    def test_failed_report_leaves_no_directory(self, tmp_path, capsys):
+        # the directory is made once every file is built, its parents too
+        tensor = tmp_path / "tensor.json"
+        tensor.write_text(relabelled(("i1", "i2"), (7, "7", "b")).to_json_text())
+        assert run_cli("estimate", tensor, "--out", tmp_path / "estimates.json") == 0
+        capsys.readouterr()
+        out = tmp_path / "reports" / "report"
+        assert run_cli("report", tmp_path / "estimates.json", tensor, "--out", out) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("command", ["fit", "report"])
     @pytest.mark.parametrize("edit, named", [
         pytest.param(lambda d: {**d, "se": []}, "se must be a JSON object", id="se-list"),

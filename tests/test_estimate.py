@@ -1350,13 +1350,13 @@ class TestScoreGroups:
         assert est.sweep_log_likelihoods == want.sweep_log_likelihoods
 
     def test_ungrouped_fit_hands_probs_itself_as_weights(self, monkeypatch):
-        # an equal copy would take numpy's general product in place of the
-        # symmetric a.T @ a one and change the bundled estimates' bytes
+        # multiplicities of ones would take numpy's general product in place
+        # of the symmetric a.T @ a one and change the bundled estimates' bytes
         calls = []
 
-        def recording(probs, weighted):
-            calls.append(weighted is probs)
-            return threshold_information(probs, weighted)
+        def recording(probs, mult):
+            calls.append(mult is None)
+            return threshold_information(probs, mult)
 
         threshold_information = estimate_module._threshold_information
         monkeypatch.setattr(estimate_module, "_threshold_information", recording)
@@ -1374,9 +1374,8 @@ class TestScoreGroups:
         rows = np.ascontiguousarray(probs)
         mult = rng.integers(1, 5, n).astype(float)
         k = np.arange(1, 7)
-        for weighted, weighted_rows in ((probs, rows),
-                                        (probs * mult[:, None], rows * mult[:, None])):
-            sums_ge, info = estimate_module._threshold_information(probs, weighted)
+        for weights, weighted_rows in ((None, rows), (mult, rows * mult[:, None])):
+            sums_ge, info = estimate_module._threshold_information(probs, weights)
             want_ge = np.cumsum((np.ones(n) @ weighted_rows)[::-1])[::-1][1:]
             tail_head = np.cumsum(np.cumsum((weighted_rows.T @ rows)[::-1], axis=0)[::-1], axis=1)
             assert sums_ge.tobytes() == want_ge.tobytes()

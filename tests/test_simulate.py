@@ -91,10 +91,10 @@ def reference_simulate(spec):
     uniform of the design in one float64 cube, categories counted in float64
     over blocks of about 2**16 cells, from ``np.cumsum`` of the
     probabilities."""
-    severity = spec._severity_vector()
-    difficulty = spec._difficulty_vector()
-    thresholds = spec._threshold_vector()
     K = spec.scale.num_categories - 1
+    severity = spec._vector("severity", spec.n_raters)
+    difficulty = spec._vector("difficulty", spec.n_items)
+    thresholds = spec._vector("thresholds", K)
     ability = np.empty(spec.n_persons)
     u = np.empty((spec.n_persons, spec.n_items, spec.n_raters))
     for j in range(spec.n_persons):
@@ -279,6 +279,13 @@ class TestSpecValidation:
                 n_persons=5, n_items=2, n_raters=2, scale=ScaleSpec(0, 6), seed=1,
                 thresholds=[1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
             )
+
+    @pytest.mark.parametrize("field, value", [("severity", [0.5, -0.5]),
+                                              ("difficulty", [0.2, 0.0, -0.2])])
+    def test_wrong_length_vector_is_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"expected [23] {field} values"):
+            SimSpec(n_persons=5, n_items=2, n_raters=3, scale=ScaleSpec(0, 6), seed=1,
+                    **{field: value})
 
     def test_counts_positive(self):
         with pytest.raises(ValueError):

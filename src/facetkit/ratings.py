@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat as repeated
+from operator import itemgetter
 
 import numpy as np
 
@@ -100,7 +101,8 @@ def checked_json(value, kind, name, where=""):
         item = kind[0]
         if _all_fit(value, item) or (isinstance(item, list) and {list}.issuperset(map(type, value))
                                      and {len(item)}.issuperset(map(len, value))
-                                     and all(map(_all_fit, zip(*value), item))):
+                                     and all(_all_fit(map(itemgetter(j), value), k)
+                                             for j, k in enumerate(item))):
             return value
         for k, x in enumerate(value):  # a scalar is named by its list
             checked_json(x, item, name, at if _all_fit((), item) else f"{at}[{k}]")
@@ -587,7 +589,7 @@ class RatingsTensor:
         rows = cells if isinstance(cells, list) else list(cells)
         if not {tuple, list}.issuperset(map(type, rows)) or set(map(len, rows)) - {4}:
             rows = [(p, i, r, s) for p, i, r, s in rows]  # the first cell not of 4 values raises
-        columns = list(zip(*rows)) or [()] * 4
+        columns = [list(map(itemgetter(j), rows)) for j in range(4)]
         indexes = (ids.person_index, ids.item_index, ids.rater_index)
         pidx, iidx, ridx = (np.fromiter(map(index.get, column, repeated(-1)), np.intp, len(rows))
                             for index, column in zip(indexes, columns))
@@ -795,8 +797,7 @@ def _plain_read(raw):
     """
     if b"\r" in raw and raw.count(b"\r") == raw.count(b"\r\n") == raw.count(b"\n"):
         raw = raw.replace(b"\r\n", b"\n")
-    if not (raw.startswith(_HEADER) and raw.endswith(b"\n") and not raw.translate(None, _PLAIN)
-            and not any(edge in raw for edge in (b" ,", b", ", b" \n", b"\n "))):
+    if not (raw.startswith(_HEADER) and raw.endswith(b"\n") and not raw.translate(None, _PLAIN)):
         return None
     data = np.frombuffer(raw + bytes(8), np.uint8)  # the words at the end read zeros
     # field c of record j, the header being record 0, lies between
@@ -811,6 +812,9 @@ def _plain_read(raw):
     columns = []
     for c in range(4):
         start, end = sep[c + 4:-1:4] + 1, sep[c + 5::4]
+        # a space at either end of a field; an empty field's ends are separators
+        if np.any(data[start] == 32) or np.any(data[end - 1] == 32):
+            return None
         codes, first = _field_codes(words, start, end - start)
         columns.append((codes, [raw[a:b].decode() for a, b in
                                 zip(start[first].tolist(), end[first].tolist())]))

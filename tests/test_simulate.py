@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from facetkit import ModelParams, Pathology, ScaleSpec, SimSpec, expected_score, simulate
 from facetkit.model import category_probs
 from facetkit.rounding import round_half_away
+from facetkit.simulate import _person_states
 from conftest import paper_spec
 
 
@@ -158,6 +159,8 @@ def sim_specs(draw):
 @example(PINNED_DRAWS["ability_sd_70_overflow_guard"][0])
 @example(SimSpec(n_persons=9000, n_items=1, n_raters=1, scale=ScaleSpec(0, 1), seed=7,
                  ability_sd=300.0))
+# one person, with a seed of two 32-bit words
+@example(SimSpec(n_persons=1, n_items=3, n_raters=2, scale=ScaleSpec(0, 4), seed=2**64 - 1))
 # 300 steps: counts past 255 need more than a byte
 @example(SimSpec(n_persons=40, n_items=2, n_raters=3, scale=ScaleSpec(-5, 295), seed=8,
                  ability_sd=60.0, pathologies={1: Pathology(noise=0.5, compression=0.2)}))
@@ -169,6 +172,14 @@ def test_draws_match_the_reference(spec):
     np.testing.assert_array_equal(tensor.listed_codes, np.arange(scores.size))
     for name in ("ability", "severity", "difficulty", "thresholds"):
         assert getattr(truth, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_person_states_are_default_rngs(seed):
+    """The states built in one pass are those ``default_rng([seed, 0, j])``
+    starts from, for seeds of one 32-bit word and of two, and 4000 persons."""
+    want = [np.random.default_rng([seed, 0, j]).bit_generator.state for j in range(4000)]
+    assert list(_person_states(seed, 4000)) == want
 
 
 def test_memory_per_cell():

@@ -35,7 +35,6 @@ from .fitstats import (
     FitCuts,
     FitReport,
     PERMISSIVE_CUTS,
-    STRICT_CUTS,
     STRINGENT_CUTS,
     classify_fit,
     fit_statistics,
@@ -46,7 +45,6 @@ from .model import (
     category_probs,
     expected_score,
     log_likelihood,
-    score_variance,
 )
 from .ratings import (
     FacetIds,
@@ -90,7 +88,6 @@ __all__ = [
     "ScaleSpec",
     "SimSpec",
     "StageError",
-    "STRICT_CUTS",
     "STRINGENT_CUTS",
     "StudyConfig",
     "Table",
@@ -114,7 +111,6 @@ __all__ = [
     "removal_chain",
     "render_wright",
     "run_study",
-    "score_variance",
     "severity_classification",
     "simulate",
     "with_flags",

@@ -62,9 +62,13 @@ class EstimationConfig:
 
     def __post_init__(self):
         lowest = {"max_iterations": 1, "logit_clamp": 5}   # the others must be positive
-        for name, value in self.to_dict().items():
+        for f in dataclasses.fields(self):
+            name, value = f.name, getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            # an integer field takes a Python int, as its JSON key does
+            if type(f.default) is int and not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if name in lowest and not value >= lowest[name]:
                 raise ValueError(f"{name} must be >= {lowest[name]}")
             if name not in lowest and not value > 0:
@@ -807,7 +811,7 @@ def severity_classification(estimates: FacetEstimates, cut: float = 0.3,
     Severity above +cut marks a severe rater (scores pulled down), below
     -cut a lenient one.  Refuses unconverged estimates unless overridden.
     """
-    if cut <= 0:
+    if not cut > 0:
         raise ValueError("cut must be positive")
     if not estimates.converged and not allow_unconverged:
         raise ValueError(

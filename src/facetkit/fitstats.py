@@ -34,10 +34,9 @@ class FitCuts:
             raise ValueError(f"cuts must satisfy 0 < lower < 1 < upper, got {self}")
 
 
-#: Conventional cut pairs, from permissive to strict.
+#: Conventional cut pairs, permissive and stringent.
 PERMISSIVE_CUTS = FitCuts(0.5, 1.5)
 STRINGENT_CUTS = FitCuts(0.7, 1.3)
-STRICT_CUTS = FitCuts(0.8, 1.2)
 
 
 @dataclass(frozen=True)

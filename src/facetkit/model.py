@@ -147,10 +147,10 @@ def _normalize_columns(p):
 def cell_moments(location, thresholds):
     """(probs, expected score E, score variance W) at the given locations.
 
-    This is the one moment kernel: estimation, fit statistics and the
-    public :func:`expected_score`/:func:`score_variance` all take E and W
-    from here.  W is also d(E)/d(location).  E and E[X^2] come from one
-    product of the columns k and k^2 with the category-major probabilities.
+    This is the one moment kernel: estimation and fit statistics take E and
+    W from here, and the public :func:`expected_score` takes E.  W is also
+    d(E)/d(location).  E and E[X^2] come from one product of the columns k
+    and k^2 with the category-major probabilities.
     """
     probs = category_probs(location, thresholds)
     k = np.arange(probs.shape[-1], dtype=float)
@@ -173,12 +173,6 @@ def expected_score(location, thresholds):
     """Expected category index, strictly increasing in location."""
     e = cell_moments(location, thresholds)[1]
     return float(e) if e.ndim == 0 else e
-
-
-def score_variance(location, thresholds):
-    """Variance of the category index; also d(expected_score)/d(location)."""
-    w = cell_moments(location, thresholds)[2]
-    return float(w) if w.ndim == 0 else w
 
 
 def log_likelihood(tensor: RatingsTensor, params: ModelParams) -> float:

@@ -431,13 +431,6 @@ class RatingsTensor:
     def shape(self) -> tuple:
         return len(self.ids.persons), len(self.ids.items), len(self.ids.raters)
 
-    def score(self, person, item, rater) -> float:
-        code = _flat_codes(self.shape, *(self.ids.codes(facet, [x])[0] for facet, x
-                                         in zip(FACETS, (person, item, rater))))
-        k = np.searchsorted(self.listed_codes, code)
-        listed = k < self.listed_codes.size and self.listed_codes[k] == code
-        return float(self.listed_scores[k]) if listed else np.nan
-
     @cached_property
     def derived(self) -> dict:
         """Statistics computed from this tensor, kept for reuse.  The tensor
@@ -448,35 +441,6 @@ class RatingsTensor:
     def connected(self) -> bool:
         """True when :meth:`CellIndex.unlinked` finds no pair in all cells."""
         return self.cell_index.unlinked() is None
-
-    # -- slicing ------------------------------------------------------------
-
-    def slice(self, persons=None, items=None, raters=None) -> "RatingsTensor":
-        """Sub-tensor restricted to the given id subsets (tensor order kept)."""
-
-        def pick(subset, facet, n):
-            if subset is None:
-                return list(range(n))
-            subset = list(subset)
-            if not subset:
-                raise ValueError(f"empty facet: no {facet}s requested")
-            return sorted(set(self.ids.codes(facet, subset)))
-
-        pi, ii, ri = map(pick, (persons, items, raters), FACETS, self.shape)
-        sub_ids = FacetIds(
-            tuple(self.ids.persons[i] for i in pi),
-            tuple(self.ids.items[i] for i in ii),
-            tuple(self.ids.raters[i] for i in ri),
-        )
-        codes = list(np.unravel_index(self.listed_codes, self.shape))
-        for k, (kept, n) in enumerate(zip((pi, ii, ri), self.shape)):
-            new_code = np.full(n, -1)
-            new_code[kept] = np.arange(len(kept))
-            codes[k] = new_code[codes[k]]
-        sel = (codes[0] >= 0) & (codes[1] >= 0) & (codes[2] >= 0)
-        flat = _flat_codes((len(pi), len(ii), len(ri)), *(c[sel] for c in codes))
-        return RatingsTensor._of_codes(self.scale, sub_ids, flat, self.listed_scores[sel],
-                                       self.integer_scores)
 
     def with_rater(self, rater_id, scores, declared_missing=None,
                    integer_scores=None) -> "RatingsTensor":

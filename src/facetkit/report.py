@@ -145,6 +145,8 @@ def render_wright(estimates: FacetEstimates, format: str = "ascii",
     """
     if format not in ("ascii", "svg"):
         raise ValueError(f"format must be ascii or svg, got {format!r}")
+    if not 0 < bucket < math.inf:
+        raise ValueError(f"bucket must be positive and finite, got {bucket!r}")
     render = _wright_ascii if format == "ascii" else _wright_svg
     return render(_wright_layout(estimates, bucket), bucket)
 

@@ -61,6 +61,23 @@ def small_tensor(scores, scale=(0, 6), persons=None, items=None, raters=None):
     return RatingsTensor(ScaleSpec(*scale), ids, arr)
 
 
+def score_of(tensor, person, item, rater):
+    """The score ``tensor`` lists for one cell, NaN if the cell is declared
+    missing or not listed."""
+    for row in tensor.long_rows():
+        if row[:3] == (person, item, rater):
+            return np.nan if row[3] is None else row[3]
+    return np.nan
+
+
+def with_items(tensor, items):
+    """The cells of ``tensor`` on ``items``, those kept in the tensor's order."""
+    ids = FacetIds(tensor.ids.persons, tuple(i for i in tensor.ids.items if i in items),
+                   tensor.ids.raters)
+    rows = [row for row in tensor.long_rows() if row[1] in items]
+    return RatingsTensor.from_cells(tensor.scale, ids, rows, tensor.integer_scores)
+
+
 def pool_csv(n_persons, n_pool, seed, benchmark=False):
     """A rater-pool design: each person scored on 4 items by pool raters
     ``j % n_pool`` and ``(j + 1 + j // n_pool) % n_pool`` (and by one

@@ -1,10 +1,10 @@
 """The cell store of ``RatingsTensor`` against the dense cube it replaced.
 
 ``CubeTensor`` keeps the cube-based tensor as the reference: the checks a
-tensor ran on its cube, ``CellIndex.of`` by ``np.nonzero``, ``slice``,
+tensor ran on its cube, ``CellIndex.of`` by ``np.nonzero``,
 ``with_rater``, ``long_rows``, ``from_cells`` and ``==``, plus the ensemble
 mean over a block of the cube.  Tensors from every constructor (the cube
-constructor, ingest, ``from_cells``, ``slice``, ``with_rater``,
+constructor, ingest, ``from_cells``, ``with_rater``,
 ``build_ensemble``, ``simulate``) must give the same cubes, cell arrays,
 rows, bytes, equality and errors, from a store of strictly increasing,
 read-only listed codes.
@@ -89,31 +89,6 @@ class CubeTensor:
         """``CellIndex.of``: the present cells by ``np.nonzero`` over the cube."""
         pidx, iidx, ridx = np.nonzero(self.present_mask)
         return pidx, iidx, ridx, self.values[pidx, iidx, ridx] - self.scale.min_score
-
-    def slice(self, persons=None, items=None, raters=None):
-        def pick(subset, all_ids, index, name):
-            if subset is None:
-                return list(range(len(all_ids)))
-            subset = list(subset)
-            if not subset:
-                raise ValueError(f"empty facet: no {name}s requested")
-            for x in subset:
-                if x not in index:
-                    raise KeyError(f"unknown {name} identifier {x!r}")
-            keep = set(subset)
-            return [i for i, x in enumerate(all_ids) if x in keep]
-
-        pi = pick(persons, self.ids.persons, self.ids.person_index, "person")
-        ii = pick(items, self.ids.items, self.ids.item_index, "item")
-        ri = pick(raters, self.ids.raters, self.ids.rater_index, "rater")
-        sub_ids = FacetIds(
-            tuple(self.ids.persons[i] for i in pi),
-            tuple(self.ids.items[i] for i in ii),
-            tuple(self.ids.raters[i] for i in ri),
-        )
-        vals = self.values[np.ix_(pi, ii, ri)].copy()
-        declared = self.declared_missing[np.ix_(pi, ii, ri)].copy()
-        return CubeTensor(self.scale, sub_ids, vals, declared, self.integer_scores)
 
     def with_rater(self, rater_id, scores, declared_missing=None, integer_scores=None):
         if rater_id in self.ids.rater_index:
@@ -226,10 +201,6 @@ def assert_same(tensor, ref):
     assert np.array_equal(tensor.declared_missing, ref.declared_missing)
     for view in (tensor.values, tensor.present_mask, tensor.declared_missing):
         assert not view.flags.writeable
-    ids = tensor.ids
-    read = [[[tensor.score(p, i, r) for r in ids.raters] for i in ids.items]
-            for p in ids.persons]
-    assert np.array_equal(read, ref.values, equal_nan=True)
     cells = tensor.cell_index
     for got, want in zip((cells.pidx, cells.iidx, cells.ridx, cells.x), ref.cell_arrays()):
         assert got.dtype == want.dtype
@@ -248,8 +219,8 @@ def store_designs(draw):
     items x 1-4 raters on a K-category scale starting at -1, 0 or 1, about a
     quarter of the cells absent and some of them declared missing, sometimes
     a rater with no cells or a non-integer ``build_ensemble(..., "none")``
-    rater, then sometimes a ``slice`` or a ``with_rater``.  Returns the
-    reference and the same steps on the store, built from cells."""
+    rater, then sometimes a ``with_rater``.  Returns the reference and the
+    same steps on the store, built from cells."""
     P, I, R = (draw(st.integers(1, n)) for n in (8, 3, 4))
     K = draw(st.integers(1, 4))
     lo = draw(st.sampled_from([0, 0, -1, 1]))
@@ -272,10 +243,6 @@ def store_designs(draw):
         rounding = draw(st.sampled_from(["none", "none", "half-to-even"]))
         steps.append(("ensemble", members, rounding))
     if draw(st.booleans()):
-        steps.append(("slice", *(draw(st.one_of(st.none(), st.lists(
-            st.sampled_from(all_ids), min_size=1))) for all_ids in (
-                ids.persons, ids.items, ids.raters + ("E",)))))
-    elif draw(st.booleans()):
         new = np.array(draw(st.lists(st.sampled_from([np.nan, lo, lo + K, lo + 0.5]),
                                      min_size=P * I, max_size=P * I))).reshape(P, I)
         blank = np.array(draw(st.lists(st.booleans(), min_size=P * I,

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -15,9 +17,9 @@ import pytest
 
 import facetkit
 from facetkit import (STRINGENT_CUTS, EstimationConfig, FacetEstimates, FacetIds,
-                      RatingsTensor, ScaleSpec, SimSpec, simulate)
+                      RatingsTensor, ScaleSpec, SimSpec, fit_statistics, simulate)
 from facetkit.cli import build_parser, main
-from facetkit.study import StudyConfig, run_study
+from facetkit.study import StageError, StudyConfig, run_study
 
 from conftest import paper_spec, small_tensor
 
@@ -139,6 +141,13 @@ class TestAgree:
         rows = json.loads(out.read_text())
         assert all("kappa" in r for r in rows)
 
+    def test_without_out_prints_the_bytes_out_writes(self, tensor_json, tmp_path, capsys):
+        out = tmp_path / "agree.csv"
+        assert run_cli("agree", tensor_json, "--benchmarks", "R1", "--out", out) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli("agree", tensor_json, "--benchmarks", "R1") == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
 
 class TestAlpha:
     def test_groups(self, tensor_json, tmp_path):
@@ -167,6 +176,39 @@ class TestEstimateFitReport:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("id,measure,se,infit_ms,outfit_ms")
         assert len(lines) == 13
+
+    @pytest.mark.parametrize("facet, measure", [("person", "ability"),
+                                                ("item", "difficulty")])
+    def test_fit_table_of_persons_and_items(self, estimates_json, tensor_json, tmp_path,
+                                            facet, measure):
+        out = tmp_path / "fit.csv"
+        assert run_cli("fit", estimates_json, tensor_json, "--facet", facet, "--sort", "by_id",
+                       "--out", out) == 0
+        tensor, estimates = RatingsTensor.read_json(tensor_json), FacetEstimates.read_json(
+            estimates_json)
+        fit = fit_statistics(tensor, estimates, facet)
+        ids = getattr(tensor.ids, facet + "s")
+        assert fit.element_ids == ids
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["id"] for row in rows] == sorted(ids)
+        for row in rows:
+            k = ids.index(row["id"])
+            want = (getattr(estimates.params, measure)[k], getattr(estimates, "se_" + measure)[k],
+                    fit.infit_ms[k], fit.outfit_ms[k])
+            assert [row[c] for c in ("measure", "se", "infit_ms", "outfit_ms")] == [
+                f"{x:.2f}" for x in want]
+            assert row["n_obs"] == str(fit.n_obs[k])
+
+    @pytest.mark.parametrize("argv", [("estimate",), ("agree", "--benchmarks", "R1,R2")],
+                             ids=["estimate", "agree"])
+    def test_csv_tensor_path_reads_as_its_json(self, tensor_json, tmp_path, argv):
+        # a tensor path not ending in .json is ingested on its observed
+        # scale, 0-6 for the bundled file, as the JSON was
+        command, *options = argv
+        from_csv, from_json = tmp_path / "csv.out", tmp_path / "json.out"
+        assert run_cli(command, BUNDLED_CSV, *options, "--out", from_csv) == 0
+        assert run_cli(command, tensor_json, *options, "--out", from_json) == 0
+        assert from_csv.read_bytes() == from_json.read_bytes()
 
     def test_report_directory(self, estimates_json, tensor_json, tmp_path):
         out = tmp_path / "report"
@@ -355,6 +397,16 @@ class TestSimulate:
         assert len(out.read_text().splitlines()) == 61
         truth_params = json.loads(truth.read_text())
         assert truth_params["severity"] == [0.5, -0.5, 0.0]
+
+    def test_simulate_json_out(self, tmp_path):
+        spec = {"n_persons": 10, "n_items": 2, "n_raters": 3,
+                "scale": {"min_score": 0, "max_score": 6}, "seed": 5}
+        spec_path = tmp_path / "sim.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "t.json"
+        assert run_cli("simulate", "--spec", spec_path, "--out", out) == 0
+        tensor, _ = simulate(SimSpec.from_json_dict(spec))
+        assert out.read_text() == tensor.to_json_text()
 
     def test_seed_override_changes_data(self, tmp_path):
         spec = {
@@ -559,6 +611,26 @@ class TestRun:
         for name, digest in listed.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
         assert not (out / "estimates.json").exists()
+
+    @pytest.mark.parametrize("key, value, stage, message", [
+        pytest.param("input", {"csv": "missing.csv"}, "ingest",
+                     "input file not found: {dir}/missing.csv", id="input-file"),
+        pytest.param("alpha_groups", {"sn": ["SN1", "SN9"]}, "alpha",
+                     "unknown item id 'SN9' in group 'sn'", id="alpha-item"),
+        pytest.param("ensembles", [{"name": "E9", "members": ["A1", "A99"]}], "ensemble",
+                     "unknown rater id 'A99' in ensemble 'E9'", id="ensemble-member"),
+    ])
+    def test_stage_error_before_any_artifact(self, tmp_path, key, value, stage, message):
+        config = json.loads(BUNDLED_STUDY.read_text())
+        config["input"]["csv"] = str(BUNDLED_CSV)
+        config[key] = value
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(StageError) as e:
+            run_study(StudyConfig.from_json_file(path), output_dir=tmp_path / "out")
+        assert (e.value.stage, str(e.value)) == (stage, message.format(dir=tmp_path))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest == {"artifacts": []}
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FACETKIT_OUTPUT_DIR", str(tmp_path / "env_out"))

@@ -15,7 +15,7 @@ from facetkit import (
     removal_chain,
     simulate,
 )
-from conftest import small_tensor
+from conftest import score_of, small_tensor
 
 
 class TestEnsembleSpec:
@@ -38,21 +38,21 @@ class TestBuildEnsemble:
     def test_half_away_rounding(self):
         t = small_tensor([[3, 4], [2, 3]], raters=("a", "b"))
         extended = build_ensemble(t, EnsembleSpec("E", ("a", "b")))
-        assert extended.score("p1", "i1", "E") == 4.0  # mean 3.5 rounds up
-        assert extended.score("p2", "i1", "E") == 3.0  # mean 2.5 rounds up too
+        assert score_of(extended, "p1", "i1", "E") == 4.0  # mean 3.5 rounds up
+        assert score_of(extended, "p2", "i1", "E") == 3.0  # mean 2.5 rounds up too
 
     def test_half_even_rounding(self):
         t = small_tensor([[3, 4], [2, 3]], raters=("a", "b"))
         extended = build_ensemble(
             t, EnsembleSpec("E", ("a", "b"), rounding="half-to-even")
         )
-        assert extended.score("p1", "i1", "E") == 4.0  # 3.5 -> even 4
-        assert extended.score("p2", "i1", "E") == 2.0  # 2.5 -> even 2
+        assert score_of(extended, "p1", "i1", "E") == 4.0  # 3.5 -> even 4
+        assert score_of(extended, "p2", "i1", "E") == 2.0  # 2.5 -> even 2
 
     def test_no_rounding_gives_fractional_tensor(self):
         t = small_tensor([[3, 4], [2, 3]], raters=("a", "b"))
         extended = build_ensemble(t, EnsembleSpec("E", ("a", "b"), rounding="none"))
-        assert extended.score("p1", "i1", "E") == 3.5
+        assert score_of(extended, "p1", "i1", "E") == 3.5
         assert not extended.integer_scores
         with pytest.raises(ValueError, match="integer"):
             qwk(extended, "E", "a")
@@ -86,14 +86,14 @@ class TestBuildEnsemble:
     def test_missing_member_cells_use_present_subset(self):
         t = small_tensor([[3, np.nan], [2, 4]], raters=("a", "b"))
         extended = build_ensemble(t, EnsembleSpec("E", ("a", "b")))
-        assert extended.score("p1", "i1", "E") == 3.0  # only member a present
-        assert extended.score("p2", "i1", "E") == 3.0
+        assert score_of(extended, "p1", "i1", "E") == 3.0  # only member a present
+        assert score_of(extended, "p2", "i1", "E") == 3.0
 
     def test_all_members_missing_leaves_cell_missing(self):
         t = small_tensor([[np.nan, np.nan, 4], [2, 3, 4]], raters=("a", "b", "c"))
         with pytest.warns(UserWarning, match="no member scores"):
             extended = build_ensemble(t, EnsembleSpec("E", ("a", "b")))
-        assert np.isnan(extended.score("p1", "i1", "E"))
+        assert np.isnan(score_of(extended, "p1", "i1", "E"))
         assert extended.declared_missing[0, 0, 3]
 
     def test_duplicate_name_rejected(self, paper_tensor):

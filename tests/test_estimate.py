@@ -166,6 +166,17 @@ class TestPreconditions:
             with pytest.raises(ValueError, match="max_iterations must be a number"):
                 EstimationConfig(max_iterations=value)
 
+    @pytest.mark.parametrize("value", [2.5, 200.0])
+    def test_max_iterations_must_be_an_integer(self, value):
+        # a cap of 2.5 never equals an iteration count, so it went unheeded,
+        # and estimates.json could not be read back, as JSON takes no
+        # fraction for an integer key
+        with pytest.raises(ValueError) as e:
+            EstimationConfig(max_iterations=value)
+        assert e.value.args == (f"max_iterations must be an integer, got {value!r}",)
+        with pytest.raises(ValueError, match="max_iterations must be a JSON integer"):
+            EstimationConfig.from_dict({"max_iterations": value})
+
 
 @st.composite
 def sparse_designs(draw):
@@ -316,6 +327,35 @@ class TestInvariants:
     def test_likelihood_never_decreases(self, paper_estimates):
         lls = np.array(paper_estimates.sweep_log_likelihoods)
         assert np.all(np.diff(lls) >= -1e-9)
+
+    def test_line_search_that_finds_no_gain_restores_the_start(self, monkeypatch):
+        # every trial point scores lower than the start, so each of the 60
+        # halvings is refused and the iteration leaves all four vectors as
+        # they were; sums of zeros and of +-0.5 are exact, so re-centering
+        # them changes no bit either
+        tensor = small_tensor([[[0, 1, 2], [1, 2, 1]], [[2, 1, 0], [1, 0, 1]],
+                               [[1, 2, 2], [0, 1, 0]]], scale=(0, 2))
+        cells = tensor.cell_index
+        targets = _totals(cells, 2)
+        free = [np.ones(n, dtype=bool) for n in (3, 3, 2, 2)]
+        params = [np.array([0.5, -0.5, 0.0]), np.zeros(3), np.zeros(2), np.array([-0.5, 0.5])]
+        start = [vec.copy() for vec in params]
+        real, calls = estimate_module.observed_log_likelihood, []
+
+        def lower_away_from_the_start(probs, observed):
+            calls.append(None)
+            moved = any(not np.array_equal(v, s) for v, s in zip(params, start))
+            return -np.inf if moved else real(probs, observed)
+
+        monkeypatch.setattr(estimate_module, "observed_log_likelihood",
+                            lower_away_from_the_start)
+        iterations, converged, objectives, change, _ = estimate_module._newton(
+            cells, targets, free, True, params, EstimationConfig(), 1, 1e-4, 0.01)
+        assert (iterations, converged, change) == (1, False, 0.0)
+        assert len(calls) == 1 + 60 + 1
+        for vec, was in zip(params, start):
+            assert vec.tobytes() == was.tobytes()
+        assert objectives[1] == objectives[0]
 
     def test_bit_identical_reruns(self, paper_tensor):
         a = estimate(paper_tensor)
@@ -1512,6 +1552,12 @@ class TestSeverityClassification:
         est = self.make_estimates([0.3, -0.3])
         labels = severity_classification(est, cut=0.3)
         assert labels == {"R1": "neutral", "R2": "neutral"}
+
+    @pytest.mark.parametrize("cut", [0.0, -0.3, float("nan")])
+    def test_cut_must_be_positive(self, cut):
+        # a NaN cut compares false with every severity: all raters were neutral
+        with pytest.raises(ValueError, match="cut must be positive"):
+            severity_classification(self.make_estimates([1.25, -0.37, 0.0]), cut=cut)
 
     def test_unconverged_requires_override(self):
         est = self.make_estimates([0.5], converged=False)

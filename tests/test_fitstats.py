@@ -13,12 +13,12 @@ from facetkit import (
     estimate,
     expected_score,
     fit_statistics,
-    score_variance,
     simulate,
     with_flags,
 )
 from facetkit.fitstats import FLAG_CENTRAL, FLAG_MISFIT, FLAG_NONE
-from conftest import paper_spec
+from facetkit.model import cell_moments
+from conftest import paper_spec, with_items
 
 
 def fit_cut_pair(lower, upper):
@@ -133,7 +133,7 @@ class TestFitStatistics:
         for r_index in (0, 5, 11):
             loc = p.ability[:, None] - p.difficulty[None, :] - p.severity[r_index]
             e = expected_score(loc, p.thresholds)
-            w = score_variance(loc, p.thresholds)
+            w = cell_moments(loc, p.thresholds)[2]
             resid = paper_tensor.values[:, :, r_index] - e
             ratios = resid**2 / w
             infit = report.infit_ms[r_index]
@@ -149,7 +149,7 @@ class TestFitStatistics:
             assert np.all(np.isfinite(report.outfit_ms))
 
     def test_misaligned_inputs_rejected(self, paper_tensor, paper_estimates):
-        sliced = paper_tensor.slice(items=["SN1", "SN2"])
+        sliced = with_items(paper_tensor, ["SN1", "SN2"])
         with pytest.raises(ValueError, match="misaligned"):
             fit_statistics(sliced, paper_estimates, "rater")
 
@@ -158,7 +158,7 @@ class TestFitStatistics:
             fit_statistics(paper_tensor, paper_estimates, "essay")
 
     def test_per_item_fit_via_slice_and_reestimate(self, paper_tensor):
-        sliced = paper_tensor.slice(items=["SN1"])
+        sliced = with_items(paper_tensor, ["SN1"])
         est = estimate(sliced)
         report = fit_statistics(sliced, est, "rater")
         assert len(report.element_ids) == 12

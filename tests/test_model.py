@@ -15,7 +15,6 @@ from facetkit import (
     category_probs,
     expected_score,
     log_likelihood,
-    score_variance,
 )
 from facetkit.model import _SUM_BLOCK, cell_moments
 from conftest import small_tensor
@@ -248,23 +247,25 @@ class TestExpectedScore:
 
 
 class TestScoreVariance:
+    """The variance W of :func:`cell_moments`."""
+
     def test_uniform_variance(self):
-        assert score_variance(0.0, np.zeros(6)) == pytest.approx(4.0, abs=1e-12)
+        assert cell_moments(0.0, np.zeros(6))[2] == pytest.approx(4.0, abs=1e-12)
 
     def test_degenerate_at_saturation(self):
-        assert score_variance(30.0, np.zeros(6)) < 1e-6
+        assert cell_moments(30.0, np.zeros(6))[2] < 1e-6
 
     def test_positive_for_finite_locations(self):
         rng = np.random.default_rng(20)
         for loc, thr in random_draws(50, rng):
-            assert score_variance(loc, thr) > 0
+            assert cell_moments(loc, thr)[2] > 0
 
     def test_variance_is_derivative_of_expectation(self):
         rng = np.random.default_rng(21)
         h = 1e-5
         for loc, thr in random_draws(50, rng):
             fd = (expected_score(loc + h, thr) - expected_score(loc - h, thr)) / (2 * h)
-            assert score_variance(loc, thr) == pytest.approx(fd, abs=1e-6)
+            assert cell_moments(loc, thr)[2] == pytest.approx(fd, abs=1e-6)
 
 
 class TestLogLikelihood:

@@ -22,6 +22,7 @@ from facetkit import (
     qwk_matrix,
 )
 from facetkit.study import alpha_table
+from conftest import score_of
 
 HEADER = "person_id,item_id,rater_id,score\n"
 
@@ -89,12 +90,6 @@ class TestUnknownIds:
                                                                       ["ghost"])),
         "greedy_prune_item": ("item", lambda t, e: greedy_prune(t, ["A1", "A2"], ["R1"],
                                                                 ["ghost"])),
-        "slice_person": ("person", lambda t, e: t.slice(persons=["ghost"])),
-        "slice_item": ("item", lambda t, e: t.slice(items=["SN1", "ghost"])),
-        "slice_rater": ("rater", lambda t, e: t.slice(raters=["ghost"])),
-        "score_person": ("person", lambda t, e: t.score("ghost", "SN1", "R1")),
-        "score_item": ("item", lambda t, e: t.score(t.ids.persons[0], "ghost", "R1")),
-        "score_rater": ("rater", lambda t, e: t.score(t.ids.persons[0], "SN1", "ghost")),
         "severity_of": ("rater", lambda t, e: e.severity_of("ghost")),
     }
 
@@ -121,8 +116,8 @@ class TestIngest:
             t = ingest_csv_text(text, scale_min=0, scale_max=6)
         assert t.n_cells == 4
         assert t.scale.num_categories == 7
-        assert t.score("p1", "I1", "r1") == 3
-        assert t.score("p2", "I1", "r2") == 5
+        assert score_of(t, "p1", "I1", "r1") == 3
+        assert score_of(t, "p2", "I1", "r2") == 5
 
     def test_score_out_of_range_reports_line(self):
         text = csv_text(["p1,SN1,R1,3", "p1,SN1,R2,9"])
@@ -145,7 +140,7 @@ class TestIngest:
         t = ingest_csv_text(text)
         assert t.n_cells == 3
         assert t.declared_missing[0, 0, 1]
-        assert np.isnan(t.score("p1", "I1", "r2"))
+        assert np.isnan(score_of(t, "p1", "I1", "r2"))
 
     def test_malformed_row(self):
         with pytest.raises(IngestError, match="line 3"):
@@ -209,7 +204,7 @@ class TestTensorInvariants:
         with pytest.raises(ValueError, match="non-integer"):
             RatingsTensor(ScaleSpec(0, 6), ids, np.array([[[3.5]]]))
         t = RatingsTensor(ScaleSpec(0, 6), ids, np.array([[[3.5]]]), integer_scores=False)
-        assert t.score("p1", "i1", "r1") == 3.5
+        assert score_of(t, "p1", "i1", "r1") == 3.5
 
     def test_values_are_immutable(self):
         t = ingest_csv_text(csv_text(["p1,I1,r1,3", "p2,I1,r1,4"]))
@@ -285,41 +280,6 @@ def breadth_first_connected(present):
         if len(seen) < nf + ng:
             return False
     return True
-
-
-class TestSlice:
-    @pytest.fixture()
-    def tensor(self):
-        return ingest_csv_text(paper_shaped_csv())
-
-    def test_single_item_slice(self, tensor):
-        sub = tensor.slice(items=["SN1"])
-        assert sub.n_cells == 360
-        assert sub.ids.items == ("SN1",)
-
-    def test_two_rater_slice(self, tensor):
-        sub = tensor.slice(raters=["r1", "r2"])
-        assert sub.n_cells == 240
-
-    def test_empty_subset_rejected(self, tensor):
-        with pytest.raises(ValueError, match="empty facet"):
-            tensor.slice(persons=[])
-
-    def test_unknown_identifier(self, tensor):
-        with pytest.raises(KeyError, match="nope"):
-            tensor.slice(items=["nope"])
-
-    def test_slice_is_idempotent(self, tensor):
-        once = tensor.slice(items=["SN1", "SN2"], raters=["r1", "r2", "r3"])
-        twice = once.slice(items=["SN1", "SN2"], raters=["r1", "r2", "r3"])
-        assert once == twice
-
-    def test_slice_preserves_tensor_order(self, tensor):
-        sub = tensor.slice(raters=["r3", "r1"])  # request order should not matter
-        assert sub.ids.raters == ("r1", "r3")
-
-    def test_scale_preserved(self, tensor):
-        assert tensor.slice(items=["ER1"]).scale == tensor.scale
 
 
 class TestRoundTrip:

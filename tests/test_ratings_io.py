@@ -34,6 +34,7 @@ from facetkit import (
 )
 from facetkit import ratings
 from facetkit.ratings import canonical_json
+from conftest import score_of
 
 
 def reference_records(reader, source):
@@ -474,7 +475,7 @@ class TestIngestFile:
         from_text = ingest_csv_text(text)
         assert ingest_csv(path) == from_text == ingest_csv_text("\n".join(rows) + "\n")
         assert from_text.ids.persons == ("p\rq", "p2")
-        assert from_text.score("p\rq", "i1", "r1") == 3.0
+        assert score_of(from_text, "p\rq", "i1", "r1") == 3.0
 
     def test_latin1_file(self, tmp_path):
         path = tmp_path / "latin1.csv"

@@ -311,6 +311,12 @@ class TestWrightAscii:
         with pytest.raises(ValueError, match="format"):
             render_wright(golden_estimates(), "pdf")
 
+    @pytest.mark.parametrize("bucket", [0, -0.25, float("nan"), float("inf")])
+    def test_bucket_must_be_positive_and_finite(self, bucket):
+        with pytest.raises(ValueError) as e:
+            render_wright(golden_estimates(), "ascii", bucket)
+        assert e.value.args == (f"bucket must be positive and finite, got {bucket!r}",)
+
 
 class TestWrightSvg:
     def test_well_formed_and_selfcontained(self):

@@ -62,6 +62,8 @@ class AgreementTable:
 
 
 _DEGENERATE = "degenerate marginals: both raters constant on the same category"
+# cells whose candidate scores are paired with a benchmark's and tallied at a time
+_QWK_BLOCK_CELLS = 2**14
 
 
 def _weight_matrix(n_cat, span, weighting):
@@ -153,8 +155,10 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
     nested order, with degenerate tables flagged.
 
     Every cell of a listed candidate rater is paired with each benchmark's
-    score at the same (person, item), and one :func:`_tally` counts all the
-    pairs into a K x K table per (benchmark, rater, item).  A group's table
+    score at the same (person, item), and :func:`_tally` counts the pairs
+    into a K x K table per (benchmark, rater, item), one benchmark and
+    ``_QWK_BLOCK_CELLS`` cells at a time; the blocks' integer tables are
+    added, so the counts do not depend on the block size.  A group's table
     is the sum of its listed items' tables, an item listed twice counting
     twice, and a candidate row reads its rater's tables.  The first faulty
     table in row order raises, with the error :func:`qwk` gives it.
@@ -177,14 +181,28 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
     # code -1 reads table row -1, one more, empty one
     cells = tensor.cell_index
     R = len(ids.raters) + 1
-    sel = np.flatnonzero(np.isin(cells.ridx, cand))
-    iidx = cells.iidx[sel]
-    b = cells.slabs(bench)[:, cells.pidx[sel], iidx] - scale.min_score
-    k, j = np.nonzero(~np.isnan(b))
-    table = (k * R + cells.ridx[sel][j]) * I + iidx[j]
+    slabs = cells.slabs(bench)
+    listed = np.zeros(R, dtype=bool)
+    listed[cand] = True
+
+    def block_tally(k, start):   # benchmark k against one block's candidate cells
+        sel = start + np.flatnonzero(listed[cells.ridx[start:start + _QWK_BLOCK_CELLS]])
+        iidx = cells.iidx[sel]
+        b = slabs[k, cells.pidx[sel], iidx] - scale.min_score
+        j = np.flatnonzero(~np.isnan(b))
+        table = (k * R + cells.ridx[sel][j]) * I + iidx[j]
+        return _tally(cells.x[sel][j], b[j], table, B * R * I, K)
+
+    # each benchmark against each block of cells; no cells make one empty block
+    blocks = (block_tally(k, start) for k in range(B)
+              for start in range(0, max(cells.n, 1), _QWK_BLOCK_CELLS))
+    tallies = next(blocks)
+    for block in blocks:
+        for total, part in zip(tallies, block):
+            total += part
     counts, n, non_integer, outside = (
         (listing @ t.reshape(B * R, I, -1)).reshape(B, R, G, *t.shape[1:])
-        for t in _tally(cells.x[sel][j], b[k, j], table, B * R * I, K))
+        for t in tallies)
 
     def by_row(arr):  # (benchmark, rater code, group) -> row order
         return arr[:, cand].transpose(1, 0, 2).ravel()

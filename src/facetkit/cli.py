@@ -14,8 +14,8 @@ from .fitstats import STRINGENT_CUTS, FitCuts
 from .ratings import RatingsTensor, canonical_json, ingest_csv
 from .report import Table
 from .simulate import SimSpec, simulate
-from .study import (StageError, StudyConfig, agreement_table, alpha_table, fit_stage,
-                    report_stage, run_study)
+from .study import (StageError, StudyConfig, _write_artifact, agreement_table, alpha_table,
+                    fit_stage, report_stage, run_study)
 
 ROUNDING_ALIASES = {
     "half-away": "half-away-from-zero",
@@ -33,11 +33,14 @@ def _load_tensor(path, scale_min=None, scale_max=None) -> RatingsTensor:
     return ingest_csv(path, scale_min, scale_max)
 
 
-def _emit(text, out_path):
+def _emit(text_or_chunks, out_path):
+    """Write a str, or each str of an iterable, to ``out_path`` as ``run``
+    writes its artifacts, or to standard output."""
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _write_artifact(out_path, text_or_chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(
+            (text_or_chunks,) if isinstance(text_or_chunks, str) else text_or_chunks)
 
 
 def _split_ids(text):
@@ -51,7 +54,7 @@ def _parse_cuts(text):
 
 def cmd_ingest(args):
     tensor = ingest_csv(args.file, args.scale_min, args.scale_max)
-    _emit(tensor.to_json_text(), args.out)
+    _emit(tensor.json_chunks(), args.out)
     print(
         f"ingested {tensor.n_cells} cells: {len(tensor.ids.persons)} persons x "
         f"{len(tensor.ids.items)} items x {len(tensor.ids.raters)} raters, "
@@ -123,7 +126,7 @@ def cmd_ensemble(args):
     spec = EnsembleSpec(args.name, _split_ids(args.members),
                         ROUNDING_ALIASES[args.round])
     extended = build_ensemble(tensor, spec)
-    _emit(extended.to_json_text(), args.out)
+    _emit(extended.json_chunks(), args.out)
     return 0
 
 
@@ -157,11 +160,11 @@ def cmd_simulate(args):
         spec = dataclasses.replace(spec, seed=args.seed)
     tensor, truth = simulate(spec)
     if args.out.endswith(".json"):
-        Path(args.out).write_text(tensor.to_json_text(), encoding="utf-8")
+        _write_artifact(args.out, tensor.json_chunks())
     else:
         tensor.write_csv(args.out)
     if args.truth:
-        Path(args.truth).write_text(canonical_json(truth.to_dict()), encoding="utf-8")
+        _write_artifact(args.truth, canonical_json(truth.to_dict()))
     return 0
 
 
@@ -175,7 +178,7 @@ def cmd_report(args):
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         if name != unwanted:
-            (out / name).write_text(text, encoding="utf-8")
+            _write_artifact(out / name, text)
     print(f"report written to {out}", file=sys.stderr)
     return 0
 

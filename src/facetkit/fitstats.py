@@ -71,7 +71,8 @@ def fit_statistics(tensor: RatingsTensor, estimates: FacetEstimates,
     Per present cell, the score residual is ``r = x - E`` and the model
     variance ``W``.  Outfit is the plain mean of ``r^2 / W`` over the
     element's cells; infit is the information-weighted
-    ``sum(r^2) / sum(W)``.
+    ``sum(r^2) / sum(W)``.  Only E and W of the moment kernel are kept,
+    and ``r^2``, then ``r^2 / W``, is formed in place in one array.
     """
     if facet not in FACETS:
         raise ValueError(f"facet must be one of {sorted(FACETS)}, got {facet!r}")
@@ -81,15 +82,17 @@ def fit_statistics(tensor: RatingsTensor, estimates: FacetEstimates,
 
     params = estimates.params
     cells = tensor.cell_index
-    loc = cells.locations(params.ability, params.severity, params.difficulty)
-    _, expected, variance = cell_moments(loc, params.thresholds)
-    resid = cells.x - expected
+    expected, variance = cell_moments(
+        cells.locations(params.ability, params.severity, params.difficulty),
+        params.thresholds)[1:]
+    sq = cells.x - expected
+    np.square(sq, out=sq)
 
     ids = getattr(tensor.ids, facet + "s")
     counts = cells.sums(facet)
-    sum_r2 = cells.sums(facet, resid**2)
+    sum_r2 = cells.sums(facet, sq)
     sum_w = cells.sums(facet, variance)
-    sum_z2 = cells.sums(facet, resid**2 / variance)
+    sum_z2 = cells.sums(facet, np.divide(sq, variance, out=sq))
 
     observed = counts > 0
     if not observed.all():

@@ -22,6 +22,9 @@ from operator import itemgetter
 
 import numpy as np
 
+# cells of tensor.json text built and handed on at a time
+_JSON_BLOCK_CELLS = 2**13
+
 
 def canonical_json(obj) -> str:
     """The one JSON encoding of every artifact: sorted keys, two-space
@@ -500,36 +503,47 @@ class RatingsTensor:
         return {**self._json_head(), "cells": [list(row) for row in self.long_rows()]}
 
     def to_json_text(self) -> str:
-        """``canonical_json(self.to_json_dict())``, byte for byte.
+        """``canonical_json(self.to_json_dict())``, byte for byte: the
+        :meth:`json_chunks` joined."""
+        return "".join(self.json_chunks())
+
+    def json_chunks(self):
+        """Yield the text of :meth:`to_json_text` in pieces, one for each
+        block of ``_JSON_BLOCK_CELLS`` cells, then one for the head.
 
         Under ``indent`` the json module encodes with its pure-Python
         encoder, so only the small head goes through :func:`canonical_json`.
-        The cells block is joined from strings: each id and each distinct
-        score is encoded once, and rows are laid out as ``indent=2`` would.
+        The cells are joined from strings: each id and each distinct score
+        is encoded once, and rows are laid out as ``indent=2`` would.  The
+        token codes of all cells are taken in one pass; only one block's
+        pieces and text are held at a time.
         """
         pidx, iidx, ridx = np.unravel_index(self.listed_codes, self.shape)
         scores, score_code = np.unique(self.listed_scores, return_inverse=True)
         # a row reads ',\n    [\n      P,\n      I,\n      R,\n      S\n    ]'
         # (the first without its comma); each token carries the layout around it
         sep = ",\n      "
-        columns = (
-            (self.ids.persons, pidx, ",\n    [\n      ", sep),
-            (self.ids.items, iidx, "", sep),
-            (self.ids.raters, ridx, "", sep),
-            (map(_score_value, scores.tolist()), score_code, "", "\n    ]"),
-        )
-        pieces = [None] * (4 * pidx.size)
-        for k, (entries, codes, before, after) in enumerate(columns):
-            tokens = [before + json.dumps(x) + after for x in entries]
-            pieces[k::4] = map(tokens.__getitem__, codes.tolist())
+        columns = [([before + json.dumps(x) + after for x in entries], codes)
+                   for entries, codes, before, after in (
+                       (self.ids.persons, pidx, ",\n    [\n      ", sep),
+                       (self.ids.items, iidx, "", sep),
+                       (self.ids.raters, ridx, "", sep),
+                       (map(_score_value, scores.tolist()), score_code, "", "\n    ]"))]
         # "cells" sorts before every other key, so it opens the object
         head = canonical_json(self._json_head())[2:]
-        if pieces:
-            pieces[0] = '{\n  "cells": [' + pieces[0][1:]
-            pieces.append("\n  ],\n" + head)
-        else:
-            pieces = ['{\n  "cells": [],\n', head]
-        return "".join(pieces)
+        if not pidx.size:
+            yield '{\n  "cells": [],\n' + head
+            return
+        yield '{\n  "cells": ['
+        for start in range(0, pidx.size, _JSON_BLOCK_CELLS):
+            block = slice(start, start + _JSON_BLOCK_CELLS)
+            pieces = [None] * (4 * len(pidx[block]))
+            for k, (tokens, codes) in enumerate(columns):
+                pieces[k::4] = map(tokens.__getitem__, codes[block].tolist())
+            if not start:
+                pieces[0] = pieces[0][1:]   # the first row has no comma
+            yield "".join(pieces)
+        yield "\n  ],\n" + head
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RatingsTensor":

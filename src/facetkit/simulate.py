@@ -78,8 +78,10 @@ class SimSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
-        if self.ability_sd <= 0:
-            raise ValueError("ability_sd must be positive")
+        if not np.isfinite(self.ability_mean):
+            raise ValueError(f"ability_mean must be finite, got {self.ability_mean}")
+        if not (self.ability_sd > 0 and np.isfinite(self.ability_sd)):
+            raise ValueError(f"ability_sd must be positive and finite, got {self.ability_sd}")
         self._vector("severity", self.n_raters)
         self._vector("difficulty", self.n_items)
         thr = self._vector("thresholds", self.scale.num_categories - 1)

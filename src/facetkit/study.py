@@ -183,31 +183,39 @@ def report_stage(tensor, estimates, rater_fit) -> dict:
     }
 
 
+def _write_artifact(path, text_or_chunks) -> str:
+    """Write one str, or each str of an iterable, to ``path`` as UTF-8 with
+    the line ends it has, and return the sha256 hex digest of the bytes
+    written.  Every artifact file is written here."""
+    chunks = (text_or_chunks,) if isinstance(text_or_chunks, str) else text_or_chunks
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            f.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
 def run_study(config: StudyConfig, output_dir=None, seed=None):
     """Execute the pipeline; returns (manifest dict, output path).
 
     Raises :class:`StageError` naming the failing stage.  Artifacts
-    produced before the failure are still listed in a partial manifest.
+    written in full before the failure are still listed in a partial
+    manifest, with the digests taken as they were written.
     """
     out = _resolve_output_dir(config, output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+    digests = {}   # file name -> sha256, once the file is fully written
 
     def write(files):
-        for name, text in files.items():
-            (out / name).write_text(text, encoding="utf-8")
-            artifacts.append(name)
+        for name, text_or_chunks in files.items():
+            digests[name] = _write_artifact(out / name, text_or_chunks)
 
     def write_manifest():
-        listing = [
-            {
-                "path": name,
-                "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest(),
-            }
-            for name in sorted(artifacts)
-        ]
-        manifest = {"artifacts": listing}
-        (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
+        manifest = {"artifacts": [{"path": name, "sha256": digests[name]}
+                                  for name in sorted(digests)]}
+        _write_artifact(out / "manifest.json", canonical_json(manifest))
         return manifest
 
     def stage(name, fn):
@@ -222,7 +230,7 @@ def run_study(config: StudyConfig, output_dir=None, seed=None):
 
     tensor = stage("ingest", lambda: _load_input(config, seed))
     stage("validate", lambda: _check_ids(tensor, config))
-    stage("ingest", lambda: write({"tensor.json": tensor.to_json_text()}))
+    stage("ingest", lambda: write({"tensor.json": tensor.json_chunks()}))
 
     benchmarks = list(config.benchmarks) or list(tensor.ids.raters[:1])
     candidates = [r for r in tensor.ids.raters if r not in benchmarks]

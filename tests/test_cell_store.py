@@ -10,6 +10,7 @@ rows, bytes, equality and errors, from a store of strictly increasing,
 read-only listed codes.
 """
 
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -33,12 +34,15 @@ from facetkit import (
     StudyConfig,
     build_ensemble,
     estimate,
+    fit_statistics,
     ingest_csv_text,
+    qwk_matrix,
     run_study,
     simulate,
 )
 from facetkit.ratings import _flat_codes, _score_value, canonical_json
 from facetkit.rounding import ROUNDING_MODES
+from facetkit.study import _write_artifact
 from conftest import paper_spec, pool_csv
 
 
@@ -504,3 +508,48 @@ def test_estimate_memory_on_a_crossed_design():
         tracemalloc.stop()
     assert tensor.n_cells == 48000 and estimates.converged
     assert peak < 6.0e6
+
+
+# -- memory of run's per-cell stages on a crossed 1000 x 4 x 12 draw ----------
+# Traced peaks with numpy 2.4 when each stage held all cells at once: 6.3 MB
+# to build, write and read back tensor.json, 6.6 MB for the QWK pairs and
+# 5.0 MB for the rater fit with the kernel's probabilities alive.
+
+
+@pytest.fixture(scope="module")
+def crossed_1000():
+    tensor, _ = simulate(paper_spec(seed=1, n_persons=1000))
+    tensor.cell_index
+    return tensor
+
+
+def traced_peak(fn):
+    """``fn()`` and the traced peak of memory allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tensor_json_is_written_in_blocks(crossed_1000, tmp_path):
+    path = tmp_path / "tensor.json"
+    digest, peak = traced_peak(lambda: _write_artifact(path, crossed_1000.json_chunks()))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert path.read_text(encoding="utf-8") == crossed_1000.to_json_text()
+    assert peak < 4e6
+
+
+def test_qwk_pairs_are_tallied_in_blocks(crossed_1000):
+    items = [(item,) for item in crossed_1000.ids.items]
+    table, peak = traced_peak(lambda: qwk_matrix(
+        crossed_1000, ["R1", "R2"], crossed_1000.ids.raters[2:], items))
+    assert len(table.rows) == 10 * 2 * 4
+    assert peak < 3e6
+
+
+def test_fit_statistics_drop_the_probabilities(crossed_1000):
+    estimates = estimate(crossed_1000)
+    report, peak = traced_peak(lambda: fit_statistics(crossed_1000, estimates, "rater"))
+    assert report.n_obs.sum() == 48000
+    assert peak < 4.6e6

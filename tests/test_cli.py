@@ -94,6 +94,10 @@ class TestIngest:
         assert tensor.n_cells == 1440
         assert tensor.connected
 
+    def test_without_out_prints_the_bytes_out_writes(self, tensor_json, capsys):
+        assert run_cli("ingest", BUNDLED_CSV, "--scale-min", 0, "--scale-max", 6) == 0
+        assert capsys.readouterr().out.encode("utf-8") == tensor_json.read_bytes()
+
     def test_missing_file_is_reported(self, capsys):
         assert run_cli("ingest", "/nonexistent/ratings.csv") == 1
         err = json.loads(capsys.readouterr().err)
@@ -611,6 +615,20 @@ class TestRun:
         for name, digest in listed.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
         assert not (out / "estimates.json").exists()
+
+    def test_failed_stream_lists_nothing_half_written(self, tmp_path, monkeypatch):
+        chunks = RatingsTensor.json_chunks
+
+        def first_chunk_only(tensor):
+            yield next(chunks(tensor))
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(RatingsTensor, "json_chunks", first_chunk_only)
+        with pytest.raises(StageError, match="no space left") as failed:
+            run_study(StudyConfig.from_json_file(BUNDLED_STUDY), output_dir=tmp_path)
+        assert failed.value.stage == "ingest"
+        assert (tmp_path / "tensor.json").read_text() == '{\n  "cells": ['
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {"artifacts": []}
 
     @pytest.mark.parametrize("key, value, stage, message", [
         pytest.param("input", {"csv": "missing.csv"}, "ingest",

@@ -21,6 +21,23 @@ from facetkit.model import cell_moments
 from conftest import paper_spec, with_items
 
 
+def reference_fit_arrays(tensor, estimates, facet):
+    """Infit, outfit and counts of the observed elements, by the formula
+    ``fit_statistics`` used while it kept every temporary: fresh ``resid**2``
+    arrays and the kernel's probabilities alive."""
+    params = estimates.params
+    cells = tensor.cell_index
+    loc = cells.locations(params.ability, params.severity, params.difficulty)
+    _, expected, variance = cell_moments(loc, params.thresholds)
+    resid = cells.x - expected
+    counts = cells.sums(facet)
+    sum_r2 = cells.sums(facet, resid**2)
+    sum_w = cells.sums(facet, variance)
+    sum_z2 = cells.sums(facet, resid**2 / variance)
+    kept = np.nonzero(counts > 0)[0]
+    return sum_r2[kept] / sum_w[kept], sum_z2[kept] / counts[kept], counts[kept]
+
+
 def fit_cut_pair(lower, upper):
     return FitCuts(lower, upper)
 
@@ -147,6 +164,17 @@ class TestFitStatistics:
             assert len(report.element_ids) == n
             assert np.all(report.infit_ms >= 0)
             assert np.all(np.isfinite(report.outfit_ms))
+
+    @pytest.mark.parametrize("facet", ["person", "item", "rater"])
+    def test_arrays_match_the_reference_bit_for_bit(self, facet, paper_tensor,
+                                                    paper_estimates, large_sim,
+                                                    large_estimates):
+        for tensor, estimates in ((paper_tensor, paper_estimates),
+                                  (large_sim[0], large_estimates)):
+            report = fit_statistics(tensor, estimates, facet)
+            want = reference_fit_arrays(tensor, estimates, facet)
+            for got, ref in zip((report.infit_ms, report.outfit_ms, report.n_obs), want):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_misaligned_inputs_rejected(self, paper_tensor, paper_estimates):
         sliced = with_items(paper_tensor, ["SN1", "SN2"])

@@ -15,6 +15,7 @@ that differs in its last bit can print differently at a rounding tie.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from facetkit import (
     qwk_matrix,
     qwk_vectors,
 )
+from facetkit import agreement
 from facetkit.agreement import AgreementTable, AlphaResult, QwkResult
 from facetkit.ensemble import PruneStep, PruneTrace, _member_mean
 from facetkit.report import Table
@@ -451,6 +453,32 @@ class TestMatchesReference:
         assert len(got.steps) == len(want.steps)
         for g, w in zip(got.steps, want.steps):
             assert repr(g) == repr(w)
+
+
+class TestQwkBlocks:
+    """The pairs are tallied a block of cells at a time; the rows and the
+    first error do not depend on the block size."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rater_tables_cases(), st.sampled_from([1, 2, 3]))
+    def test_random_tensors(self, case, block):
+        tensor, benchmarks, candidates, groups, _, _ = case
+        want = outcome(qwk_matrix, tensor, benchmarks, candidates, groups)
+        with mock.patch.object(agreement, "_QWK_BLOCK_CELLS", block):
+            got = outcome(qwk_matrix, tensor, benchmarks, candidates, groups)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert bits(got.rows) == bits(want.rows)
+
+    def test_blocks_that_divide_the_cells(self, paper_tensor):
+        args = (paper_tensor, ["R1", "R2"], [f"A{i}" for i in range(1, 11)],
+                [(i,) for i in paper_tensor.ids.items] + [paper_tensor.ids.items])
+        want = bits(qwk_matrix(*args).rows)
+        assert paper_tensor.n_cells == 1440
+        for block in (480, 1440, 1000):
+            with mock.patch.object(agreement, "_QWK_BLOCK_CELLS", block):
+                assert bits(qwk_matrix(*args).rows) == want
 
 
 class TestSinglePairCalls:

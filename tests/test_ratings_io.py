@@ -593,6 +593,27 @@ class TestJsonEncoder:
         assert back.integer_scores == tensor.integer_scores
         assert back.to_json_text() == text
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", list(edge_tensors()))
+    def test_blocks_keep_the_bytes(self, name, block):
+        # 1, 2 and 4 divide the 8 listed cells of the first two tensors, so
+        # their last block ends at the last cell; 3 leaves a short last block
+        tensor = edge_tensors()[name]
+        with mock.patch.object(ratings, "_JSON_BLOCK_CELLS", block):
+            chunks = list(tensor.json_chunks())
+            assert tensor.to_json_text() == "".join(chunks)
+        n = tensor.listed_codes.size
+        assert len(chunks) == (-(-n // block) + 2 if n else 1)
+        assert "".join(chunks) == canonical_json(tensor.to_json_dict())
+
+    def test_blocks_of_a_simulated_study(self, paper_tensor):
+        text = paper_tensor.to_json_text()
+        for block in (480, 1000):   # 3 blocks of the 1440 cells, and 2 uneven ones
+            with mock.patch.object(ratings, "_JSON_BLOCK_CELLS", block):
+                assert len(list(paper_tensor.json_chunks())) == -(-1440 // block) + 2
+                assert paper_tensor.to_json_text() == text
+        assert text == canonical_json(paper_tensor.to_json_dict())
+
     def test_empty_cells_and_key_order(self):
         text = edge_tensors()["no_listed_cells_float"].to_json_text()
         assert text.startswith('{\n  "cells": [],\n  "facets": {\n')

@@ -302,6 +302,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SimSpec(n_persons=0, n_items=2, n_raters=2, scale=ScaleSpec(0, 6), seed=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ability_sd", float("nan")), ("ability_sd", float("inf")), ("ability_sd", 0.0),
+        ("ability_sd", -1.0), ("ability_mean", float("nan")), ("ability_mean", float("inf")),
+        ("ability_mean", -float("inf"))])
+    def test_ability_settings_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SimSpec(n_persons=5, n_items=2, n_raters=2, scale=ScaleSpec(0, 6), seed=1,
+                    **{field: value})
+        d = SimSpec(n_persons=5, n_items=2, n_raters=2, scale=ScaleSpec(0, 6),
+                    seed=1).to_json_dict()
+        d["ability"][field.removeprefix("ability_")] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SimSpec.from_json_dict(d)
+
     def test_json_roundtrip(self):
         spec = paper_spec(seed=11)
         again = SimSpec.from_json_dict(spec.to_json_dict())

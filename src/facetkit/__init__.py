@@ -34,7 +34,6 @@ from .estimate import (
 from .fitstats import (
     FitCuts,
     FitReport,
-    PERMISSIVE_CUTS,
     STRINGENT_CUTS,
     classify_fit,
     fit_statistics,
@@ -44,7 +43,6 @@ from .model import (
     ModelParams,
     category_probs,
     expected_score,
-    log_likelihood,
 )
 from .ratings import (
     FacetIds,
@@ -79,7 +77,6 @@ __all__ = [
     "FitReport",
     "IngestError",
     "ModelParams",
-    "PERMISSIVE_CUTS",
     "Pathology",
     "PruneStep",
     "PruneTrace",
@@ -103,7 +100,6 @@ __all__ = [
     "greedy_prune",
     "ingest_csv",
     "ingest_csv_text",
-    "log_likelihood",
     "measure_table",
     "qwk",
     "qwk_matrix",

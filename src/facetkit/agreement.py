@@ -66,16 +66,10 @@ _DEGENERATE = "degenerate marginals: both raters constant on the same category"
 _QWK_BLOCK_CELLS = 2**14
 
 
-def _weight_matrix(n_cat, span, weighting):
+def _weight_matrix(n_cat, span):
     cats = np.arange(n_cat)
     diff = cats[:, None] - cats[None, :]
-    if weighting == "quadratic":
-        return diff**2 / span**2
-    if weighting == "linear":
-        return np.abs(diff) / span
-    if weighting == "unweighted":
-        return (diff != 0).astype(float)
-    raise ValueError(f"unknown weighting {weighting!r}")
+    return diff**2 / span**2
 
 
 def _pair_fault(n, non_integer, outside):
@@ -125,12 +119,11 @@ def _tally(a, b, table, size, K):
                       for sel in (slice(None), frac, out)))
 
 
-def qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
+def qwk_vectors(a, b, min_score, max_score):
     """Quadratic weighted kappa for two paired integer score vectors.
 
     Returns (kappa, observed_disagreement, expected_disagreement).
     Raises :class:`DegenerateMarginalsError` when chance disagreement is zero.
-    ``weighting`` is an escape hatch for linear or unweighted variants.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -144,13 +137,13 @@ def qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
     if fault:
         raise ValueError(fault)
     kappa, observed, expected, degenerate = _kappas(
-        counts.astype(float), n, _weight_matrix(K, scale.span, weighting))
+        counts.astype(float), n, _weight_matrix(K, scale.span))
     if degenerate[0]:
         raise DegenerateMarginalsError(_DEGENERATE)
     return float(kappa[0]), float(observed[0]), float(expected[0])
 
 
-def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"):
+def _qwk_rows(tensor, candidates, benchmarks, item_groups):
     """A :class:`QwkResult` per (candidate, benchmark, item group), in that
     nested order, with degenerate tables flagged.
 
@@ -222,15 +215,14 @@ def _qwk_rows(tensor, candidates, benchmarks, item_groups, weighting="quadratic"
     kappa, observed, expected, degenerate = (
         arr.reshape(B, R, G) for arr in _kappas(
             counts.reshape(-1, K, K).astype(float), n.ravel(),
-            _weight_matrix(K, scale.span, weighting)))
+            _weight_matrix(K, scale.span)))
     kappa[degenerate] = observed[degenerate] = math.nan    # expected is 0.0 there
     return [QwkResult(*key, *fields) for key, fields in zip(
         product(candidates, benchmarks, groups),
         zip(*(by_row(arr).tolist() for arr in (n, kappa, observed, expected, degenerate))))]
 
 
-def qwk(tensor: RatingsTensor, rater_a, rater_b, items=None,
-        weighting="quadratic") -> QwkResult:
+def qwk(tensor: RatingsTensor, rater_a, rater_b, items=None) -> QwkResult:
     """QWK between two raters over an item group.
 
     Scores are pooled over the group: each (person, item) pair where both
@@ -238,7 +230,7 @@ def qwk(tensor: RatingsTensor, rater_a, rater_b, items=None,
     """
     if items is None:
         items = tensor.ids.items
-    (row,) = _qwk_rows(tensor, [rater_a], [rater_b], [items], weighting)
+    (row,) = _qwk_rows(tensor, [rater_a], [rater_b], [items])
     if row.degenerate:
         raise DegenerateMarginalsError(_DEGENERATE)
     return row

@@ -136,7 +136,7 @@ def _ensemble_qwks(tensor, slab, trials, benchmarks, items, rounding):
                                              b[both] - scale.min_score, table[both],
                                              T * B * L, K)
     kappa, _, _, degenerate = _kappas(counts.astype(float), n,
-                                      _weight_matrix(K, scale.span, "quadratic"))
+                                      _weight_matrix(K, scale.span))
     kappa[(n < 2) | (non_integer > 0) | (outside > 0) | degenerate] = math.nan
     keys = [(bench, item) for bench in benchmarks for item in items]
     return [(-math.inf if np.isnan(row).any() else float(np.mean(row)),

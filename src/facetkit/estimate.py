@@ -251,8 +251,9 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
 
     Raises :class:`EstimationError` naming two elements that the cells do not
     link (:meth:`CellIndex.unlinked`, checked on all cells and again on the
-    non-extreme ones once extreme strings are removed), or for fewer than two
-    observed categories, and :class:`ValueError` for an ``extreme_adjust``
+    non-extreme ones once extreme strings are removed), for a fractional
+    score or for fewer than two observed categories, and
+    :class:`ValueError` for an ``extreme_adjust``
     not below half the scale span.  Non-convergence within
     ``max_iterations`` is reported via the ``converged`` flag and a
     warning, not an error.
@@ -267,6 +268,14 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
             "at or above an all-maximum one"
         )
     cells = tensor.cell_index
+    if not tensor.integer_scores:
+        fractional = np.flatnonzero(cells.x != np.round(cells.x))
+        if fractional.size:
+            c = fractional[0]
+            cell = (tensor.ids.persons[cells.pidx[c]], tensor.ids.items[cells.iidx[c]],
+                    tensor.ids.raters[cells.ridx[c]], float(cells.score[c]))
+            raise EstimationError("fractional score at (person, item, rater, score) "
+                                  f"{cell!r}: the model needs whole score categories")
     # members of a group share their cells, so the groups link as the persons
     # do; where they do not, the persons' own cells name the pair
     groups, reps, group_of = _score_groups(cells)

@@ -34,8 +34,7 @@ class FitCuts:
             raise ValueError(f"cuts must satisfy 0 < lower < 1 < upper, got {self}")
 
 
-#: Conventional cut pairs, permissive and stringent.
-PERMISSIVE_CUTS = FitCuts(0.5, 1.5)
+#: The conventional stringent cut pair.
 STRINGENT_CUTS = FitCuts(0.7, 1.3)
 
 

@@ -174,10 +174,3 @@ def expected_score(location, thresholds):
     e = cell_moments(location, thresholds)[1]
     return float(e) if e.ndim == 0 else e
 
-
-def log_likelihood(tensor: RatingsTensor, params: ModelParams) -> float:
-    """Sum of log category probabilities over all present cells."""
-    params.validate_for(tensor)
-    cells = tensor.cell_index
-    loc = cells.locations(params.ability, params.severity, params.difficulty)
-    return observed_log_likelihood(category_probs(loc, params.thresholds), cells.observed())

@@ -295,13 +295,9 @@ class CellIndex:
             slab[self.pidx[sel], self.iidx[sel]] = self.score[sel]
         return slabs
 
-    def locations(self, ability, severity, difficulty, sel=slice(None)):
-        """``ability - severity - difficulty`` for the selected cells."""
-        return (
-            ability[self.pidx[sel]]
-            - severity[self.ridx[sel]]
-            - difficulty[self.iidx[sel]]
-        )
+    def locations(self, ability, severity, difficulty):
+        """``ability - severity - difficulty`` for every cell."""
+        return ability[self.pidx] - severity[self.ridx] - difficulty[self.iidx]
 
     def sums(self, facet, weights=None, sel=slice(None)):
         """Per-element sums of ``weights`` over the selected cells, each
@@ -375,7 +371,7 @@ class RatingsTensor:
 
     Everything else is derived on first read: :attr:`cell_index`, the
     scored cells, and the read-only P x I x R cubes ``values`` (float
-    scores, NaN where unscored), ``present_mask`` and ``declared_missing``.
+    scores, NaN where unscored) and ``present_mask``.
     The constructor takes a ``values`` cube and converts it to the store.
     """
 
@@ -421,10 +417,6 @@ class RatingsTensor:
     @cached_property
     def present_mask(self) -> np.ndarray:
         return _cube(self.shape, self.listed_codes, ~np.isnan(self.listed_scores), False)
-
-    @cached_property
-    def declared_missing(self) -> np.ndarray:
-        return _cube(self.shape, self.listed_codes, np.isnan(self.listed_scores), False)
 
     @property
     def n_cells(self) -> int:

@@ -27,7 +27,7 @@ class Table:
     columns: tuple
     rows: tuple
 
-    def to_csv_text(self, decimals: int = 2) -> str:
+    def to_csv_text(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(self.columns)
@@ -38,7 +38,7 @@ class Table:
                 if v is None or (isinstance(v, float) and math.isnan(v)):
                     out.append("")
                 elif isinstance(v, float):
-                    out.append(f"{v:.{decimals}f}")
+                    out.append(f"{v:.2f}")
                 else:
                     out.append(v)
             w.writerow(out)

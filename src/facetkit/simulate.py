@@ -111,33 +111,9 @@ class SimSpec:
             raise ValueError(f"expected {n} {name} values, got shape {vec.shape}")
         return vec
 
-    def to_json_dict(self) -> dict:
-        sev = self.severity
-        if isinstance(sev, tuple):
-            sev = {"uniform": [sev[1], sev[2]]}
-        elif sev is not None:
-            sev = list(np.asarray(sev, float))
-        return {
-            "n_persons": self.n_persons,
-            "n_items": self.n_items,
-            "n_raters": self.n_raters,
-            "scale": self.scale.to_dict(),
-            "seed": self.seed,
-            "ability": {"mean": self.ability_mean, "sd": self.ability_sd},
-            "severity": sev,
-            "difficulty": None if self.difficulty is None else list(self.difficulty),
-            "thresholds": None if self.thresholds is None else list(self.thresholds),
-            "pathologies": {
-                str(r): {"noise": p.noise, "compression": p.compression}
-                for r, p in sorted(self.pathologies.items())
-            },
-            "item_ids": None if self.item_ids is None else list(self.item_ids),
-            "rater_ids": None if self.rater_ids is None else list(self.rater_ids),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimSpec":
-        """The spec of a JSON object as :meth:`to_json_dict` writes it."""
+        """The spec of a JSON object in the form :data:`SPEC_JSON` describes."""
         d = dict(checked_json(d, SPEC_JSON, "the simulation spec"))
         d.update({"ability_" + k: v for k, v in d.pop("ability", {}).items()})
         d["scale"] = ScaleSpec.from_dict(d["scale"])

@@ -8,9 +8,11 @@ from facetkit import (
     RatingsTensor,
     ScaleSpec,
     SimSpec,
+    category_probs,
     estimate,
     simulate,
 )
+from facetkit.model import observed_log_likelihood
 
 # A failing example prints the @reproduce_failure blob that replays it, and
 # stays in the example database under .hypothesis/.  The profile's parent is
@@ -28,6 +30,16 @@ PAPER_SEVERITY = np.array(
 )
 PAPER_DIFFICULTY = np.array([0.10, -0.15, 0.45, -0.40])
 PAPER_THRESHOLDS = np.array([-2.1, -1.3, -0.45, 0.45, 1.3, 2.1])
+
+
+#: The paper's shape as a simulation spec, in the JSON form
+#: ``SimSpec.from_json_dict`` reads.
+PAPER_SPEC_JSON = {
+    "n_persons": 30, "n_items": 4, "n_raters": 12, "scale": {"min_score": 0, "max_score": 6},
+    "seed": 20250810, "severity": PAPER_SEVERITY.tolist(),
+    "difficulty": PAPER_DIFFICULTY.tolist(), "thresholds": PAPER_THRESHOLDS.tolist(),
+    "item_ids": list(PAPER_ITEMS), "rater_ids": list(PAPER_RATERS),
+}
 
 
 def paper_spec(seed=20250810, n_persons=30, severity=None):
@@ -68,6 +80,23 @@ def score_of(tensor, person, item, rater):
         if row[:3] == (person, item, rater):
             return np.nan if row[3] is None else row[3]
     return np.nan
+
+
+def declared_missing(tensor):
+    """The persons x items x raters mask of the cells ``tensor`` lists
+    blank, read from its store."""
+    mask = np.zeros(tensor.shape, dtype=bool)
+    mask.flat[tensor.listed_codes[np.isnan(tensor.listed_scores)]] = True
+    return mask
+
+
+def log_likelihood(tensor, params):
+    """Sum of log category probabilities over all scored cells of ``tensor``
+    at ``params``: the reference for ``FacetEstimates.log_likelihood_final``."""
+    params.validate_for(tensor)
+    cells = tensor.cell_index
+    loc = cells.locations(params.ability, params.severity, params.difficulty)
+    return observed_log_likelihood(category_probs(loc, params.thresholds), cells.observed())
 
 
 def with_items(tensor, items):

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -21,7 +20,7 @@ from facetkit import (STRINGENT_CUTS, EstimationConfig, FacetEstimates, FacetIds
 from facetkit.cli import build_parser, main
 from facetkit.study import StageError, StudyConfig, run_study
 
-from conftest import paper_spec, small_tensor
+from conftest import PAPER_SPEC_JSON, small_tensor
 
 BUNDLED_STUDY = Path(str(files("facetkit") / "data" / "study.json"))
 BUNDLED_CSV = Path(str(files("facetkit") / "data" / "paper_shaped.csv"))
@@ -553,10 +552,10 @@ class TestRun:
                      id="input-empty"),
         pytest.param("input", {"simulate": 5}, "input.simulate must be a JSON object",
                      id="simulate-number"),
-        pytest.param("input", {"simulate": {**paper_spec().to_json_dict(), "n_persons": "2"}},
+        pytest.param("input", {"simulate": {**PAPER_SPEC_JSON, "n_persons": "2"}},
                      "input.simulate.n_persons must be a JSON integer", id="spec-persons-string"),
         pytest.param("input", {"csv": str(BUNDLED_CSV),
-                               "simulate": json.loads(json.dumps(paper_spec().to_json_dict()))},
+                               "simulate": PAPER_SPEC_JSON},
                      "unknown input key(s): simulate", id="csv-and-simulate"),
         pytest.param("ensembles", [{"name": "E", "members": ["A1"], "round": "none"}],
                      "unknown ensembles[0] key(s): round", id="ensemble-unknown-key"),
@@ -580,7 +579,7 @@ class TestRun:
     def test_simulated_input(self, tmp_path):
         # the config's seed replaces the spec's, and --seed replaces both
         config = tmp_path / "sim_study.json"
-        config.write_text(json.dumps({"input": {"simulate": paper_spec().to_json_dict()},
+        config.write_text(json.dumps({"input": {"simulate": PAPER_SPEC_JSON},
                                       "seed": 11}))
 
         def run(name, *seed):
@@ -591,7 +590,7 @@ class TestRun:
         assert run("again") == first
         assert run("same-seed", "--seed", 11) == first
         assert run("other-seed", "--seed", 12) != first
-        tensor, _ = simulate(dataclasses.replace(paper_spec(), seed=12))
+        tensor, _ = simulate(SimSpec.from_json_dict({**PAPER_SPEC_JSON, "seed": 12}))
         assert (tmp_path / "other-seed" / "tensor.json").read_text() == tensor.to_json_text()
         assert (tmp_path / "first" / "tensor.json").read_text() != tensor.to_json_text()
 

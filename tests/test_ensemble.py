@@ -15,7 +15,7 @@ from facetkit import (
     removal_chain,
     simulate,
 )
-from conftest import score_of, small_tensor
+from conftest import declared_missing, score_of, small_tensor
 
 
 class TestEnsembleSpec:
@@ -94,7 +94,7 @@ class TestBuildEnsemble:
         with pytest.warns(UserWarning, match="no member scores"):
             extended = build_ensemble(t, EnsembleSpec("E", ("a", "b")))
         assert np.isnan(score_of(extended, "p1", "i1", "E"))
-        assert extended.declared_missing[0, 0, 3]
+        assert declared_missing(extended)[0, 0, 3]
 
     def test_duplicate_name_rejected(self, paper_tensor):
         with pytest.raises(ValueError, match="already exists"):
@@ -190,6 +190,8 @@ class TestGreedyPrune:
             greedy_prune(paper_tensor, ["A1", "ghost"], ["R1"])
         with pytest.raises(KeyError, match="unknown item identifier 'nowhere'"):
             greedy_prune(paper_tensor, ["A1", "A2"], ["R1"], items=["nowhere"])
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            greedy_prune(paper_tensor, ["A1", "A2"], ["R1"], steps=-1)
 
     def test_rejects_empty_benchmarks_or_items(self, paper_tensor):
         members = [f"A{i}" for i in range(1, 11)]

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from facetkit import (
+    EnsembleSpec,
     EstimationConfig,
     EstimationError,
     FacetEstimates,
@@ -19,12 +20,12 @@ from facetkit import (
     ScaleSpec,
     SimSpec,
     StudyConfig,
+    build_ensemble,
     category_probs,
     estimate,
     expected_score,
     ingest_csv,
     ingest_csv_text,
-    log_likelihood,
     severity_classification,
     simulate,
 )
@@ -38,7 +39,7 @@ from facetkit.estimate import (
     _totals,
 )
 from facetkit.model import cell_moments
-from conftest import paper_spec, pool_csv, small_tensor
+from conftest import log_likelihood, paper_spec, pool_csv, small_tensor
 
 estimate_module = importlib.import_module("facetkit.estimate")
 
@@ -63,6 +64,21 @@ class TestPreconditions:
         tensor = ingest_csv_text(text)
         with pytest.raises(EstimationError, match="disconnected"):
             estimate(tensor)
+
+    def test_fractional_scores_rejected(self):
+        # the mean of two members, unrounded: 57 of its 120 cells are
+        # halves, which the likelihood would truncate to whole categories
+        tensor = build_ensemble(bundled_tensor(), EnsembleSpec("E", ("A1", "A2"), "none"))
+        with pytest.raises(EstimationError, match=r"^fractional score at \(person, item, "
+                           r"rater, score\) \('P01', 'SN1', 'E', 3\.5\): "):
+            estimate(tensor)
+
+    def test_whole_scores_flagged_non_integer_fit_as_integer(self, paper_tensor,
+                                                             paper_estimates):
+        flagged = RatingsTensor.from_cells(paper_tensor.scale, paper_tensor.ids,
+                                           paper_tensor.long_rows(), integer_scores=False)
+        assert not flagged.integer_scores
+        assert estimate(flagged).to_json_text() == paper_estimates.to_json_text()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rater_groups_that_share_only_items_rejected(self, seed):
@@ -270,6 +286,23 @@ class TestSymmetry:
         np.testing.assert_allclose(est2.params.thresholds, est.params.thresholds,
                                    rtol=0, atol=1e-6)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+    def test_relabeling_raters_moves_abilities_beside_a_person_at_the_clamp(self):
+        # both orders report converged=True after 13 iterations, with no
+        # warning, and the non-extreme p4 sits at the clamp, -10; today p1
+        # reads -1.6419698 against -1.6419621
+        cells = [("p1", "i1", "r2", 2), ("p2", "i1", "r2", 2), ("p2", "i1", "r4", 0),
+                 ("p3", "i1", "r2", 2), ("p3", "i1", "r4", 3), ("p4", "i1", "r2", 0),
+                 ("p4", "i1", "r4", 1), ("p5", "i1", "r1", 0), ("p5", "i1", "r2", 2),
+                 ("p5", "i1", "r3", 1), ("p5", "i1", "r4", 3), ("p6", "i1", "r3", 0),
+                 ("p7", "i1", "r4", 0)]
+        persons = tuple(f"p{k}" for k in range(1, 8))
+        est, est2 = (estimate(RatingsTensor.from_cells(ScaleSpec(0, 3), FacetIds(
+            persons, ("i1",), raters), cells)) for raters in (
+                ("r1", "r2", "r3", "r4"), ("r1", "r2", "r4", "r3")))
+        assert est.converged and est2.converged
+        np.testing.assert_allclose(est2.params.ability, est.params.ability, rtol=0, atol=1e-7)
+
 
 class TestRecovery:
     def test_paper_shaped_correlation(self, paper_tensor, paper_truth, paper_estimates):
@@ -430,7 +463,7 @@ class TestExtremes:
         cells, p = tensor.cell_index, est.params
         sel = cells.ridx == 2
         assert cells.x[sel].sum() == 210
-        loc = cells.locations(p.ability, p.severity, p.difficulty, sel)
+        loc = cells.locations(p.ability, p.severity, p.difficulty)[sel]
         assert expected_score(loc, p.thresholds).sum() == pytest.approx(210, abs=1e-8)
         assert -5 < p.severity[2] < p.severity[:2].min()
 
@@ -540,7 +573,7 @@ def per_element_solve_extremes(cells, K, flags, ability, severity, difficulty,
             v = 0.0
             for _ in range(200):
                 vec[element] = v
-                loc = cells.locations(ability, severity, difficulty, sel)
+                loc = cells.locations(ability, severity, difficulty)[sel]
                 _, e, w = cell_moments(loc, thresholds)
                 f = e.sum() - target
                 if abs(f) < tol:
@@ -650,7 +683,7 @@ class TestSolveExtremes:
         est = estimate(tensor)
         cells, p = tensor.cell_index, est.params
         sel = cells.pidx == 0
-        loc = cells.locations(p.ability, p.severity, p.difficulty, sel)
+        loc = cells.locations(p.ability, p.severity, p.difficulty)[sel]
         assert expected_score(loc, p.thresholds).sum() == pytest.approx(0.25, abs=1e-10)
 
     def test_all_zero_rater(self):
@@ -767,7 +800,7 @@ def dense_joint_step(cells, active, params, estimable, clamp):
     offsets = np.cumsum([0] + sizes)
     K = sizes[3]
     sel = np.flatnonzero(active)
-    probs = category_probs(cells.locations(*params[:3], sel), params[3])
+    probs = category_probs(cells.locations(*params[:3])[sel], params[3])
     m = np.arange(K + 1.0)[:, None]
     # m for the person, -m for the rater and the item, -[m >= k] for threshold k
     stat = np.hstack([m, -m, -m, -(m >= np.arange(1, K + 1)).astype(float)])
@@ -1128,7 +1161,7 @@ class TestJointNewton:
             keep = np.ones(cells.n, dtype=bool)
             for which in FACETS:
                 keep &= flags[which][cells.index[which]] == "none"
-            loc = cells.locations(p.ability, p.severity, p.difficulty, keep)
+            loc = cells.locations(p.ability, p.severity, p.difficulty)[keep]
             resid = cells.x[keep] - expected_score(loc, p.thresholds)
             for which in FACETS:
                 sums = cells.sums(which, resid, keep)[flags[which] == "none"]

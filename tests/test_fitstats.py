@@ -6,7 +6,6 @@ import pytest
 from facetkit import (
     FitCuts,
     FitReport,
-    PERMISSIVE_CUTS,
     STRINGENT_CUTS,
     Pathology,
     classify_fit,
@@ -44,7 +43,6 @@ def fit_cut_pair(lower, upper):
 
 class TestFitCuts:
     def test_presets(self):
-        assert (PERMISSIVE_CUTS.lower, PERMISSIVE_CUTS.upper) == (0.5, 1.5)
         assert (STRINGENT_CUTS.lower, STRINGENT_CUTS.upper) == (0.7, 1.3)
 
     def test_validation(self):
@@ -59,6 +57,18 @@ def report_from_values(pairs):
     infit = np.array([p[0] for p in pairs])
     outfit = np.array([p[1] for p in pairs])
     return FitReport("rater", ids, infit, outfit, np.full(len(pairs), 120))
+
+
+class TestFitReport:
+    @pytest.mark.parametrize("infit, n_obs, named", [
+        ([1.0], [5, 5], r"infit_ms length \(1,\) != 2 elements"),
+        ([1.0, -0.1], [5, 5], "mean squares must be non-negative"),
+        ([1.0, np.inf], [5, 5], "mean squares must be finite"),
+        ([1.0, np.nan], [5, 5], "mean squares must be finite"),
+    ])
+    def test_bad_report_rejected(self, infit, n_obs, named):
+        with pytest.raises(ValueError, match=named):
+            FitReport("rater", ("R1", "R2"), np.array(infit), np.ones(2), np.array(n_obs))
 
 
 class TestClassifyFit:

@@ -14,10 +14,9 @@ from facetkit import (
     ModelParams,
     category_probs,
     expected_score,
-    log_likelihood,
 )
 from facetkit.model import _SUM_BLOCK, cell_moments
-from conftest import small_tensor
+from conftest import log_likelihood, small_tensor
 
 
 def random_draws(n, rng, k=6):
@@ -352,6 +351,11 @@ class TestModelParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             ModelParams(np.array([np.inf]), np.zeros(1), np.zeros(1), np.zeros(6))
+
+    @pytest.mark.parametrize("ability", [np.zeros(0), np.zeros((1, 1))])
+    def test_rejects_empty_or_2d(self, ability):
+        with pytest.raises(ValueError, match="ability must be a non-empty 1-d array"):
+            ModelParams(ability, np.zeros(1), np.zeros(1), np.zeros(6))
 
     def test_identification_check(self):
         p = ModelParams(np.ones(3), np.array([0.5, -0.5]), np.zeros(2), np.zeros(6))

@@ -61,19 +61,7 @@ def reference_paired_scores(tensor, rater_a, rater_b, items):
     return a[both], b[both]
 
 
-def reference_weight_matrix(n_cat, span, weighting):
-    cats = np.arange(n_cat)
-    diff = cats[:, None] - cats[None, :]
-    if weighting == "quadratic":
-        return diff**2 / span**2
-    if weighting == "linear":
-        return np.abs(diff) / span
-    if weighting == "unweighted":
-        return (diff != 0).astype(float)
-    raise ValueError(f"unknown weighting {weighting!r}")
-
-
-def reference_qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
+def reference_qwk_vectors(a, b, min_score, max_score):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -93,7 +81,8 @@ def reference_qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
     np.add.at(counts, (ai, bi), 1.0)
     row = counts.sum(axis=1)
     col = counts.sum(axis=0)
-    weights = reference_weight_matrix(n_cat, span, weighting)
+    cats = np.arange(n_cat)
+    weights = (cats[:, None] - cats[None, :]) ** 2 / span**2
     obs2 = float((weights * (counts + counts.T)).sum())
     exp2 = float((weights * (np.outer(row, col) + np.outer(col, row))).sum())
     if exp2 == 0.0:
@@ -104,13 +93,13 @@ def reference_qwk_vectors(a, b, min_score, max_score, weighting="quadratic"):
     return kappa, obs2 / (2 * n), exp2 / (2 * n**2)
 
 
-def reference_qwk(tensor, rater_a, rater_b, items=None, weighting="quadratic"):
+def reference_qwk(tensor, rater_a, rater_b, items=None):
     if items is None:
         items = tensor.ids.items
     items = tuple(items)
     a, b = reference_paired_scores(tensor, rater_a, rater_b, items)
     kappa, observed, expected = reference_qwk_vectors(
-        a, b, tensor.scale.min_score, tensor.scale.max_score, weighting
+        a, b, tensor.scale.min_score, tensor.scale.max_score
     )
     return QwkResult(rater_a, rater_b, items, int(a.size), kappa, observed, expected)
 
@@ -429,15 +418,14 @@ class TestMatchesReference:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)), max_size=30),
-           st.sampled_from(["quadratic", "linear", "unweighted", "cubic"]),
            st.booleans())
-    def test_random_vectors(self, pairs, weighting, fractional):
+    def test_random_vectors(self, pairs, fractional):
         a = np.array([p[0] for p in pairs], float)
         b = np.array([p[1] for p in pairs], float)
         if fractional and pairs:
             a[0] += 0.5
-        got = outcome(qwk_vectors, a, b, 0, 6, weighting)
-        assert repr(got) == repr(outcome(reference_qwk_vectors, a, b, 0, 6, weighting))
+        got = outcome(qwk_vectors, a, b, 0, 6)
+        assert repr(got) == repr(outcome(reference_qwk_vectors, a, b, 0, 6))
 
 
     @settings(max_examples=300, deadline=None)
@@ -490,10 +478,8 @@ class TestSinglePairCalls:
                  ("ghost", "R1", None), ("A1", "ghost", None), ("A1", "R1", ["nowhere"]),
                  ("A1", "R1", [])]
         for a, b, items in cases:
-            for weighting in ("quadratic", "linear", "unweighted", "cubic"):
-                got = outcome(qwk, paper_tensor, a, b, items, weighting)
-                want = outcome(reference_qwk, paper_tensor, a, b, items, weighting)
-                assert repr(got) == repr(want)
+            got = outcome(qwk, paper_tensor, a, b, items)
+            assert repr(got) == repr(outcome(reference_qwk, paper_tensor, a, b, items))
 
     def test_degenerate_pair_raises(self):
         t = small_tensor([[3, 3], [3, 3], [3, 3]], raters=("R1", "R2"))

@@ -22,7 +22,7 @@ from facetkit import (
     qwk_matrix,
 )
 from facetkit.study import alpha_table
-from conftest import score_of
+from conftest import declared_missing, score_of
 
 HEADER = "person_id,item_id,rater_id,score\n"
 
@@ -139,7 +139,7 @@ class TestIngest:
         text = csv_text(["p1,I1,r1,3", "p1,I1,r2,", "p2,I1,r1,2", "p2,I1,r2,4"])
         t = ingest_csv_text(text)
         assert t.n_cells == 3
-        assert t.declared_missing[0, 0, 1]
+        assert declared_missing(t)[0, 0, 1]
         assert np.isnan(score_of(t, "p1", "I1", "r2"))
 
     def test_malformed_row(self):
@@ -206,6 +206,11 @@ class TestTensorInvariants:
         t = RatingsTensor(ScaleSpec(0, 6), ids, np.array([[[3.5]]]), integer_scores=False)
         assert score_of(t, "p1", "i1", "r1") == 3.5
 
+    def test_never_equal_to_another_type(self):
+        t = ingest_csv_text(csv_text(["p1,I1,r1,3", "p2,I1,r1,4"]))
+        assert (t == 1) is False
+        assert t != "tensor"
+
     def test_values_are_immutable(self):
         t = ingest_csv_text(csv_text(["p1,I1,r1,3", "p2,I1,r1,4"]))
         with pytest.raises(ValueError):
@@ -214,7 +219,7 @@ class TestTensorInvariants:
     def test_fully_crossed_cell_count(self):
         t = ingest_csv_text(paper_shaped_csv())
         P, I, R = t.shape
-        assert t.n_cells == P * I * R - t.declared_missing.sum()
+        assert t.n_cells == P * I * R - declared_missing(t).sum()
 
     def test_disconnected_design_detected(self):
         # two blocks sharing no persons, items, or raters
@@ -306,7 +311,7 @@ class TestRoundTrip:
         assert not tensor.integer_scores
 
         # reference: walk the whole cube person-major, as a reader would
-        expected = []
+        expected, declared = [], declared_missing(tensor)
         for p, person in enumerate(tensor.ids.persons):
             for i, item in enumerate(tensor.ids.items):
                 for r, rater in enumerate(tensor.ids.raters):
@@ -314,7 +319,7 @@ class TestRoundTrip:
                     if not np.isnan(s):
                         expected.append([person, item, rater,
                                          int(s) if s == int(s) else float(s)])
-                    elif tensor.declared_missing[p, i, r]:
+                    elif declared[p, i, r]:
                         expected.append([person, item, rater, None])
         assert any(isinstance(row[3], float) for row in expected)
         assert any(row[3] is None for row in expected)

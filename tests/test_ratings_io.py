@@ -34,7 +34,7 @@ from facetkit import (
 )
 from facetkit import ratings
 from facetkit.ratings import canonical_json
-from conftest import score_of
+from conftest import declared_missing, score_of
 
 
 def reference_records(reader, source):
@@ -713,7 +713,7 @@ class TestFromCells:
         tensor = self.build([("p2", "i1", "r2", 3), ("p1", "i1", "r2", None)])
         assert np.array_equal(tensor.values[:, 0, :], [[np.nan, np.nan], [np.nan, 3.0]],
                               equal_nan=True)
-        assert tensor.declared_missing[:, 0, :].tolist() == [[False, True], [False, False]]
+        assert declared_missing(tensor)[:, 0, :].tolist() == [[False, True], [False, False]]
 
     def test_nan_score_raises(self):
         # Python's json reads the NaN literal as a float NaN, not as a blank

@@ -391,6 +391,16 @@ class TestMeasureTable:
         with pytest.raises(ValueError, match="misaligned"):
             measure_table(paper_estimates, fit)
 
+    def test_bad_sort_or_facet(self, paper_estimates):
+        from facetkit import FitReport
+
+        fit = FitReport("rater", ("R1",), np.array([1.0]), np.array([1.0]), np.array([5]))
+        with pytest.raises(ValueError, match="sort must be by_measure or by_id, got 'up'"):
+            measure_table(paper_estimates, fit, sort="up")
+        fit = FitReport("judge", ("R1",), np.array([1.0]), np.array([1.0]), np.array([5]))
+        with pytest.raises(ValueError, match="unknown facet 'judge'"):
+            measure_table(paper_estimates, fit)
+
 
 class TestDescriptiveTable:
     def test_hand_mean_and_sd(self):

@@ -15,6 +15,9 @@ from facetkit.rounding import round_half_away
 from facetkit.simulate import _person_states
 from conftest import paper_spec
 
+SMALL_SPEC_JSON = {"n_persons": 5, "n_items": 2, "n_raters": 2,
+                   "scale": {"min_score": 0, "max_score": 6}, "seed": 1}
+
 
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_tensor(self):
@@ -298,6 +301,18 @@ class TestSpecValidation:
             SimSpec(n_persons=5, n_items=2, n_raters=3, scale=ScaleSpec(0, 6), seed=1,
                     **{field: value})
 
+    @pytest.mark.parametrize("args, error, named", [
+        (dict(seed=-1), ValueError, "seed must be a non-negative 64-bit integer"),
+        (dict(seed=2**64), ValueError, "seed must be a non-negative 64-bit integer"),
+        (dict(pathologies={0: 0.2}), TypeError, "pathologies values must be Pathology"),
+        (dict(item_ids=("I1",)), ValueError, "item_ids length must equal n_items"),
+        (dict(rater_ids=("R1", "R2", "R3")), ValueError, "rater_ids length must equal n_raters"),
+    ])
+    def test_bad_argument_rejected(self, args, error, named):
+        with pytest.raises(error, match=named):
+            SimSpec(**{"n_persons": 5, "n_items": 2, "n_raters": 2, "scale": ScaleSpec(0, 6),
+                       "seed": 1, **args})
+
     def test_counts_positive(self):
         with pytest.raises(ValueError):
             SimSpec(n_persons=0, n_items=2, n_raters=2, scale=ScaleSpec(0, 6), seed=1)
@@ -310,24 +325,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SimSpec(n_persons=5, n_items=2, n_raters=2, scale=ScaleSpec(0, 6), seed=1,
                     **{field: value})
-        d = SimSpec(n_persons=5, n_items=2, n_raters=2, scale=ScaleSpec(0, 6),
-                    seed=1).to_json_dict()
-        d["ability"][field.removeprefix("ability_")] = value
+        d = {**SMALL_SPEC_JSON, "ability": {field.removeprefix("ability_"): value}}
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SimSpec.from_json_dict(d)
 
-    def test_json_roundtrip(self):
-        spec = paper_spec(seed=11)
-        again = SimSpec.from_json_dict(spec.to_json_dict())
-        assert again.to_json_dict() == spec.to_json_dict()
-        spec2 = SimSpec(
-            n_persons=5, n_items=2, n_raters=3, scale=ScaleSpec(0, 6), seed=2,
-            severity=("uniform", -0.5, 0.5),
-            pathologies={1: Pathology(noise=0.25)},
-        )
-        again2 = SimSpec.from_json_dict(spec2.to_json_dict())
-        assert again2.severity == ("uniform", -0.5, 0.5)
-        assert again2.pathologies[1].noise == 0.25
+    def test_json_reads_every_field(self):
+        spec = SimSpec.from_json_dict({
+            **SMALL_SPEC_JSON, "n_raters": 3, "ability": {"mean": 0.5, "sd": 2.0},
+            "severity": {"uniform": [-0.5, 0.5]}, "difficulty": [0.25, -0.25],
+            "thresholds": [-1, -0.5, 0, 0, 0.5, 1], "pathologies": {"1": {"noise": 0.25}},
+            "item_ids": ["I1", "I2"], "rater_ids": ["R1", "R2", "R3"]})
+        assert spec == SimSpec(
+            n_persons=5, n_items=2, n_raters=3, scale=ScaleSpec(0, 6), seed=1,
+            ability_mean=0.5, ability_sd=2.0, severity=("uniform", -0.5, 0.5),
+            difficulty=[0.25, -0.25], thresholds=[-1.0, -0.5, 0.0, 0.0, 0.5, 1.0],
+            pathologies={1: Pathology(noise=0.25)}, item_ids=("I1", "I2"),
+            rater_ids=("R1", "R2", "R3"))
 
     @pytest.mark.parametrize("key, value, named", [
         ("pathologies", ["1"], "pathologies must be a JSON object"),
@@ -349,15 +362,13 @@ class TestSpecValidation:
         ("abilities", {"sd": 1.0}, "unknown simulation spec key(s): abilities"),
     ])
     def test_malformed_json_value_names_its_key(self, key, value, named):
-        d = SimSpec(n_persons=5, n_items=2, n_raters=2, scale=ScaleSpec(0, 6),
-                    seed=1).to_json_dict()
-        d[key] = value
+        d = {**SMALL_SPEC_JSON, key: value}
         with pytest.raises(ValueError, match=re.escape(named)):
             SimSpec.from_json_dict(d)
 
     def test_json_spec_must_be_an_object(self):
         with pytest.raises(ValueError, match="simulation spec must be a JSON object"):
-            SimSpec.from_json_dict([paper_spec().to_json_dict()])
+            SimSpec.from_json_dict([SMALL_SPEC_JSON])
 
     def test_ids_carried_through(self):
         tensor, _ = simulate(paper_spec())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -43,8 +44,13 @@ def _emit(text_or_chunks, out_path):
             (text_or_chunks,) if isinstance(text_or_chunks, str) else text_or_chunks)
 
 
-def _split_ids(text):
-    return [x for x in (p.strip() for p in text.split(",")) if x]
+def _split_ids(text, flag):
+    """The ids of a comma-separated list given to ``flag``; a list naming
+    no id is refused."""
+    ids = [x for x in (p.strip() for p in text.split(",")) if x]
+    if not ids:
+        raise ValueError(f"{flag} names no id: {text!r}")
+    return ids
 
 
 def _parse_cuts(text):
@@ -67,9 +73,9 @@ def cmd_ingest(args):
 
 def cmd_agree(args):
     tensor = _load_tensor(args.tensor)
-    benchmarks = _split_ids(args.benchmarks)
+    benchmarks = _split_ids(args.benchmarks, "--benchmarks")
     candidates = (
-        _split_ids(args.candidates)
+        _split_ids(args.candidates, "--candidates")
         if args.candidates
         else [r for r in tensor.ids.raters if r not in benchmarks]
     )
@@ -90,10 +96,10 @@ def cmd_alpha(args):
     groups = {}
     for spec in args.groups:
         name, _, items = spec.partition(":")
-        if not items:
+        if not name or not items:
             raise ValueError(f"group {spec!r} must look like name:item1,item2")
-        groups[name] = _split_ids(items)
-    raters = _split_ids(args.raters) if args.raters else list(tensor.ids.raters)
+        groups[name] = _split_ids(items, "--groups")
+    raters = _split_ids(args.raters, "--raters") if args.raters else list(tensor.ids.raters)
     _emit(alpha_table(tensor, groups.items(), raters).to_csv_text(), args.out)
     return 0
 
@@ -123,7 +129,7 @@ def cmd_fit(args):
 
 def cmd_ensemble(args):
     tensor = _load_tensor(args.tensor)
-    spec = EnsembleSpec(args.name, _split_ids(args.members),
+    spec = EnsembleSpec(args.name, _split_ids(args.members, "--members"),
                         ROUNDING_ALIASES[args.round])
     extended = build_ensemble(tensor, spec)
     _emit(extended.json_chunks(), args.out)
@@ -132,11 +138,11 @@ def cmd_ensemble(args):
 
 def cmd_prune(args):
     tensor = _load_tensor(args.tensor)
-    items = _split_ids(args.items) if args.items else None
+    items = _split_ids(args.items, "--items") if args.items else None
     trace = greedy_prune(
         tensor,
-        _split_ids(args.members),
-        _split_ids(args.benchmarks),
+        _split_ids(args.members, "--members"),
+        _split_ids(args.benchmarks, "--benchmarks"),
         items=items,
         steps=args.steps,
         rounding=ROUNDING_ALIASES[args.round],
@@ -155,14 +161,10 @@ def cmd_simulate(args):
     with open(args.spec, "r", encoding="utf-8") as f:
         spec = SimSpec.from_json_dict(json.load(f))
     if args.seed is not None:
-        import dataclasses
-
         spec = dataclasses.replace(spec, seed=args.seed)
     tensor, truth = simulate(spec)
-    if args.out.endswith(".json"):
-        _write_artifact(args.out, tensor.json_chunks())
-    else:
-        tensor.write_csv(args.out)
+    _write_artifact(args.out, tensor.json_chunks() if args.out.endswith(".json")
+                    else tensor.to_csv_text())
     if args.truth:
         _write_artifact(args.truth, canonical_json(truth.to_dict()))
     return 0

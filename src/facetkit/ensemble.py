@@ -38,12 +38,6 @@ class EnsembleSpec:
             )
 
 
-def _member_slabs(tensor, members):
-    """The members' (persons, items) score slabs, one per member, filled
-    from their cells."""
-    return tensor.cell_index.slabs(tensor.ids.codes("rater", members))
-
-
 def _member_mean(slabs, scale, rounding):
     """Per (person, item) mean of present member scores, rounded and clamped."""
     # a (persons, items, members) view laid out member-major, so numpy adds
@@ -64,18 +58,15 @@ def build_ensemble(tensor: RatingsTensor, spec: EnsembleSpec) -> RatingsTensor:
 
     Cells where no member scored become declared-missing, with a warning.
     """
-    scores, n = _member_mean(_member_slabs(tensor, spec.members), tensor.scale, spec.rounding)
+    slabs = tensor.cell_index.slabs(tensor.ids.codes("rater", spec.members))
+    scores, n = _member_mean(slabs, tensor.scale, spec.rounding)
     if (n == 0).any():
         warnings.warn(
             f"ensemble {spec.name!r}: {(n == 0).sum()} cells have no member scores; "
             "left missing"
         )
-    return tensor.with_rater(
-        spec.name,
-        scores,
-        declared_missing=(n == 0),
-        integer_scores=tensor.integer_scores and spec.rounding != "none",
-    )
+    return tensor.with_rater(spec.name, scores,
+                             integer_scores=tensor.integer_scores and spec.rounding != "none")
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,8 @@ def greedy_prune(tensor: RatingsTensor, members, benchmarks, items=None,
 
     # canonical member order: the tensor's rater order
     current = sorted(members, key=tensor.ids.rater_index.__getitem__)
-    slab = dict(zip(current + benchmarks, _member_slabs(tensor, current + benchmarks)))
+    slabs = tensor.cell_index.slabs(tensor.ids.codes("rater", current + benchmarks))
+    slab = dict(zip(current + benchmarks, slabs))
 
     [(mean, cells)] = _ensemble_qwks(tensor, slab, [current], benchmarks, items, rounding)
     trace = [PruneStep(None, tuple(current), mean, cells)]

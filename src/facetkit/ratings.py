@@ -368,30 +368,24 @@ class RatingsTensor:
     arrays: ``listed_codes``, the sorted flat positions
     ``(p*I + i)*R + r``, and ``listed_scores``, their scores, NaN for a
     declared-missing cell.  Memory scales with the cells, not with P x I x R.
+    The constructor takes the store itself, ``codes`` strictly increasing in
+    ``[0, P*I*R)``, and keeps read-only views of the arrays it is given, so
+    the caller must not write them afterwards.
 
     Everything else is derived on first read: :attr:`cell_index`, the
     scored cells, and the read-only P x I x R cubes ``values`` (float
     scores, NaN where unscored) and ``present_mask``.
-    The constructor takes a ``values`` cube and converts it to the store.
     """
 
-    def __init__(self, scale, ids, values, declared_missing=None, integer_scores=True):
-        shape = (len(ids.persons), len(ids.items), len(ids.raters))
-        self._fill(scale, ids, *_cube_cells(shape, values, declared_missing), integer_scores)
-
-    @classmethod
-    def _of_codes(cls, scale, ids, flat, scores, integer_scores=True, order=slice(None)):
-        """The tensor of the listed cells at the distinct flat codes ``flat``,
-        taken in the person-major ``order``; a NaN score declares its cell
-        missing.  Every constructor but ``__init__`` builds through it."""
-        tensor = cls.__new__(cls)
-        tensor._fill(scale, ids, flat, scores, integer_scores, order)
-        return tensor
-
-    def _fill(self, scale, ids, flat, scores, integer_scores, order=slice(None)):
-        """Fill the store, the one write a tensor takes: the arguments are
-        those of :meth:`_of_codes`."""
-        codes, scores = flat[order], scores[order]
+    def __init__(self, scale, ids, codes, scores, integer_scores=True):
+        codes, scores = np.asarray(codes), np.asarray(scores, dtype=float)
+        size = len(ids.persons) * len(ids.items) * len(ids.raters)
+        if (codes.ndim != 1 or codes.dtype.kind not in "iu" or codes.shape != scores.shape
+                or np.any(codes[1:] <= codes[:-1])
+                or codes.size and not 0 <= codes[0] <= codes[-1] < size):
+            raise ValueError(f"codes must be one strictly increasing integer in [0, {size}) "
+                             "for each score")
+        codes, scores = codes.astype(np.intp, copy=False).view(), scores.view()
         _check_scores(scale, scores[~np.isnan(scores)], integer_scores)
         codes.setflags(write=False)
         scores.setflags(write=False)
@@ -437,9 +431,10 @@ class RatingsTensor:
         """True when :meth:`CellIndex.unlinked` finds no pair in all cells."""
         return self.cell_index.unlinked() is None
 
-    def with_rater(self, rater_id, scores, declared_missing=None,
-                   integer_scores=None) -> "RatingsTensor":
-        """Tensor extended by one rater; ``scores`` has shape (persons, items)."""
+    def with_rater(self, rater_id, scores, integer_scores=None) -> "RatingsTensor":
+        """Tensor extended by one rater who lists every (person, item) cell;
+        ``scores`` has shape (persons, items), and a NaN declares its cell
+        missing."""
         if rater_id in self.ids.rater_index:
             raise ValueError(f"rater {rater_id!r} already exists")
         scores = np.asarray(scores, dtype=float)
@@ -448,15 +443,15 @@ class RatingsTensor:
             raise ValueError(f"scores shape {scores.shape} != ({P}, {I})")
         if integer_scores is None:
             integer_scores = self.integer_scores
-        new_flat, new = _cube_cells((P, I), scores, declared_missing)
         # a cell of person p and item i moves from (p*I + i)*R + r to
         # (p*I + i)*(R + 1) + r; the new rater's cells take r = R
         pi, r = np.divmod(self.listed_codes, R)
-        flat = np.concatenate([pi * (R + 1) + r, new_flat * (R + 1) + R])
+        flat = np.concatenate([pi * (R + 1) + r, np.arange(P * I) * (R + 1) + R])
+        order = np.argsort(flat, kind="stable")
         ids = FacetIds(self.ids.persons, self.ids.items, self.ids.raters + (rater_id,))
-        return RatingsTensor._of_codes(self.scale, ids, flat,
-                                       np.concatenate([self.listed_scores, new]),
-                                       integer_scores, np.argsort(flat, kind="stable"))
+        return RatingsTensor(self.scale, ids, flat[order],
+                             np.concatenate([self.listed_scores, scores.ravel()])[order],
+                             integer_scores)
 
     # -- long-format views --------------------------------------------------
 
@@ -480,10 +475,6 @@ class RatingsTensor:
         for person, item, rater, s in self.long_rows():
             w.writerow([person, item, rater, "" if s is None else s])
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(self.to_csv_text())
 
     def _json_head(self) -> dict:
         d = {"scale": self.scale.to_dict(), "facets": self.ids.to_dict()}
@@ -579,8 +570,8 @@ class RatingsTensor:
         if nan_score.size:
             person, item, rater, _ = rows[first_nan]
             raise IngestError(f"NaN score in cell ({person!r}, {item!r}, {rater!r})")
-        return cls._of_codes(scale, ids, flat, np.array(columns[3], dtype=float),
-                             integer_scores, order)
+        return cls(scale, ids, flat[order], np.array(columns[3], dtype=float)[order],
+                   integer_scores)
 
     def __eq__(self, other):
         if not isinstance(other, RatingsTensor):
@@ -664,25 +655,6 @@ def _cube(shape, flat, entries, empty):
     cube.ravel()[flat] = entries
     cube.setflags(write=False)
     return cube
-
-
-def _cube_cells(shape, values, declared_missing):
-    """The flat codes and scores of the cells a ``values`` cube of ``shape``
-    lists, in flat order: its scores, and NaN where the optional
-    ``declared_missing`` mask declares a cell missing."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != shape:
-        raise ValueError(f"values shape {values.shape} != {shape}")
-    listed = ~np.isnan(values)
-    if declared_missing is not None:
-        declared = np.asarray(declared_missing, dtype=bool)
-        if declared.shape != shape:
-            raise ValueError("declared_missing shape mismatch")
-        if np.any(declared & listed):
-            raise ValueError("a cell cannot be both scored and declared missing")
-        listed |= declared
-    flat = np.flatnonzero(listed)
-    return flat, values.ravel()[flat]
 
 
 class _Coder(dict):
@@ -891,4 +863,4 @@ def _ingest_read(columns, skipped, stop, scale_min, scale_max, source):
             f"than the declared scale [{lo}, {hi}]",
             stacklevel=3,
         )
-    return RatingsTensor._of_codes(scale, ids, flat, scores, order=order)
+    return RatingsTensor(scale, ids, flat[order], scores[order])

@@ -244,7 +244,7 @@ def simulate(spec: SimSpec):
         spec.item_ids if spec.item_ids is not None else _default_ids("I", spec.n_items),
         spec.rater_ids if spec.rater_ids is not None else _default_ids("R", spec.n_raters),
     )
-    tensor = RatingsTensor._of_codes(spec.scale, ids, np.arange(cats.size),
-                                     np.add(cats.ravel(), spec.scale.min_score, dtype=float))
+    tensor = RatingsTensor(spec.scale, ids, np.arange(cats.size),
+                           np.add(cats.ravel(), spec.scale.min_score, dtype=float))
     truth = ModelParams(ability, severity, difficulty, thresholds)
     return tensor, truth

@@ -70,7 +70,18 @@ def small_tensor(scores, scale=(0, 6), persons=None, items=None, raters=None):
         items or tuple(f"i{i + 1}" for i in range(I)),
         raters or tuple(f"r{i + 1}" for i in range(R)),
     )
-    return RatingsTensor(ScaleSpec(*scale), ids, arr)
+    return cube_tensor(ScaleSpec(*scale), ids, arr)
+
+
+def cube_tensor(scale, ids, values, declared=None, integer_scores=True):
+    """The tensor of a persons x items x raters ``values`` cube: its scored
+    cells (NaN = not scored), and the cells the optional ``declared`` mask
+    lists blank."""
+    values = np.asarray(values, dtype=float)
+    assert values.shape == (len(ids.persons), len(ids.items), len(ids.raters))
+    listed = ~np.isnan(values) if declared is None else ~np.isnan(values) | declared
+    codes = np.flatnonzero(listed)
+    return RatingsTensor(scale, ids, codes, values.ravel()[codes], integer_scores)
 
 
 def score_of(tensor, person, item, rater):

@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from facetkit import (
     DegenerateMarginalsError,
     FacetIds,
-    RatingsTensor,
     ScaleSpec,
     cronbach_alpha,
     qwk,
     qwk_matrix,
     qwk_vectors,
 )
-from conftest import small_tensor
+from conftest import cube_tensor, small_tensor
 
 
 def brute_force_qwk(a, b, min_score, max_score):
@@ -263,9 +262,9 @@ class TestCronbachAlpha:
         # the rounding alone once gave a total variance of 1e-33 and an
         # alpha of -2.6e31
         scores = np.array([[[0.2], [0.4]], [[0.6], [0.0]], [[0.4], [0.2]]])
-        t = RatingsTensor(ScaleSpec(0, 6), FacetIds(("p1", "p2", "p3"), ("i1", "i2"),
-                                                    ("R1",)),
-                          scores, integer_scores=False)
+        t = cube_tensor(ScaleSpec(0, 6), FacetIds(("p1", "p2", "p3"), ("i1", "i2"),
+                                                  ("R1",)),
+                        scores, integer_scores=False)
         with pytest.raises(ValueError,
                            match="^no person variance: total scores are constant$"):
             cronbach_alpha(t, "R1", ["i1", "i2"])

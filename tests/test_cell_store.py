@@ -3,11 +3,10 @@
 ``CubeTensor`` keeps the cube-based tensor as the reference: the checks a
 tensor ran on its cube, ``CellIndex.of`` by ``np.nonzero``,
 ``with_rater``, ``long_rows``, ``from_cells`` and ``==``, plus the ensemble
-mean over a block of the cube.  Tensors from every constructor (the cube
-constructor, ingest, ``from_cells``, ``with_rater``,
-``build_ensemble``, ``simulate``) must give the same cubes, cell arrays,
-rows, bytes, equality and errors, from a store of strictly increasing,
-read-only listed codes.
+mean over a block of the cube.  Tensors from every constructor (the store's
+own, ingest, ``from_cells``, ``with_rater``, ``build_ensemble``,
+``simulate``) must give the same cubes, cell arrays, rows, bytes, equality
+and errors, from a store of strictly increasing, read-only listed codes.
 """
 
 import hashlib
@@ -43,7 +42,7 @@ from facetkit import (
 from facetkit.ratings import _flat_codes, _score_value, canonical_json
 from facetkit.rounding import ROUNDING_MODES
 from facetkit.study import _write_artifact
-from conftest import declared_missing, paper_spec, pool_csv
+from conftest import cube_tensor, declared_missing, paper_spec, pool_csv
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,8 @@ class CubeTensor:
         pidx, iidx, ridx = np.nonzero(self.present_mask)
         return pidx, iidx, ridx, self.values[pidx, iidx, ridx] - self.scale.min_score
 
-    def with_rater(self, rater_id, scores, declared_missing=None, integer_scores=None):
+    def with_rater(self, rater_id, scores, integer_scores=None):
+        """The new rater lists every (person, item) cell, NaN declared missing."""
         if rater_id in self.ids.rater_index:
             raise ValueError(f"rater {rater_id!r} already exists")
         scores = np.asarray(scores, dtype=float)
@@ -102,12 +102,7 @@ class CubeTensor:
         if scores.shape != (P, I):
             raise ValueError(f"scores shape {scores.shape} != ({P}, {I})")
         vals = np.concatenate([self.values, scores[:, :, None]], axis=2)
-        new_declared = (
-            np.zeros((P, I), dtype=bool) if declared_missing is None else declared_missing
-        )
-        declared = np.concatenate(
-            [self.declared_missing, np.asarray(new_declared, bool)[:, :, None]], axis=2
-        )
+        declared = np.concatenate([self.declared_missing, np.isnan(scores)[:, :, None]], axis=2)
         ids = FacetIds(self.ids.persons, self.ids.items, self.ids.raters + (rater_id,))
         if integer_scores is None:
             integer_scores = self.integer_scores
@@ -121,7 +116,7 @@ class CubeTensor:
             mean = np.where(n > 0, np.nansum(block, axis=2) / np.maximum(n, 1), np.nan)
         rounded = np.clip(ROUNDING_MODES[rounding](mean), self.scale.min_score,
                           self.scale.max_score)
-        return self.with_rater(name, np.where(n > 0, rounded, np.nan), n == 0,
+        return self.with_rater(name, np.where(n > 0, rounded, np.nan),
                                self.integer_scores and rounding != "none")
 
     def long_rows(self):
@@ -249,11 +244,8 @@ def store_designs(draw):
     if draw(st.booleans()):
         new = np.array(draw(st.lists(st.sampled_from([np.nan, lo, lo + K, lo + 0.5]),
                                      min_size=P * I, max_size=P * I))).reshape(P, I)
-        blank = np.array(draw(st.lists(st.booleans(), min_size=P * I,
-                                       max_size=P * I))).reshape(P, I)
         name = draw(st.sampled_from(["r0", "new"]))
-        steps.append(("with_rater", name, new, blank & np.isnan(new),
-                      draw(st.sampled_from([None, False]))))
+        steps.append(("with_rater", name, new, draw(st.sampled_from([None, False]))))
     for step in steps:
         kind, *args = step
         if kind == "ensemble":
@@ -275,8 +267,8 @@ class TestStoreMatchesCube:
             return
         assert_same(tensor, ref)
         # the same tensor through its other constructors
-        assert_same(RatingsTensor(ref.scale, ref.ids, ref.values, ref.declared_missing,
-                                  ref.integer_scores), ref)
+        assert_same(cube_tensor(ref.scale, ref.ids, ref.values, ref.declared_missing,
+                                ref.integer_scores), ref)
         assert_same(RatingsTensor.from_json_dict(json.loads(tensor.to_json_text())), ref)
         if ref.integer_scores:
             with warnings.catch_warnings():
@@ -311,8 +303,8 @@ class TestStoreMatchesCube:
                                          integer_scores)
         assert (tensor == other) == (ref == other_ref)
         assert (other == tensor) == (other_ref == ref)
-        assert tensor == RatingsTensor(ref.scale, ref.ids, ref.values, ref.declared_missing,
-                                       ref.integer_scores)
+        assert tensor == cube_tensor(ref.scale, ref.ids, ref.values, ref.declared_missing,
+                                     ref.integer_scores)
 
     def test_ensemble_of_many_non_integer_raters(self):
         """Member means of non-integer raters sum in the cube's order, bit for bit."""
@@ -332,27 +324,23 @@ class TestStoreMatchesCube:
 # -- faulty input --------------------------------------------------------------
 
 
+# scores a cube may hold, given to the store's constructor as cells
 BAD_CUBES = {
-    "values shape": dict(values=np.zeros((2, 1, 1))),
-    "declared shape": dict(declared_missing=np.zeros((1, 1, 3), bool)),
-    "scored and declared": dict(declared_missing=np.ones((1, 1, 2), bool)),
     "below the scale": dict(values=np.array([[[-1.0, np.nan]]])),
     "above the scale": dict(values=np.array([[[1.0, 4.0]]])),
     "infinite": dict(values=np.array([[[np.inf, 1.0]]])),
     "non-integer": dict(values=np.array([[[1.5, 2.0]]])),
     "non-integer outside": dict(values=np.array([[[1.5, 9.0]]])),
     "non-integer allowed": dict(values=np.array([[[1.5, 2.0]]]), integer_scores=False),
-    "bad and declared": dict(values=np.array([[[9.0, np.nan]]]),
-                             declared_missing=np.array([[[True, False]]])),
 }
 
 
 @pytest.mark.parametrize("name", list(BAD_CUBES))
 def test_bad_cubes_raise_as_before(name):
     args = {"scale": ScaleSpec(0, 3), "ids": FacetIds(("p",), ("i",), ("a", "b")),
-            "values": np.array([[[1.0, 2.0]]]), **BAD_CUBES[name]}
+            **BAD_CUBES[name]}
     ref = outcome(lambda: CubeTensor(**args))
-    got = outcome(lambda: RatingsTensor(**args))
+    got = outcome(lambda: cube_tensor(**args))
     if isinstance(ref, CubeTensor):
         assert_same(got, ref)
     else:
@@ -395,11 +383,11 @@ def test_bad_cells_raise_as_before(name, integer_scores):
 @pytest.mark.parametrize("args", [
     ("r1", np.zeros((2, 1))),                                  # rater exists
     ("r3", np.zeros((1, 2))),                                  # scores shape
-    ("r3", np.zeros((2, 1)), np.ones((2, 1), bool)),           # scored and declared
+    ("r3", np.full((2, 1), np.nan)),                           # every cell declared missing
     ("r3", np.full((2, 1), 5.0)),                              # outside the scale
     ("r3", np.full((2, 1), 0.5)),                              # non-integer
-    ("r3", np.full((2, 1), 0.5), None, False),
-    ("r3", np.array([[np.nan], [1.0]]), np.array([[True], [False]])),
+    ("r3", np.full((2, 1), 0.5), False),
+    ("r3", np.array([[np.nan], [1.0]])),
 ])
 def test_bad_with_rater_raises_as_before(args):
     cells = BAD_CELLS["good"]
@@ -410,6 +398,43 @@ def test_bad_with_rater_raises_as_before(args):
         assert_same(got, want)
     else:
         assert got == want
+
+
+BAD_CODES = {
+    "2-d": [[0, 3]],
+    "float": [0.0, 3.0],
+    "length mismatch": [0, 1, 3],
+    "unsorted": [3, 0],
+    "repeated": [1, 1],
+    "negative": [-1, 0],
+    "at P*I*R": [0, 4],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CODES))
+def test_bad_codes_raise(name):
+    with pytest.raises(ValueError, match=r"^codes must be one strictly increasing integer "
+                                         r"in \[0, 4\) for each score$"):
+        RatingsTensor(ScaleSpec(0, 3), IDS, np.array(BAD_CODES[name]), [1.0, np.nan])
+
+
+@pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint8])
+def test_the_callers_arrays_stay_writeable(dtype):
+    codes, scores = np.array([0, 3], dtype), np.array([1.0, np.nan])
+    tensor = RatingsTensor(ScaleSpec(0, 3), IDS, codes, scores)
+    assert codes.flags.writeable and scores.flags.writeable
+    assert tensor.listed_codes.dtype == np.intp
+    assert not (tensor.listed_codes.flags.writeable or tensor.listed_scores.flags.writeable)
+    assert tensor == RatingsTensor.from_cells(
+        ScaleSpec(0, 3), IDS, [("p1", "i1", "r1", 1), ("p2", "i1", "r2", None)])
+
+
+def test_with_rater_nan_is_declared_missing():
+    tensor = RatingsTensor.from_cells(ScaleSpec(0, 3), IDS, [("p1", "i1", "r1", 2)])
+    extended = tensor.with_rater("E", np.array([[np.nan], [3.0]]))
+    rows = [("p1", "i1", "r1", 2), ("p1", "i1", "E", None), ("p2", "i1", "E", 3)]
+    assert list(extended.long_rows()) == rows
+    assert json.loads(extended.to_json_text())["cells"] == [list(row) for row in rows]
 
 
 def test_tensor_is_immutable():

@@ -20,7 +20,7 @@ from facetkit import (STRINGENT_CUTS, EstimationConfig, FacetEstimates, FacetIds
 from facetkit.cli import build_parser, main
 from facetkit.study import StageError, StudyConfig, run_study
 
-from conftest import PAPER_SPEC_JSON, small_tensor
+from conftest import PAPER_SPEC_JSON, cube_tensor, small_tensor
 
 BUNDLED_STUDY = Path(str(files("facetkit") / "data" / "study.json"))
 BUNDLED_CSV = Path(str(files("facetkit") / "data" / "paper_shaped.csv"))
@@ -65,7 +65,7 @@ def relabelled(items, raters):
     tensor, _ = simulate(SimSpec(n_persons=20, n_items=2, n_raters=3,
                                  scale=ScaleSpec(0, 3), seed=1))
     ids = FacetIds(tensor.ids.persons, items, raters)
-    return RatingsTensor(tensor.scale, ids, tensor.values)
+    return cube_tensor(tensor.scale, ids, tensor.values)
 
 
 def run_cli(*argv):
@@ -164,6 +164,18 @@ class TestAlpha:
     def test_bad_group_spec(self, tensor_json, capsys):
         assert run_cli("alpha", tensor_json, "--groups", "holistic") == 1
         assert "name:item1,item2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("agree", "--benchmarks", ","), "--benchmarks names no id: ','"),
+    (("agree", "--benchmarks", "R1", "--candidates", ","), "--candidates names no id: ','"),
+    (("alpha", "--groups", "g:SN1,ER1", "--raters", ","), "--raters names no id: ','"),
+    (("alpha", "--groups", ":SN1,ER1"), "group ':SN1,ER1' must look like name:item1,item2"),
+])
+def test_id_list_naming_nothing_is_one_json_error(argv, error, capsys):
+    assert run_cli(argv[0], BUNDLED_CSV, *argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [json.dumps({"error": error})]
 
 
 class TestEstimateFitReport:
@@ -398,6 +410,8 @@ class TestSimulate:
         assert run_cli("simulate", "--spec", spec_path, "--out", out,
                        "--truth", truth) == 0
         assert len(out.read_text().splitlines()) == 61
+        tensor, _ = simulate(SimSpec.from_json_dict(spec))
+        assert out.read_bytes() == tensor.to_csv_text().encode("utf-8")
         truth_params = json.loads(truth.read_text())
         assert truth_params["severity"] == [0.5, -0.5, 0.0]
 

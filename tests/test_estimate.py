@@ -39,7 +39,7 @@ from facetkit.estimate import (
     _totals,
 )
 from facetkit.model import cell_moments
-from conftest import log_likelihood, paper_spec, pool_csv, small_tensor
+from conftest import cube_tensor, log_likelihood, paper_spec, pool_csv, small_tensor
 
 estimate_module = importlib.import_module("facetkit.estimate")
 
@@ -107,7 +107,7 @@ class TestPreconditions:
     def test_person_with_no_cells_rejected(self, paper_tensor):
         values = np.array(paper_tensor.values)
         values[4] = np.nan
-        tensor = type(paper_tensor)(paper_tensor.scale, paper_tensor.ids, values)
+        tensor = cube_tensor(paper_tensor.scale, paper_tensor.ids, values)
         with pytest.raises(EstimationError, match="^disconnected design: "
                            "persons 'P01' and 'P05' share no raters$"):
             estimate(tensor)
@@ -430,7 +430,7 @@ class TestExtremes:
         values = np.array(tensor.values)
         values[0, :, :] = 6.0   # person all at maximum
         values[1, :, :] = 0.0   # person all at minimum
-        return type(tensor)(tensor.scale, tensor.ids, values)
+        return cube_tensor(tensor.scale, tensor.ids, values)
 
     def test_extreme_persons_flagged_and_measured(self, tensor_with_extremes):
         est = estimate(tensor_with_extremes)
@@ -447,7 +447,7 @@ class TestExtremes:
         tensor, _ = simulate(paper_spec(seed=33))
         values = np.array(tensor.values)
         values[:, :, 5] = 0.0
-        t = type(tensor)(tensor.scale, tensor.ids, values)
+        t = cube_tensor(tensor.scale, tensor.ids, values)
         est = estimate(t)
         assert est.extreme_raters[5] == "min-extreme"
         assert est.params.severity[5] > est.params.severity[[i for i in range(12) if i != 5]].max()
@@ -690,7 +690,7 @@ class TestSolveExtremes:
         tensor, _ = simulate(paper_spec(seed=33))
         values = np.array(tensor.values)
         values[:, :, 5] = 0.0
-        est = self.assert_same_as_reference(type(tensor)(tensor.scale, tensor.ids, values))
+        est = self.assert_same_as_reference(cube_tensor(tensor.scale, tensor.ids, values))
         assert est.extreme_raters[5] == "min-extreme"
 
     def test_extremes_with_many_cells(self):
@@ -699,7 +699,7 @@ class TestSolveExtremes:
         tensor, _ = simulate(paper_spec(seed=31))
         values = np.array(tensor.values)
         values[0], values[1] = 6.0, 0.0
-        est = self.assert_same_as_reference(type(tensor)(tensor.scale, tensor.ids, values))
+        est = self.assert_same_as_reference(cube_tensor(tensor.scale, tensor.ids, values))
         assert est.extreme_persons[:3] == ("max-extreme", "min-extreme", "none")
 
     def test_element_beyond_the_clamp_stops_early(self, monkeypatch):
@@ -709,7 +709,7 @@ class TestSolveExtremes:
         tensor, _ = simulate(paper_spec(seed=31))
         values = np.array(tensor.values)
         values[0] = 6.0
-        tensor = type(tensor)(tensor.scale, tensor.ids, values)
+        tensor = cube_tensor(tensor.scale, tensor.ids, values)
         config = EstimationConfig(logit_clamp=5)
         est = self.assert_same_as_reference(tensor, config)
         assert est.params.ability[0] == 5.0
@@ -984,7 +984,7 @@ class TestJointNewton:
         values[np.random.default_rng(40).random(values.shape) < 0.6] = np.nan
         values[:, :, 5][~np.isnan(values[:, :, 5])] = 0
         values[values == 3] = 2
-        tensor = type(tensor)(tensor.scale, tensor.ids, values)
+        tensor = cube_tensor(tensor.scale, tensor.ids, values)
         with pytest.warns(UserWarning, match="threshold hit the logit clamp"):
             p = estimate(tensor).params
         rng = np.random.default_rng(4)
@@ -1001,7 +1001,7 @@ class TestJointNewton:
         tensor = bundled_tensor()
         values = np.array(tensor.values)
         values[0] = 6.0
-        tensor = type(tensor)(tensor.scale, tensor.ids, values)
+        tensor = cube_tensor(tensor.scale, tensor.ids, values)
         p = estimate(tensor).params
         rng = np.random.default_rng(5)
         params = [vec + rng.normal(0, 0.3, vec.size)
@@ -1064,7 +1064,7 @@ class TestJointNewton:
         values = np.array(tensor.values)
         rater = tensor.ids.raters.index("M003")
         values[:, :, rater][~np.isnan(values[:, :, rater])] = 0.0
-        tensor = type(tensor)(tensor.scale, tensor.ids, values)
+        tensor = cube_tensor(tensor.scale, tensor.ids, values)
         p = estimate(tensor).params
         rng = np.random.default_rng(9)
         params = [np.clip(p.ability, -1.5, 1.5)] + [
@@ -1118,7 +1118,7 @@ class TestJointNewton:
         tensor = bundled_tensor()
         values = np.array(tensor.values)
         values[values == 3] = 2
-        tensor = type(tensor)(tensor.scale, tensor.ids, values)
+        tensor = cube_tensor(tensor.scale, tensor.ids, values)
         with pytest.warns(UserWarning, match="threshold hit the logit clamp"):
             est = estimate(tensor)
         assert est.converged
@@ -1623,7 +1623,7 @@ class TestMissingData:
         rng = np.random.default_rng(0)
         holes = rng.random(values.shape) < 0.1
         values[holes] = np.nan
-        t = type(tensor)(tensor.scale, tensor.ids, values)
+        t = cube_tensor(tensor.scale, tensor.ids, values)
         assert t.connected
         est = estimate(t)
         assert est.converged

@@ -17,7 +17,7 @@ from facetkit import (
 )
 from facetkit.fitstats import FLAG_CENTRAL, FLAG_MISFIT, FLAG_NONE
 from facetkit.model import cell_moments
-from conftest import paper_spec, with_items
+from conftest import cube_tensor, paper_spec, with_items
 
 
 def reference_fit_arrays(tensor, estimates, facet):
@@ -148,7 +148,7 @@ class TestFitStatistics:
         conforming = np.clip(np.round(expected_score(loc, p.thresholds)), 0, 6)
         values = np.array(tensor.values)
         values[:, :, 3] = conforming
-        t2 = type(tensor)(tensor.scale, tensor.ids, values)
+        t2 = cube_tensor(tensor.scale, tensor.ids, values)
         est2 = estimate(t2)
         report = fit_statistics(t2, est2, "rater")
         assert report.infit_ms[3] < 0.7
@@ -206,7 +206,7 @@ class TestFitStatistics:
                                                             paper_estimates):
         values = np.array(paper_tensor.values)
         values[:, :, 7] = np.nan  # rater never observed
-        t = type(paper_tensor)(paper_tensor.scale, paper_tensor.ids, values)
+        t = cube_tensor(paper_tensor.scale, paper_tensor.ids, values)
         with pytest.warns(UserWarning, match="no observations"):
             report = fit_statistics(t, paper_estimates, "rater")
         assert len(report.element_ids) == 11

@@ -38,7 +38,7 @@ from facetkit.agreement import AgreementTable, AlphaResult, QwkResult
 from facetkit.ensemble import PruneStep, PruneTrace, _member_mean
 from facetkit.report import Table
 from facetkit.study import alpha_table
-from conftest import small_tensor
+from conftest import cube_tensor, small_tensor
 
 
 # -- the replaced loops ------------------------------------------------------
@@ -316,7 +316,7 @@ def rater_tables_cases(draw):
     tensor = small_tensor(scores, scale=(lo, lo + K))
     declared = (~keep) & (np.array(draw(st.lists(st.booleans(), min_size=size,
                                                  max_size=size))).reshape(P, I, R))
-    tensor = type(tensor)(tensor.scale, tensor.ids, tensor.values, declared)
+    tensor = cube_tensor(tensor.scale, tensor.ids, tensor.values, declared)
     raters = list(tensor.ids.raters)
     if R >= 2 and draw(st.booleans()):
         members = draw(st.lists(st.sampled_from(raters), min_size=2, max_size=R,
@@ -376,7 +376,7 @@ def prune_cases(draw):
     tensor = small_tensor(scores, scale=(lo, lo + K))
     declared = (~keep) & (np.array(draw(st.lists(st.booleans(), min_size=size,
                                                  max_size=size))).reshape(P, I, R))
-    tensor = type(tensor)(tensor.scale, tensor.ids, tensor.values, declared)
+    tensor = cube_tensor(tensor.scale, tensor.ids, tensor.values, declared)
     raters = list(draw(st.permutations(tensor.ids.raters)))
     n_bench = draw(st.integers(1, min(2, R - 2)))
     benchmarks = raters[:n_bench]
@@ -525,7 +525,7 @@ class TestManyItems:
         values[:, 9:][rng.random((30, 3, 3)) < 0.1] = np.nan
         values[:, 3, 2] = np.nan  # r3 scores 11 of the 12 items
         tensor = small_tensor(np.zeros((30, 12, 3)))
-        tensor = type(tensor)(tensor.scale, tensor.ids, values, integer_scores=False)
+        tensor = cube_tensor(tensor.scale, tensor.ids, values, integer_scores=False)
         # the first 9 items leave every person complete, the 12 do not
         groups = [("first", tensor.ids.items[:9]), ("all", tensor.ids.items)]
         raters = tensor.ids.raters[:2]

@@ -22,7 +22,7 @@ from facetkit import (
     qwk_matrix,
 )
 from facetkit.study import alpha_table
-from conftest import declared_missing, score_of
+from conftest import cube_tensor, declared_missing, score_of
 
 HEADER = "person_id,item_id,rater_id,score\n"
 
@@ -197,13 +197,13 @@ class TestTensorInvariants:
     def test_scores_validated_against_scale(self):
         ids = FacetIds(("p1",), ("i1",), ("r1",))
         with pytest.raises(ValueError, match="outside scale"):
-            RatingsTensor(ScaleSpec(0, 6), ids, np.array([[[9.0]]]))
+            cube_tensor(ScaleSpec(0, 6), ids, np.array([[[9.0]]]))
 
     def test_integer_scores_enforced(self):
         ids = FacetIds(("p1",), ("i1",), ("r1",))
         with pytest.raises(ValueError, match="non-integer"):
-            RatingsTensor(ScaleSpec(0, 6), ids, np.array([[[3.5]]]))
-        t = RatingsTensor(ScaleSpec(0, 6), ids, np.array([[[3.5]]]), integer_scores=False)
+            cube_tensor(ScaleSpec(0, 6), ids, np.array([[[3.5]]]))
+        t = cube_tensor(ScaleSpec(0, 6), ids, np.array([[[3.5]]]), integer_scores=False)
         assert score_of(t, "p1", "i1", "r1") == 3.5
 
     def test_never_equal_to_another_type(self):
@@ -261,7 +261,7 @@ class TestTensorInvariants:
 def tensor_of(present):
     values = np.where(present, 1.0, np.nan)
     ids = FacetIds(*(tuple(f"{c}{k}" for k in range(n)) for c, n in zip("pir", present.shape)))
-    return RatingsTensor(ScaleSpec(0, 2), ids, values)
+    return cube_tensor(ScaleSpec(0, 2), ids, values)
 
 
 def breadth_first_connected(present):

@@ -34,7 +34,7 @@ from facetkit import (
 )
 from facetkit import ratings
 from facetkit.ratings import canonical_json
-from conftest import declared_missing, score_of
+from conftest import cube_tensor, declared_missing, score_of
 
 
 def reference_records(reader, source):
@@ -141,7 +141,7 @@ def reference_ingest_rows(reader, scale_min, scale_max, source):
             f"than the declared scale [{lo}, {hi}]",
             stacklevel=3,
         )
-    return RatingsTensor(scale, ids, values, declared)
+    return cube_tensor(scale, ids, values, declared)
 
 
 # -- differential ingest ---------------------------------------------------
@@ -564,20 +564,20 @@ def edge_tensors():
     means = np.array([[[10 / 3, 2.5], [3.0, nan]], [[nan, 0.1], [6.0, 1 / 7]]])
     empty = np.full((1, 1, 2), nan)
     return {
-        "ids_with_escapes": RatingsTensor(ScaleSpec(0, 6), ids, scores, declared),
-        "non_integer_means": RatingsTensor(
+        "ids_with_escapes": cube_tensor(ScaleSpec(0, 6), ids, scores, declared),
+        "non_integer_means": cube_tensor(
             ScaleSpec(0, 6), FacetIds(("p1", "p2"), ("i1", "i2"), ("E1", "E2")),
             means, np.isnan(means), integer_scores=False),
-        "negative_scale": RatingsTensor(
+        "negative_scale": cube_tensor(
             ScaleSpec(-3, 3), FacetIds(("p1",), ("i1",), ("r1", "r2", "r3")),
             np.array([[[-3.0, -0.0, 3.0]]])),
-        "non_string_ids": RatingsTensor(
+        "non_string_ids": cube_tensor(
             ScaleSpec(1, 2), FacetIds((1, 2), (1.5,), (True,)), np.array([[[1.0]], [[2.0]]])),
-        "no_listed_cells": RatingsTensor(ScaleSpec(0, 3), FacetIds(("p",), ("i",), ("a", "b")),
-                                         empty),
-        "no_listed_cells_float": RatingsTensor(
+        "no_listed_cells": cube_tensor(ScaleSpec(0, 3), FacetIds(("p",), ("i",), ("a", "b")),
+                                       empty),
+        "no_listed_cells_float": cube_tensor(
             ScaleSpec(0, 3), FacetIds(("p",), ("i",), ("a", "b")), empty, integer_scores=False),
-        "only_declared_missing": RatingsTensor(
+        "only_declared_missing": cube_tensor(
             ScaleSpec(0, 3), FacetIds(("p",), ("i",), ("a", "b")), empty, np.isnan(empty)),
     }
 
@@ -655,7 +655,7 @@ def listed_tensors(draw, first_person_lists_all=False):
     kind[kind.reshape(shape[0], -1).max(axis=1) == 0, 0, 0] = 1
     scores = np.array(draw(st.lists(st.integers(lo, hi), min_size=kind.size,
                                     max_size=kind.size)), float).reshape(shape)
-    return RatingsTensor(ScaleSpec(lo, hi), ids, np.where(kind == 2, scores, np.nan), kind == 1)
+    return cube_tensor(ScaleSpec(lo, hi), ids, np.where(kind == 2, scores, np.nan), kind == 1)
 
 
 class TestRoundTrips:
@@ -743,7 +743,7 @@ class TestFromCells:
 def test_equality_compares_integer_scores():
     ids = FacetIds(("p1", "p2"), ("i1",), ("r1",))
     cube = np.array([[[1.0]], [[2.0]]])
-    tensor = RatingsTensor(ScaleSpec(0, 3), ids, cube)
-    floats = RatingsTensor(ScaleSpec(0, 3), ids, cube, integer_scores=False)
+    tensor = cube_tensor(ScaleSpec(0, 3), ids, cube)
+    floats = cube_tensor(ScaleSpec(0, 3), ids, cube, integer_scores=False)
     assert tensor != floats
-    assert tensor == RatingsTensor(ScaleSpec(0, 3), ids, cube.copy())
+    assert tensor == cube_tensor(ScaleSpec(0, 3), ids, cube.copy())

@@ -272,14 +272,20 @@ def _rater_rows(tensor):
     has."""
     cells = tensor.cell_index
     P, I, R = tensor.shape
-    # rater codes as the smallest unsigned type let the stable sort use radix sort
-    order = np.argsort(cells.ridx.astype(np.min_scalar_type(R)), kind="stable")
-    rater, pidx, iidx = cells.ridx[order], cells.pidx[order], cells.iidx[order]
-    key = rater * P + pidx
-    new = np.ones(key.size, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
+    # rater and person codes as the smallest unsigned types: the stable sort
+    # of the raters is a radix sort, and a row starts where either code moves
+    rater = cells.ridx.astype(np.min_scalar_type(R))
+    order = np.argsort(rater, kind="stable")
+    rater = rater[order]
+    person = cells.pidx.astype(np.min_scalar_type(P))[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = rater[1:] != rater[:-1]
+    new[1:] |= person[1:] != person[:-1]
+    del person
     rows = np.full((int(new.sum()), I), np.nan)
-    rows[np.cumsum(new) - 1, iidx] = cells.score[order]
+    row = np.cumsum(new, dtype=np.min_scalar_type(order.size))
+    row -= 1
+    rows[row, cells.iidx[order]] = cells.score[order]
     return rows, rater[new]
 
 

@@ -98,6 +98,8 @@ def cmd_alpha(args):
         name, _, items = spec.partition(":")
         if not name or not items:
             raise ValueError(f"group {spec!r} must look like name:item1,item2")
+        if name in groups:
+            raise ValueError(f"--groups names group {name!r} twice")
         groups[name] = _split_ids(items, "--groups")
     raters = _split_ids(args.raters, "--raters") if args.raters else list(tensor.ids.raters)
     _emit(alpha_table(tensor, groups.items(), raters).to_csv_text(), args.out)

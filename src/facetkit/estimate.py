@@ -288,7 +288,7 @@ def estimate(tensor: RatingsTensor, config: EstimationConfig = None) -> FacetEst
     if not active.any():
         raise EstimationError("every response string is extreme; nothing to estimate")
     free = [flags[which] == EXTREME_NONE for which in _FACETS] + [np.ones(K, dtype=bool)]
-    fit_cells = groups.subset(active)
+    fit_cells = groups if active.all() else groups.subset(active)
     if not active.all() and fit_cells.unlinked(dict(zip(_FACETS, free))):
         # dropping the extreme strings can split a linked design, and a group
         # left without cells splits from its own members
@@ -528,17 +528,22 @@ def _newton(cells, targets, free, gauge, params, config, max_iterations, change_
     def line_search(steps, gain, objective):
         """Move all four vectors by the largest of steps, steps/2, ...
         (60 halvings) that keeps the objective from decreasing, else leave
-        them; steps of predicted gain within 1e-12 of zero, which no
-        evaluation of the objective resolves, are taken whole.  A value past
-        the clamp may stay where it is but not move further out."""
+        them.  A step of predicted gain within 1e-12 of zero, which no
+        evaluation of the objective resolves, is taken whole if the
+        objective falls by no more than rounding, 64 eps |objective|; such
+        a step need not be small, so a larger fall halves it as any other.
+        A value past the clamp may stay where it is but not move further
+        out."""
         bases = [vec.copy() for vec in params]
         scale_factor = 1.0
+        rounding = 64 * np.finfo(float).eps * abs(objective)
         for _ in range(60):
             for vec, base, step in zip(params, bases, steps):
                 vec[:] = np.clip(base + step * scale_factor,
                                  np.minimum(base, -clamp), np.maximum(base, clamp))
             state = recompute()
-            if state[3] >= objective - 1e-12 or abs(gain) <= 1e-12:
+            if (state[3] >= objective - 1e-12
+                    or abs(gain) <= 1e-12 and state[3] >= objective - rounding):
                 return state
             scale_factor *= 0.5
         for vec, base in zip(params, bases):

@@ -21,6 +21,9 @@ FLAG_CENTRAL = "central_tendency"
 FLAG_MISFIT = "misfit"
 FLAG_NONE = "none"
 
+# cells whose category probabilities the moment kernel holds at a time
+_FIT_BLOCK_CELLS = 2**13
+
 
 @dataclass(frozen=True)
 class FitCuts:
@@ -70,8 +73,10 @@ def fit_statistics(tensor: RatingsTensor, estimates: FacetEstimates,
     Per present cell, the score residual is ``r = x - E`` and the model
     variance ``W``.  Outfit is the plain mean of ``r^2 / W`` over the
     element's cells; infit is the information-weighted
-    ``sum(r^2) / sum(W)``.  Only E and W of the moment kernel are kept,
-    and ``r^2``, then ``r^2 / W``, is formed in place in one array.
+    ``sum(r^2) / sum(W)``.  The moment kernel runs on
+    ``_FIT_BLOCK_CELLS`` cells at a time, so only one block's
+    probabilities exist; only E and W of all cells are kept, and ``r^2``,
+    then ``r^2 / W``, is formed in place in one array.
     """
     if facet not in FACETS:
         raise ValueError(f"facet must be one of {sorted(FACETS)}, got {facet!r}")
@@ -81,9 +86,14 @@ def fit_statistics(tensor: RatingsTensor, estimates: FacetEstimates,
 
     params = estimates.params
     cells = tensor.cell_index
-    expected, variance = cell_moments(
-        cells.locations(params.ability, params.severity, params.difficulty),
-        params.thresholds)[1:]
+    location = cells.locations(params.ability, params.severity, params.difficulty)
+    expected, variance = np.empty((2, cells.n))
+    for start in range(0, cells.n, _FIT_BLOCK_CELLS):
+        # numpy takes a lone cell's moments by a matrix-vector product, which
+        # rounds otherwise: a last block of one cell starts a cell earlier
+        block = slice(max(min(start, cells.n - 2), 0), start + _FIT_BLOCK_CELLS)
+        _, expected[block], variance[block] = cell_moments(location[block], params.thresholds)
+    del location
     sq = cells.x - expected
     np.square(sq, out=sq)
 

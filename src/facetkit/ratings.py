@@ -17,19 +17,33 @@ import marshal
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat as repeated
+from itertools import islice, repeat as repeated
 from operator import itemgetter
 
 import numpy as np
 
 # cells of tensor.json text built and handed on at a time
 _JSON_BLOCK_CELLS = 2**13
+# encoder tokens of other JSON text joined and handed on at a time
+_JSON_CHUNK_TOKENS = 2**12
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def canonical_json(obj) -> str:
     """The one JSON encoding of every artifact: sorted keys, two-space
-    indent, trailing newline, so equal objects always give equal bytes."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    indent, trailing newline, so equal objects always give equal bytes.
+    It is :func:`canonical_json_chunks` joined."""
+    return "".join(canonical_json_chunks(obj))
+
+
+def canonical_json_chunks(obj):
+    """Yield the text of :func:`canonical_json` in pieces, each joined from
+    ``_JSON_CHUNK_TOKENS`` of the encoder's tokens, so that only one piece's
+    tokens are held at a time."""
+    tokens = _ENCODER.iterencode(obj)
+    while chunk := "".join(islice(tokens, _JSON_CHUNK_TOKENS)):
+        yield chunk
+    yield "\n"
 
 
 # -- the one reader of JSON input documents ------------------------------------
@@ -243,11 +257,11 @@ class CellIndex:
     A tensor derives it from its store on first read.  ``pidx``, ``iidx``
     and ``ridx`` locate each scored cell (also keyed by facet name in
     ``index``), ``score`` holds its score and ``x`` its 0-based category,
-    ``score - min_score``.  Every consumer of per-cell quantities
-    (estimation, fit statistics, the log-likelihood, agreement, the link
-    check :meth:`unlinked`) reads it through :attr:`RatingsTensor.cell_index`;
-    a selection that is read many times, such as the cells of a fit, is a
-    :meth:`subset` of it.
+    ``score - min_score``, or ``score`` itself when ``min_score`` is 0.
+    Every consumer of per-cell quantities (estimation, fit statistics, the
+    log-likelihood, agreement, the link check :meth:`unlinked`) reads it
+    through :attr:`RatingsTensor.cell_index`; a selection that is read many
+    times, such as the cells of a fit, is a :meth:`subset` of it.
 
     A cell list may stand for more persons than it lists: ``group_size``,
     None for a tensor's own cells, gives how many persons each person code
@@ -264,7 +278,7 @@ class CellIndex:
     def __init__(self, pidx, iidx, ridx, score, shape, min_score=0, group_size=None,
                  counts=None, rows=None):
         self.pidx, self.iidx, self.ridx, self.score = pidx, iidx, ridx, score
-        self.x = score - min_score
+        self.x = score - min_score if min_score else score
         self.n = self.pidx.size
         self.group_size, self.counts, self.rows = group_size, counts, rows
         self.mult = None if group_size is None else group_size[pidx].astype(float)
@@ -497,32 +511,46 @@ class RatingsTensor:
         Under ``indent`` the json module encodes with its pure-Python
         encoder, so only the small head goes through :func:`canonical_json`.
         The cells are joined from strings: each id and each distinct score
-        is encoded once, and rows are laid out as ``indent=2`` would.  The
-        token codes of all cells are taken in one pass; only one block's
-        pieces and text are held at a time.
+        is encoded once, and rows are laid out as ``indent=2`` would.  An
+        integer score's token is found by its category, NaN's after the
+        last, when the scale has no more categories than the store has
+        cells; other scores are coded by their rank among the distinct
+        scores, all cells in one pass.  Each block unravels its own codes;
+        only one block's codes, pieces and text are held at a time.
         """
-        pidx, iidx, ridx = np.unravel_index(self.listed_codes, self.shape)
-        scores, score_code = np.unique(self.listed_scores, return_inverse=True)
+        codes, n = self.listed_codes, self.listed_codes.size
+        lo, span = self.scale.min_score, self.scale.span
+        if self.integer_scores and span < n:
+            scores = np.append(lo + np.arange(span + 1.0), np.nan)
+
+            def score_codes(block):
+                x = self.listed_scores[block] - lo
+                return np.where(np.isnan(x), span + 1, x).astype(np.intp)
+        else:
+            scores, score_code = np.unique(self.listed_scores, return_inverse=True)
+            score_codes = score_code.__getitem__
+
         # a row reads ',\n    [\n      P,\n      I,\n      R,\n      S\n    ]'
         # (the first without its comma); each token carries the layout around it
         sep = ",\n      "
-        columns = [([before + json.dumps(x) + after for x in entries], codes)
-                   for entries, codes, before, after in (
-                       (self.ids.persons, pidx, ",\n    [\n      ", sep),
-                       (self.ids.items, iidx, "", sep),
-                       (self.ids.raters, ridx, "", sep),
-                       (map(_score_value, scores.tolist()), score_code, "", "\n    ]"))]
+        columns = [[before + json.dumps(x) + after for x in entries]
+                   for entries, before, after in (
+                       (self.ids.persons, ",\n    [\n      ", sep),
+                       (self.ids.items, "", sep),
+                       (self.ids.raters, "", sep),
+                       (map(_score_value, scores.tolist()), "", "\n    ]"))]
         # "cells" sorts before every other key, so it opens the object
         head = canonical_json(self._json_head())[2:]
-        if not pidx.size:
+        if not n:
             yield '{\n  "cells": [],\n' + head
             return
         yield '{\n  "cells": ['
-        for start in range(0, pidx.size, _JSON_BLOCK_CELLS):
+        for start in range(0, n, _JSON_BLOCK_CELLS):
             block = slice(start, start + _JSON_BLOCK_CELLS)
-            pieces = [None] * (4 * len(pidx[block]))
-            for k, (tokens, codes) in enumerate(columns):
-                pieces[k::4] = map(tokens.__getitem__, codes[block].tolist())
+            pieces = [None] * (4 * len(codes[block]))
+            for k, (tokens, column) in enumerate(zip(columns, (
+                    *np.unravel_index(codes[block], self.shape), score_codes(block)))):
+                pieces[k::4] = map(tokens.__getitem__, column.tolist())
             if not start:
                 pieces[0] = pieces[0][1:]   # the first row has no comma
             yield "".join(pieces)
@@ -621,9 +649,10 @@ def ingest_csv_text(text, scale_min=None, scale_max=None) -> RatingsTensor:
 
 
 def _flat_codes(shape, pidx, iidx, ridx):
-    """Each cell's position ``(p*I + i)*R + r`` in the flattened cube."""
+    """Each cell's position ``(p*I + i)*R + r`` in the flattened cube, as
+    ``intp`` whatever the type of the codes."""
     _, I, R = shape
-    return (pidx * I + iidx) * R + ridx
+    return (pidx.astype(np.intp) * I + iidx) * R + ridx
 
 
 def _person_major(keys):
@@ -765,7 +794,8 @@ def _plain_read(raw):
 
 def _field_codes(words, start, width):
     """Each field's code among the distinct fields, in order of first
-    appearance, and the row where each first appears.  A field's key is its
+    appearance, as the smallest unsigned type that holds their count, and
+    the row where each first appears.  A field's key is its
     first 8 bytes as a word, zero-padded, as no field holds a zero byte;
     then each further 8 bytes refine the keys of the fields that have them."""
     key = words[start] & _MASKS[np.minimum(width, 8)]
@@ -785,7 +815,7 @@ def _field_codes(words, start, width):
     key = key.astype(np.min_scalar_type(key.max(initial=0)))
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    return np.argsort(order)[inverse], first[order]
+    return np.argsort(order).astype(np.min_scalar_type(order.size))[inverse], first[order]
 
 
 def _ingest_read(columns, skipped, stop, scale_min, scale_max, source):

@@ -20,7 +20,7 @@ from .agreement import alpha_results, qwk_matrix
 from .ensemble import EnsembleSpec, build_ensemble
 from .estimate import ESTIMATION_JSON, EstimationConfig, estimate, severity_classification
 from .fitstats import FitCuts, STRINGENT_CUTS, fit_statistics, with_flags
-from .ratings import Fields, canonical_json, checked_json, ingest_csv
+from .ratings import Fields, canonical_json, canonical_json_chunks, checked_json, ingest_csv
 from .report import (Table, descriptive_table, estimates_summary, measure_table,
                      render_wright)
 from .simulate import SPEC_JSON, SimSpec, simulate
@@ -261,7 +261,8 @@ def run_study(config: StudyConfig, output_dir=None, seed=None):
     stage("ensemble", lambda: write(ensemble_files()))
 
     estimates = stage("estimate", lambda: estimate(tensor, config.estimation))
-    stage("estimate", lambda: write({"estimates.json": estimates.to_json_text()}))
+    stage("estimate", lambda: write(
+        {"estimates.json": canonical_json_chunks(estimates.to_json_dict())}))
     rater_fit, raters = stage("fit", lambda: fit_stage(tensor, estimates, config.fit_cuts))
     stage("fit", lambda: write({"raters.csv": raters.to_csv_text()}))
     stage("report", lambda: write(report_stage(tensor, estimates, rater_fit)))

@@ -41,7 +41,7 @@ from facetkit import (
 )
 from facetkit.ratings import _flat_codes, _score_value, canonical_json
 from facetkit.rounding import ROUNDING_MODES
-from facetkit.study import _write_artifact
+from facetkit.study import _write_artifact, alpha_table
 from conftest import cube_tensor, declared_missing, paper_spec, pool_csv
 
 
@@ -522,7 +522,8 @@ def test_estimate_memory_on_a_crossed_design():
     groups of 10 416 cells) the standard errors and the final
     log-likelihood read the groups' cells, not every cell.  Computed over all cells, as before, the
     traced peak of ``estimate`` on this draw was 7.03 MB with numpy 2.4; on
-    the groups it is 3.9 MB."""
+    the groups it was 4.02 MB, and 3.21 MB once the fit read the groups
+    themselves when no string is extreme, not a copy of them."""
     tensor, _ = simulate(paper_spec(seed=1, n_persons=1000))
     tensor.cell_index
     tracemalloc.start()
@@ -532,13 +533,18 @@ def test_estimate_memory_on_a_crossed_design():
     finally:
         tracemalloc.stop()
     assert tensor.n_cells == 48000 and estimates.converged
-    assert peak < 6.0e6
+    assert peak < 3.7e6
 
 
 # -- memory of run's per-cell stages on a crossed 1000 x 4 x 12 draw ----------
 # Traced peaks with numpy 2.4 when each stage held all cells at once: 6.3 MB
 # to build, write and read back tensor.json, 6.6 MB for the QWK pairs and
-# 5.0 MB for the rater fit with the kernel's probabilities alive.
+# 5.0 MB for the rater fit with the kernel's probabilities alive.  Then
+# 3.42 MB for the tensor.json write with its scores sorted by np.unique and
+# every cell's codes unravelled up front (2.04 MB by a table, a block at a
+# time), 4.23 MB for the rater fit with all cells' probabilities (2.27 MB a
+# block at a time) and 3.51 MB for alpha_table with int64 sort keys (2.35 MB
+# with the codes in their smallest types).
 
 
 @pytest.fixture(scope="module")
@@ -562,7 +568,7 @@ def test_tensor_json_is_written_in_blocks(crossed_1000, tmp_path):
     digest, peak = traced_peak(lambda: _write_artifact(path, crossed_1000.json_chunks()))
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert path.read_text(encoding="utf-8") == crossed_1000.to_json_text()
-    assert peak < 4e6
+    assert peak < 3.0e6
 
 
 def test_qwk_pairs_are_tallied_in_blocks(crossed_1000):
@@ -577,4 +583,12 @@ def test_fit_statistics_drop_the_probabilities(crossed_1000):
     estimates = estimate(crossed_1000)
     report, peak = traced_peak(lambda: fit_statistics(crossed_1000, estimates, "rater"))
     assert report.n_obs.sum() == 48000
-    assert peak < 4.6e6
+    assert peak < 3.0e6
+
+
+def test_alpha_rows_keep_narrow_codes(crossed_1000):
+    items = crossed_1000.ids.items
+    groups = [("holistic", items), ("first", items[:2]), ("last", items[2:])]
+    table, peak = traced_peak(lambda: alpha_table(crossed_1000, groups, crossed_1000.ids.raters))
+    assert len(table.rows) == 3 * 12
+    assert peak < 3.0e6

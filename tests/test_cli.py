@@ -171,6 +171,7 @@ class TestAlpha:
     (("agree", "--benchmarks", "R1", "--candidates", ","), "--candidates names no id: ','"),
     (("alpha", "--groups", "g:SN1,ER1", "--raters", ","), "--raters names no id: ','"),
     (("alpha", "--groups", ":SN1,ER1"), "group ':SN1,ER1' must look like name:item1,item2"),
+    (("alpha", "--groups", "g:SN1,ER1", "g:SN2,ER2"), "--groups names group 'g' twice"),
 ])
 def test_id_list_naming_nothing_is_one_json_error(argv, error, capsys):
     assert run_cli(argv[0], BUNDLED_CSV, *argv[1:]) == 1

@@ -1152,6 +1152,12 @@ class TestJointNewton:
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_designs())
+    # six cells of 3 x 3 x 3 on 0-4: a full-size step of predicted gain
+    # 4e-19, which the line search took whole, once let the likelihood
+    # fall by 1.6e-3
+    @example(small_tensor([[[None, 1, None], [None, None, 3], [None, None, None]],
+                           [[None, None, None], [None, None, None], [None, None, 0]],
+                           [[None, None, None], [None, 1, None], [0, None, 0]]], scale=(0, 4)))
     def test_contract_on_sparse_designs(self, tensor):
         est = estimate_or_skip(tensor)
         assert np.all(np.diff(est.sweep_log_likelihoods) >= -1e-9)

@@ -1,8 +1,11 @@
 """Tests for infit/outfit mean squares and rater-effect flags."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from facetkit import fitstats
 from facetkit import (
     FitCuts,
     FitReport,
@@ -179,12 +182,18 @@ class TestFitStatistics:
     def test_arrays_match_the_reference_bit_for_bit(self, facet, paper_tensor,
                                                     paper_estimates, large_sim,
                                                     large_estimates):
+        """At the default block of cells, which splits the 24 000 cells of
+        the larger design; at blocks of 2, 3 and 480 cells, 480 dividing
+        both designs' cells; and at one cell fewer than all, which leaves a
+        last block of one cell."""
         for tensor, estimates in ((paper_tensor, paper_estimates),
                                   (large_sim[0], large_estimates)):
-            report = fit_statistics(tensor, estimates, facet)
             want = reference_fit_arrays(tensor, estimates, facet)
-            for got, ref in zip((report.infit_ms, report.outfit_ms, report.n_obs), want):
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            for block in (fitstats._FIT_BLOCK_CELLS, 2, 3, 480, tensor.n_cells - 1):
+                with mock.patch.object(fitstats, "_FIT_BLOCK_CELLS", block):
+                    report = fit_statistics(tensor, estimates, facet)
+                for got, ref in zip((report.infit_ms, report.outfit_ms, report.n_obs), want):
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_misaligned_inputs_rejected(self, paper_tensor, paper_estimates):
         sliced = with_items(paper_tensor, ["SN1", "SN2"])

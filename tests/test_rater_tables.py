@@ -532,3 +532,19 @@ class TestManyItems:
         assert_tables_equal(alpha_table(tensor, groups, raters),
                             reference_alpha_table(tensor, groups, raters))
         assert_tables_equal(descriptive_table(tensor), reference_descriptive_table(tensor))
+
+
+def test_alpha_table_on_a_pool_past_255_raters():
+    """1200 persons each scored on four items by two of 300 raters, so both
+    codes need uint16, and a tenth of the last item's scores missing."""
+    rng = np.random.default_rng(3)
+    P, R = 1200, 300
+    values = np.full((P, 4, R), np.nan)
+    persons = np.arange(P)
+    for raters in (persons % R, (7 * persons + 1) % R):    # never the same rater
+        values[persons, :, raters] = rng.integers(0, 7, size=(P, 4))
+    values[:, 3][rng.random((P, R)) < 0.1] = np.nan
+    tensor = small_tensor(values)
+    groups = [("all", tensor.ids.items), ("first", tensor.ids.items[:2])]
+    assert_tables_equal(alpha_table(tensor, groups, tensor.ids.raters),
+                        reference_alpha_table(tensor, groups, tensor.ids.raters))

@@ -361,6 +361,23 @@ class TestIngestMatchesReference:
                 assert ingest_outcome(lambda *s: ingest_csv_text(text, *s), (0, 6)) == from_text
                 assert ingest_outcome(lambda *s: ingest_csv(path, *s), (0, 6)) == from_file
 
+    @pytest.mark.parametrize("shape, dtypes", [
+        ((2, 300, 300), ["uint8", "uint16", "uint16", "uint8"]),
+        ((70_000, 1, 1), ["uint32", "uint8", "uint8", "uint8"]),
+    ], ids=["uint16", "uint32"])
+    def test_wide_codes_read_alike(self, shape, dtypes):
+        """Facets of more than 255 and 65 535 ids, whose codes the numpy read
+        keeps as uint16 and uint32: it gives the csv read's tensor."""
+        P, I, R = shape
+        rows = "".join(f"p{p},i{i},r{r},{(p + i + r) % 7}\n"
+                       for p in range(P) for i in range(I) for r in range(R))
+        plain, quoted = HEADER + rows, '"person_id",item_id,rater_id,score\n' + rows
+        assert is_plain(plain) and not is_plain(quoted)
+        columns = ratings._plain_read(plain.encode())[0]
+        assert [str(codes.dtype) for codes, _ in columns] == dtypes
+        tensor = ingest_csv_text(plain)
+        assert tensor.shape == shape and tensor == ingest_csv_text(quoted)
+
     @pytest.mark.parametrize("text", [
         pytest.param(HEADER + '"p1",i1,r1,3\np1,i1,r2,2\n', id="quote"),
         # a header ending in \n, records in \r\n
